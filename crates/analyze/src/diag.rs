@@ -201,15 +201,6 @@ pub const PARTITION_KEY_UNSOUND: Code = Code {
     summary: "hash-join partition key outside the certified join-key equivalence class",
 };
 
-/// Concurrency certifier (crate audit): a storage mutation path that can
-/// change recency-relevant state does not bump the heartbeat epoch — the
-/// coarse freshness counter would silently under-report the write.
-pub const EPOCH_COVERAGE: Code = Code {
-    id: "TRAC019",
-    severity: Severity::Error,
-    summary: "recency-relevant mutation path does not bump the heartbeat epoch",
-};
-
 /// Concurrency certifier (crate audit): an instrumented lock acquisition
 /// violates the declared storage/exec lock order, so two threads taking
 /// the same pair in opposite orders could deadlock.
@@ -316,8 +307,9 @@ pub const RESCAN_LICENSED: Code = Code {
     summary: "rescan-only maintenance license: forced-rescan fallback recorded",
 };
 
-/// All codes, for `--explain` listings and the docs table.
-pub const ALL_CODES: [Code; 30] = [
+/// All live codes, for `--explain` listings and the docs table. Ids are
+/// never reused: a retired code (`TRAC019`) leaves a gap.
+pub const ALL_CODES: [Code; 29] = [
     PARTITION_VIOLATION,
     UNSOUND_MINIMUM,
     UNSAT_NONEMPTY,
@@ -336,7 +328,6 @@ pub const ALL_CODES: [Code; 30] = [
     EXCHANGE_PLACEMENT,
     GATHER_DETERMINISM,
     PARTITION_KEY_UNSOUND,
-    EPOCH_COVERAGE,
     LOCK_ORDER,
     FASTPATH_UNSOUND,
     FASTPATH_CERTIFIED,
@@ -556,8 +547,14 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_ordered() {
-        for (i, c) in ALL_CODES.iter().enumerate() {
-            assert_eq!(c.id, format!("TRAC{:03}", i + 1));
+        // Fixed-width `TRACnnn` ids, so string order is numeric order.
+        for pair in ALL_CODES.windows(2) {
+            assert!(
+                pair[0].id < pair[1].id,
+                "code ids must strictly increase: {} then {}",
+                pair[0].id,
+                pair[1].id
+            );
         }
     }
 

@@ -32,9 +32,9 @@
 //! * [`passes::concurrency`] — certifies the morsel-driven parallel twin
 //!   of every lowered plan against its serial plan (Exchange placement
 //!   `TRAC016`, Gather determinism `TRAC017`, partition-key soundness
-//!   `TRAC018`) and audits two crate-wide disciplines dynamically:
-//!   heartbeat-epoch freshness-counter coverage (`TRAC019`) and the
-//!   declared lock-acquisition order (`TRAC020`);
+//!   `TRAC018`) and audits the declared lock-acquisition order
+//!   dynamically (`TRAC020`; `TRAC019` is retired, subsumed by
+//!   `TRAC028`);
 //! * [`passes::fastpath`] — re-derives the side conditions of every
 //!   statistics-driven fast-path operator the lowering emitted
 //!   (`CountStar`, `IndexMinMax`, `TopNIndex`, multi-key IN-list
@@ -77,7 +77,7 @@ pub mod passes;
 
 pub use diag::{
     Code, Diagnostic, Severity, Span, SpanFinder, ALL_CODES, ALL_SOURCES_FALLBACK, BAD_PROJECTION,
-    DEGRADED_GUARANTEE, EPOCH_COVERAGE, EXCHANGE_PLACEMENT, FASTPATH_CERTIFIED, FASTPATH_UNSOUND,
+    DEGRADED_GUARANTEE, EXCHANGE_PLACEMENT, FASTPATH_CERTIFIED, FASTPATH_UNSOUND,
     FLOAT_TOTAL_ORDER, GATHER_DETERMINISM, JOIN_KEY_CONTRACT, KERNEL_CERTIFIED, LOCK_ORDER,
     MAINTENANCE_UNSOUND, NULLMASK_CERTIFIED, OPERATOR_CONTRACT, PANIC_PATH, PARTITION_KEY_UNSOUND,
     PARTITION_VIOLATION, REFINED_MINIMUM, RESCAN_LICENSED, RESIDUE_DROPPED, RESIDUE_PHANTOM,
@@ -387,12 +387,12 @@ pub fn analyze_samples(cfg: AnalyzerConfig) -> Result<Vec<QueryAnalysis>> {
 }
 
 /// The crate-level concurrency certification (diagnostics `TRAC016` to
-/// `TRAC020`): re-certifies every sample query's parallel twin against
-/// its serial plan, audits heartbeat-epoch freshness-counter coverage
-/// across `crates/storage`, and checks the instrumented lock-acquisition
-/// graph of a representative workload against the declared order.
+/// `TRAC018` and `TRAC020`): re-certifies every sample query's parallel
+/// twin against its serial plan, and checks the instrumented
+/// lock-acquisition graph of a representative workload against the
+/// declared order.
 ///
-/// A clean run returns exactly five note-severity diagnostics — one
+/// A clean run returns exactly four note-severity diagnostics — one
 /// positive certification per code — so the committed analyzer baseline
 /// records the proof, and any regression flips a note into an error the
 /// CI JSON diff cannot miss.
@@ -431,11 +431,10 @@ pub fn analyze_concurrency() -> Result<Vec<Diagnostic>> {
         sweep(&txn, &format!("eval/{name}"), sql)?;
     }
     drop(txn);
-    diags.extend(passes::concurrency::audit_epoch_coverage()?);
     diags.extend(passes::concurrency::audit_lock_order()?);
     // Positive certification: one note per clean code, so the committed
     // baseline records what was proven rather than a silent absence.
-    let certs: [(Code, String); 5] = [
+    let certs: [(Code, String); 4] = [
         (
             EXCHANGE_PLACEMENT,
             format!("certified {plans} parallel plans: every Exchange drives a morsel-partitionable position-0 leaf and no order-sensitive operator sits inside a parallel region"),
@@ -447,10 +446,6 @@ pub fn analyze_concurrency() -> Result<Vec<Diagnostic>> {
         (
             PARTITION_KEY_UNSOUND,
             format!("certified {plans} parallel plans: every partitioned hash join builds and probes inside a certified join-key equivalence class"),
-        ),
-        (
-            EPOCH_COVERAGE,
-            "audited crates/storage mutation paths: every recency-relevant path bumps the heartbeat epoch freshness counter".to_string(),
         ),
         (
             LOCK_ORDER,

@@ -1,10 +1,10 @@
 //! Concurrency certification: determinism proofs for parallel plans and
-//! whole-crate audits of the invalidation and locking discipline
-//! (`TRAC016`–`TRAC020`).
+//! a whole-crate audit of the locking discipline (`TRAC016`–`TRAC018`,
+//! `TRAC020`).
 //!
 //! The morsel-driven executor claims its output is byte-identical to the
-//! serial plan's. That claim rests on four structural invariants this
-//! pass re-proves per plan, plus two crate-wide disciplines it audits
+//! serial plan's. That claim rests on three structural invariants this
+//! pass re-proves per plan, plus one crate-wide discipline it audits
 //! dynamically:
 //!
 //! * **`TRAC016` Exchange placement** — an `Exchange` may sit only
@@ -23,29 +23,23 @@
 //!   inside the region builds on `inner_col` and probes on `outer_key`;
 //!   the pair must lie in the join-key equivalence class certified by
 //!   the dataflow facts (the same facts backing `TRAC011`).
-//! * **`TRAC019` epoch coverage** — every `crates/storage` mutation
-//!   path that can change recency-relevant state must bump the
-//!   heartbeat epoch, the coarse freshness counter backing the typed
-//!   change stream ([`trac_storage::epoch::audit`]).
 //! * **`TRAC020` lock order** — the instrumented acquisition graph
 //!   ([`trac_storage::lockorder`]) must respect the declared partial
 //!   order `PlanCache < DbData < TxnStamped < MorselSlot < ChangeLog`.
 //!
 //! Like every pass, the fine-grained check functions take the claimed
 //! artifact as an argument so tests can seed one violation and assert
-//! the exact diagnostic; [`run`] and the `audit_*` entry points
-//! recompute the claims from the production code paths.
+//! the exact diagnostic; [`run`] and [`audit_lock_order`] recompute the
+//! claims from the production code paths.
 
 use crate::dataflow::{self, FactMap};
 use crate::diag::{
-    Diagnostic, EPOCH_COVERAGE, EXCHANGE_PLACEMENT, GATHER_DETERMINISM, LOCK_ORDER,
-    PARTITION_KEY_UNSOUND,
+    Diagnostic, EXCHANGE_PLACEMENT, GATHER_DETERMINISM, LOCK_ORDER, PARTITION_KEY_UNSOUND,
 };
 use trac_core::Session;
 use trac_expr::{BoundSelect, ColRef};
 use trac_plan::{PhysicalPlan, PlanNode};
 use trac_storage::lockorder::{self, LockId};
-use trac_storage::Observation;
 use trac_types::{Result, SourceId, Timestamp};
 use trac_workload::load_paper_tables;
 
@@ -113,27 +107,6 @@ fn erase_parallel(node: &PlanNode) -> PlanNode {
     }
 }
 
-/// Flags every recency-relevant mutation path that failed to bump the
-/// heartbeat epoch (`TRAC019`).
-pub fn check_epoch_observations(observations: &[Observation]) -> Vec<Diagnostic> {
-    observations
-        .iter()
-        .filter(|o| o.violates_coverage())
-        .map(|o| {
-            Diagnostic::new(
-                EPOCH_COVERAGE,
-                "crates/storage mutation audit",
-                format!(
-                    "mutation path `{}` changes recency-relevant state without bumping the \
-                     heartbeat epoch; the freshness counter would silently under-report the \
-                     write",
-                    o.name
-                ),
-            )
-        })
-        .collect()
-}
-
 /// Flags every instrumented lock acquisition that inverts the declared
 /// partial order (`TRAC020`).
 pub fn check_lock_edges(edges: &[(LockId, LockId)]) -> Vec<Diagnostic> {
@@ -155,13 +128,6 @@ pub fn check_lock_edges(edges: &[(LockId, LockId)]) -> Vec<Diagnostic> {
             )
         })
         .collect()
-}
-
-/// Crate audit: exercises every registered `crates/storage` mutation
-/// path against a fresh database and checks epoch coverage
-/// (`TRAC019`).
-pub fn audit_epoch_coverage() -> Result<Vec<Diagnostic>> {
-    Ok(check_epoch_observations(&trac_storage::epoch::audit()?))
 }
 
 /// Crate audit: records the lock-acquisition graph of a representative
@@ -368,31 +334,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_checker_flags_only_uncovered_relevant_paths() {
-        let obs = [
-            Observation {
-                name: "covered path",
-                affects_recency: true,
-                bumped: true,
-            },
-            Observation {
-                name: "irrelevant path",
-                affects_recency: false,
-                bumped: false,
-            },
-            Observation {
-                name: "leaky path",
-                affects_recency: true,
-                bumped: false,
-            },
-        ];
-        let diags = check_epoch_observations(&obs);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code.id, "TRAC019");
-        assert!(diags[0].message.contains("leaky path"));
-    }
-
-    #[test]
     fn lock_checker_flags_inverted_edges() {
         let edges = [
             (LockId::PlanCache, LockId::DbData),
@@ -407,7 +348,6 @@ mod tests {
 
     #[test]
     fn crate_audits_pass_on_the_stock_tree() {
-        assert!(audit_epoch_coverage().unwrap().is_empty());
         assert!(audit_lock_order().unwrap().is_empty());
     }
 }

@@ -21,8 +21,9 @@
 //! Following the pass convention, [`check_panic_sites`] takes the
 //! *claimed* site list so tests can seed one violation and assert the
 //! exact diagnostic; [`audit_panic_paths`] feeds it the production
-//! sources via `CARGO_MANIFEST_DIR`-relative paths, exactly like the
-//! concurrency pass's epoch and lock-order audits.
+//! sources via `CARGO_MANIFEST_DIR`-relative paths, the way the
+//! lock-order (`TRAC020`) and change-stream (`TRAC028`) audits feed
+//! their checkers the production code paths.
 //!
 //! [`TracError`]: trac_types::TracError
 

@@ -5,7 +5,8 @@
 //! the unmutated plan certifies cleanly, applies exactly one surgical
 //! mutation to the plan IR, and asserts the validator rejects it with
 //! the expected stable `TRAC009`–`TRAC015` code (or, for parallel-plan
-//! mutations, that the concurrency certifier trips `TRAC016`–`TRAC020`).
+//! mutations, that the concurrency certifier trips `TRAC016`–`TRAC018`
+//! or `TRAC020`).
 //! Every mutation models a realistic lowering bug: a dropped predicate,
 //! a phantom predicate, a corrupted join key, a retargeted slot, a
 //! mangled shaping operator, a misplaced Exchange, an unordered merge,
@@ -686,24 +687,6 @@ fn corrupting_a_parallel_hash_join_partition_key_is_caught() {
 }
 
 #[test]
-fn uncovered_epoch_path_is_caught() {
-    // A storage mutation path that changes recency-relevant state but
-    // never bumps the heartbeat epoch would let the plan cache serve a
-    // stale prepared plan (TRAC019).
-    let obs = [trac_storage::Observation {
-        name: "seeded: heartbeat write skips the epoch bump",
-        affects_recency: true,
-        bumped: false,
-    }];
-    let codes: Vec<_> = concurrency::check_epoch_observations(&obs)
-        .iter()
-        .filter(|d| d.is_error())
-        .map(|d| d.code.id)
-        .collect();
-    assert_eq!(codes, ["TRAC019"]);
-}
-
-#[test]
 fn inverted_lock_acquisition_is_caught() {
     // Taking the data map while holding the stamped-slot list inverts
     // the declared order; paired with the legal order elsewhere this is
@@ -962,18 +945,23 @@ fn recency_plan(sql: &str) -> trac_core::RecencyPlan {
 fn silent_change_stream_path_is_caught() {
     // A storage mutation path that commits without publishing its typed
     // change event would let a delta-maintained report diverge from a
-    // rescan with no fold ever seeing the write (TRAC028).
-    let obs = [trac_storage::changelog::StreamObservation {
-        name: "seeded: heartbeat upsert skips publication",
-        expected: &["heartbeat-upsert"],
-        published: vec![],
-    }];
-    let codes: Vec<_> = maintain::check_stream_observations(&obs)
-        .iter()
-        .filter(|d| d.is_error())
-        .map(|d| d.code.id)
-        .collect();
-    assert_eq!(codes, ["TRAC028"]);
+    // rescan with no fold ever seeing the write (TRAC028). The second
+    // seed is a raw heartbeat-table write (SQL DML) that escapes the
+    // stream: a report would fold past a recency change no monotone
+    // upsert explains.
+    for expected in [&["heartbeat-upsert"], &["heartbeat-dml"]] {
+        let obs = [trac_storage::changelog::StreamObservation {
+            name: "seeded: write path skips publication",
+            expected,
+            published: vec![],
+        }];
+        let codes: Vec<_> = maintain::check_stream_observations(&obs)
+            .iter()
+            .filter(|d| d.is_error())
+            .map(|d| d.code.id)
+            .collect();
+        assert_eq!(codes, ["TRAC028"], "{expected:?}");
+    }
 }
 
 #[test]

@@ -711,7 +711,7 @@ mod tests {
         session.recency_report(sql).unwrap();
         // Poison the cached plan, then change the config: the mismatch
         // must force a rebuild that washes the poison out, even though
-        // the heartbeat epoch has not moved.
+        // no write has been published to the change stream.
         session
             .plan_cache
             .lock()
@@ -739,7 +739,7 @@ mod tests {
             session.plan_cache_stats(),
             PlanCacheStats { hits: 0, misses: 1 }
         );
-        // Same SQL, same epoch, new execution configuration: the plan
+        // Same SQL, no intervening write, new execution configuration: the plan
         // prepared for the serial configuration must not be served.
         session.exec_options = ExecOptions::default().with_parallelism(4, 2);
         session.recency_report(sql).unwrap();
@@ -764,7 +764,7 @@ mod tests {
     fn plan_cache_keys_on_every_exec_knob() {
         // The key must cover the complete ExecOptions set: any knob
         // changes the lowered subquery twins, so flipping exactly one
-        // knob — with the SQL, epoch and relevance config fixed — must
+        // knob — with the SQL, data and relevance config fixed — must
         // miss the prepared-plan cache.
         let db = paper_db();
         let mut session = Session::new(db);

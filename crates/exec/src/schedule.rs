@@ -6,7 +6,7 @@
 //! deterministic schedule controller that serializes a multi-threaded
 //! execution onto one runnable thread at a time and explores many
 //! distinct interleavings of the instrumented *yield points* — morsel
-//! handoff, plan-cache read/write, and heartbeat-epoch bumps.
+//! handoff, plan-cache read/write, and change-stream publications.
 //!
 //! # How it works
 //!
@@ -25,9 +25,9 @@
 //! nothing. The worker pool checks [`active`] and wraps its scoped
 //! workers in [`participate`]; the coordinator releases the token around
 //! the pool join via [`Controller::suspend`]/[`Controller::resume`].
-//! Heartbeat-epoch bumps in `trac-storage` reach [`yield_point`] through
-//! the epoch yield hook installed by [`explore`], keeping the storage
-//! crate free of any executor dependency.
+//! Writers in `trac-storage` reach [`yield_point`] on their change-stream
+//! publish path through the publish yield hook installed by [`explore`],
+//! keeping the storage crate free of any executor dependency.
 //!
 //! Exhaustive mode runs a bounded depth-first search over decision
 //! sequences: schedule *k+1* replays the longest prefix of schedule *k*
@@ -63,8 +63,9 @@ pub enum Site {
     CacheRead,
     /// A session about to install a freshly built plan in the cache.
     CacheWrite,
-    /// A writer about to advance the heartbeat epoch.
-    EpochBump,
+    /// A writer about to publish a change event (including the
+    /// suppressed raw legs of a heartbeat upsert).
+    Publish,
     /// A session about to fold the change stream into maintained
     /// report state (after taking the state out of the plan cache,
     /// before reading the stream).
@@ -338,10 +339,11 @@ pub fn yield_point(site: Site) {
     }
 }
 
-/// The hook [`explore`] installs into `trac-storage` so heartbeat-epoch
-/// bumps become schedule points without a storage→exec dependency.
-fn epoch_bump_hook() {
-    yield_point(Site::EpochBump);
+/// The hook [`explore`] installs into `trac-storage` so change-stream
+/// publications become schedule points without a storage→exec
+/// dependency.
+fn publish_hook() {
+    yield_point(Site::Publish);
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -387,7 +389,7 @@ pub fn explore<F>(strategy: Strategy, mut body: F) -> Report
 where
     F: FnMut(&Arc<Controller>) -> Result<(), String>,
 {
-    trac_storage::set_epoch_yield_hook(epoch_bump_hook);
+    trac_storage::set_publish_yield_hook(publish_hook);
     let ctl = Arc::new(Controller {
         state: Mutex::new(CtlState::idle()),
         cvar: Condvar::new(),
@@ -493,6 +495,35 @@ mod tests {
             "DFS should enumerate a small finite tree, ran {}",
             report.schedules
         );
+    }
+
+    /// Pins the writer's schedule points. A first heartbeat for a source
+    /// yields twice on the publish path: once for the suppressed raw
+    /// heartbeat-table insert, once for the semantic `HeartbeatUpsert`.
+    /// Interleaving its three segments with a peer's two gives exactly
+    /// C(5, 2) = 10 schedules; a lost hook would give 3, and a hook
+    /// moved past the suppress check 6.
+    #[test]
+    fn heartbeat_publish_path_yields_are_schedule_points() {
+        use trac_types::{SourceId, Timestamp};
+        let report = explore(Strategy::Exhaustive { max_schedules: 64 }, |ctl| {
+            let db = trac_storage::Database::new();
+            let beat = |w: &trac_storage::WriteTxn| {
+                w.heartbeat(&SourceId::new("m1"), Timestamp::from_secs(1))
+            };
+            let base = ctl.expect_workers(2);
+            std::thread::scope(|s| {
+                let (ctl_w, db) = (Arc::clone(ctl), &db);
+                s.spawn(move || participate(&ctl_w, base, || db.with_write(beat).unwrap()));
+                let ctl_p = Arc::clone(ctl);
+                s.spawn(move || participate(&ctl_p, base + 1, || yield_point(Site::MorselClaim)));
+                ctl.suspend();
+            });
+            ctl.resume();
+            Ok(())
+        });
+        assert!(report.is_clean(), "{:?}", report.failure);
+        assert_eq!(report.schedules, 10);
     }
 
     /// A schedule-dependent assertion: random exploration finds the

@@ -145,24 +145,19 @@ impl ColumnStats {
 /// transaction's inserts stay counted, deletes decrement immediately,
 /// and min/max/NDV only widen. That is the sound direction for a cost
 /// model — stats steer plan choice, and every plan computes the same
-/// rows. `epoch` records the heartbeat epoch at the last update, so
-/// consumers that already invalidate on epoch movement (the prepared
-/// recency-plan cache) pick up post-ingest stats automatically.
+/// rows.
 #[derive(Debug, Clone, Default)]
 pub struct TableStats {
     /// Net row estimate (inserts minus deletes, saturating).
     pub rows: u64,
-    /// Heartbeat epoch observed at the last stats update.
-    pub epoch: u64,
     /// Per-column statistics, indexed by column position.
     pub columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
     /// Folds one inserted row into the stats.
-    pub fn observe_insert(&mut self, row: &[Value], epoch: u64) {
+    pub fn observe_insert(&mut self, row: &[Value]) {
         self.rows = self.rows.saturating_add(1);
-        self.epoch = epoch;
         if self.columns.len() < row.len() {
             self.columns.resize_with(row.len(), ColumnStats::default);
         }
@@ -172,9 +167,8 @@ impl TableStats {
     }
 
     /// Records one deleted row.
-    pub fn observe_delete(&mut self, epoch: u64) {
+    pub fn observe_delete(&mut self) {
         self.rows = self.rows.saturating_sub(1);
-        self.epoch = epoch;
     }
 
     /// Stats for `column`, when any row has been observed.
@@ -376,12 +370,11 @@ mod tests {
     fn column_stats_track_inserts() {
         let mut s = TableStats::default();
         for n in 0..50i64 {
-            s.observe_insert(&[Value::Int(n % 5), Value::text("x")], 7);
+            s.observe_insert(&[Value::Int(n % 5), Value::text("x")]);
         }
-        s.observe_insert(&[Value::Null, Value::text("y")], 8);
-        s.observe_delete(9);
+        s.observe_insert(&[Value::Null, Value::text("y")]);
+        s.observe_delete();
         assert_eq!(s.rows, 50);
-        assert_eq!(s.epoch, 9);
         let c0 = s.column(0).unwrap();
         assert_eq!(c0.nulls, 1);
         assert_eq!(c0.min, Some(Value::Int(0)));
@@ -400,20 +393,20 @@ mod tests {
     #[test]
     fn stats_prove_null_and_nan_freedom() {
         let mut s = TableStats::default();
-        s.observe_insert(&[Value::Float(1.5)], 1);
+        s.observe_insert(&[Value::Float(1.5)]);
         assert!(s.column(0).unwrap().proves_non_null());
         assert!(s.column(0).unwrap().proves_nan_free());
         // A positive NaN surfaces as `max` under the storage order.
-        s.observe_insert(&[Value::Float(f64::NAN)], 2);
+        s.observe_insert(&[Value::Float(f64::NAN)]);
         assert!(!s.column(0).unwrap().proves_nan_free());
         // A negative NaN surfaces as `min`.
         let mut s2 = TableStats::default();
-        s2.observe_insert(&[Value::Float(2.0)], 1);
-        s2.observe_insert(&[Value::Float(-f64::NAN)], 2);
+        s2.observe_insert(&[Value::Float(2.0)]);
+        s2.observe_insert(&[Value::Float(-f64::NAN)]);
         assert!(!s2.column(0).unwrap().proves_nan_free());
         // NULLs are counted forever: the proof never un-learns.
-        s2.observe_insert(&[Value::Null], 3);
-        s2.observe_delete(4);
+        s2.observe_insert(&[Value::Null]);
+        s2.observe_delete();
         assert!(!s2.column(0).unwrap().proves_non_null());
     }
 

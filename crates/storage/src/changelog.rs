@@ -1,14 +1,13 @@
-//! Typed change stream: the heartbeat epoch, materialized as events.
+//! Typed change stream: the database's one freshness witness.
 //!
-//! PR 4 keyed the prepared-plan cache on a bare epoch counter, so one
-//! heartbeat upsert between reports invalidated the whole cached
-//! analysis and cost a full rescan. This module upgrades the counter to
-//! a *typed change stream*: every mutation entry point publishes a
-//! [`ChangeEvent`] describing what moved (heartbeat upsert, tuple
-//! insert/delete, raw heartbeat DML), sequenced by a monotone `seq` and
-//! stamped with the heartbeat epoch current at publish time. Consumers
-//! (the `trac-core` maintained reports) hold a cursor and *fold* the
-//! suffix instead of rescanning.
+//! Every mutation entry point publishes a [`ChangeEvent`] describing
+//! what moved (heartbeat upsert, tuple insert/delete, raw heartbeat
+//! DML), sequenced by a dense, monotone `seq`. A consumer's position in
+//! the stream — its cursor, checked against the compaction watermark —
+//! answers "has anything report-relevant happened since?", and the
+//! suffix past it says exactly what. Consumers (the `trac-core`
+//! maintained reports) hold a cursor and *fold* the suffix instead of
+//! rescanning; this is DBLog's watermark applied to recency reports.
 //!
 //! The stream is a bounded ring: when it overflows, the oldest events
 //! are compacted away and the compaction watermark advances. A consumer
@@ -23,14 +22,17 @@
 //! reader's snapshot; consumers must filter through
 //! [`crate::txn::Snapshot::committed_before`] (and skip aborted
 //! writers) before folding. Publishing at write time is the
-//! conservative direction — the same choice PR 4 made for the epoch —
-//! and the visibility check restores exactness.
+//! conservative direction, and the visibility check restores exactness.
 //!
-//! Coverage of the publication sites is auditable, mirroring
-//! [`crate::epoch::audit`]: [`audit`] drives every mutation entry point
-//! and records the event kinds each one published; the `trac-analyze`
-//! maintenance pass (diagnostic `TRAC028`) diffs them against the
-//! declared expectation.
+//! Coverage of the publication sites is auditable: [`audit`] drives
+//! every mutation entry point and records the event kinds each one
+//! published; the `trac-analyze` maintenance pass (diagnostic
+//! `TRAC028`) diffs them against the declared expectation.
+//!
+//! The module also hosts the *publish yield hook*: an optional callback
+//! run on every publication attempt, so the deterministic interleaving
+//! explorer (`trac-exec::schedule`) can treat the writer's publish path
+//! as a schedule point without this crate depending on the executor.
 
 use crate::catalog::TableId;
 use crate::lockorder::{self, LockId};
@@ -38,7 +40,27 @@ use crate::table::Row;
 use crate::txn::TxnId;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use trac_types::Value;
+
+/// Optional callback run right before every publication attempt.
+static PUBLISH_YIELD: OnceLock<fn()> = OnceLock::new();
+
+/// Installs the process-wide publish yield hook. The first installation
+/// wins; later calls are ignored (the hook itself is expected to no-op
+/// outside an active exploration, so a single installation is enough).
+pub fn set_publish_yield_hook(hook: fn()) {
+    let _ = PUBLISH_YIELD.set(hook);
+}
+
+/// Runs the installed publish yield hook, if any. Called by the write
+/// path with no storage lock held, so the hook may block (the
+/// interleaving explorer parks the thread here).
+pub(crate) fn publish_yield() {
+    if let Some(hook) = PUBLISH_YIELD.get() {
+        hook();
+    }
+}
 
 /// Default ring capacity of the per-database change log. Large enough
 /// that a report-serving session folding at any reasonable cadence
@@ -98,9 +120,6 @@ impl ChangeData {
 pub struct ChangeEvent {
     /// Monotone position in the stream (dense, starts at 0).
     pub seq: u64,
-    /// Heartbeat epoch at publish time — ties the stream to the
-    /// sequencing the plan cache already trusted (PR 4/PR 5 audits).
-    pub epoch: u64,
     /// The writing transaction. Effects are only real once this commits;
     /// fold through [`crate::txn::Snapshot::committed_before`].
     pub txn: TxnId,
@@ -168,17 +187,12 @@ impl ChangeLog {
 
     /// Appends one event, compacting the oldest if the ring is full.
     /// Returns the event's sequence number.
-    pub fn publish(&self, txn: TxnId, epoch: u64, data: ChangeData) -> u64 {
+    pub fn publish(&self, txn: TxnId, data: ChangeData) -> u64 {
         let _order = lockorder::acquire(LockId::ChangeLog);
         let mut ring = self.inner.lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
-        ring.buf.push_back(ChangeEvent {
-            seq,
-            epoch,
-            txn,
-            data,
-        });
+        ring.buf.push_back(ChangeEvent { seq, txn, data });
         while ring.buf.len() > self.capacity {
             // By construction the watermark lands exactly past the
             // dropped event: a cursor at or above it still reads a
@@ -267,11 +281,11 @@ impl StreamObservation {
 }
 
 /// Exercises every mutation entry point of this crate against scratch
-/// databases and reports, per path, the typed events it published —
-/// the change-stream analogue of [`crate::epoch::audit`]. The
-/// `trac-analyze` maintenance pass (diagnostic `TRAC028`) consumes the
-/// observations and fails on any divergence from the declared
-/// expectations.
+/// databases and reports, per path, the typed events it published. The
+/// list is the crate's mutation-path registry: a new mutation entry
+/// point must be added here. The `trac-analyze` maintenance pass
+/// (diagnostic `TRAC028`) consumes the observations and fails on any
+/// divergence from the declared expectations.
 pub fn audit() -> trac_types::Result<Vec<StreamObservation>> {
     use crate::db::Database;
     use crate::heartbeat::HEARTBEAT_TABLE;
@@ -419,8 +433,7 @@ pub fn audit() -> trac_types::Result<Vec<StreamObservation>> {
     out.push(probe(
         "heartbeat upsert (stale, no-op)",
         // A stale offer stores nothing but still publishes: the fold is
-        // max(current, ts), so the event is harmless and the consumer's
-        // cursor stays aligned with the epoch.
+        // max(current, ts), so the event is harmless.
         &["heartbeat-upsert"],
         |db| {
             db.with_write(|w| w.heartbeat(&SourceId::new("m1"), Timestamp::from_secs(10)))?;
@@ -477,7 +490,7 @@ mod tests {
     fn sequences_are_dense_and_reads_are_suffixes() {
         let log = ChangeLog::with_capacity(16);
         for n in 0..5 {
-            assert_eq!(log.publish(TxnId(1), n, ev(n)), n);
+            assert_eq!(log.publish(TxnId(1), ev(n)), n);
         }
         let all = log.read_from(0).unwrap();
         assert_eq!(all.len(), 5);
@@ -494,7 +507,7 @@ mod tests {
     fn overflow_advances_the_watermark_and_rejects_stale_cursors() {
         let log = ChangeLog::with_capacity(4);
         for n in 0..6 {
-            log.publish(TxnId(1), n, ev(n));
+            log.publish(TxnId(1), ev(n));
         }
         // Events 0 and 1 were compacted: the watermark sits at 2.
         assert_eq!(log.compacted_below(), 2);

@@ -35,34 +35,18 @@ struct DbState {
     txns: Arc<TxnManager>,
     data: RwLock<DbInner>,
     next_session: AtomicU64,
-    /// Bumped on every mutation that can change recency-relevant state:
-    /// heartbeat upserts (including the one inside `ingest`) *and* any
-    /// raw transactional write that touches the heartbeat table (SQL DML
-    /// reaches the table through `WriteTxn::insert`/`delete` without
-    /// going through `heartbeat()`). Cached recency analyses are
-    /// invalidated when this moves; bumping at write time rather than
-    /// commit time is conservative (an aborted heartbeat still
-    /// invalidates), which is the sound direction for a cache. Coverage
-    /// of the bump is audited by [`crate::epoch::audit`].
-    heartbeat_epoch: AtomicU64,
-    /// The epoch, materialized: every mutation that the epoch counter
-    /// summarizes also publishes a typed [`ChangeData`] event here, so
-    /// consumers can *fold* what changed instead of rescanning.
-    /// Coverage of the publication sites is audited by
+    /// The freshness witness: every mutation that can change what a
+    /// report sees — heartbeat upserts (including the one inside
+    /// `ingest`), raw transactional writes to the heartbeat table, and
+    /// user-table inserts/deletes — publishes a typed [`ChangeData`]
+    /// event here, so consumers can *fold* what changed instead of
+    /// rescanning. Coverage of the publication sites is audited by
     /// [`crate::changelog::audit`].
     changes: ChangeLog,
 }
 
-/// Advances the heartbeat epoch. Must be called with no storage lock
-/// held: the epoch yield hook may park the thread (the interleaving
-/// explorer treats the bump as a schedule point).
-fn bump_heartbeat_epoch(state: &DbState) {
-    crate::epoch::epoch_yield();
-    state.heartbeat_epoch.fetch_add(1, AtomicOrdering::Release);
-}
-
 /// True when `tid` is the system heartbeat table, i.e. a raw write to it
-/// changes recency-relevant state and must bump the epoch.
+/// bypasses the monotone upsert and must publish a rescan trigger.
 fn is_heartbeat_table(inner: &DbInner, tid: TableId) -> bool {
     inner.catalog.lookup_table(HEARTBEAT_TABLE) == Some(tid)
 }
@@ -91,7 +75,6 @@ impl Database {
                     catalog: Catalog::new(),
                 }),
                 next_session: AtomicU64::new(1),
-                heartbeat_epoch: AtomicU64::new(0),
                 changes: ChangeLog::new(),
             }),
         };
@@ -107,13 +90,6 @@ impl Database {
     /// The shared transaction manager.
     pub fn txn_manager(&self) -> &Arc<TxnManager> {
         &self.state.txns
-    }
-
-    /// Current heartbeat epoch: a counter bumped on every heartbeat
-    /// upsert. Callers caching heartbeat-derived state (e.g. prepared
-    /// recency plans) compare epochs to decide whether to invalidate.
-    pub fn heartbeat_epoch(&self) -> u64 {
-        self.state.heartbeat_epoch.load(AtomicOrdering::Acquire)
     }
 
     /// The database's typed change stream. Consumers hold a cursor
@@ -571,12 +547,6 @@ impl ReadTxn {
         Ok(())
     }
 
-    /// Heartbeat epoch observed through this transaction's database.
-    /// See [`Database::heartbeat_epoch`].
-    pub fn heartbeat_epoch(&self) -> u64 {
-        self.state.heartbeat_epoch.load(AtomicOrdering::Acquire)
-    }
-
     /// Number of physical version slots in `tid` (an upper bound on the
     /// slot space, not the visible row count). Morsel-driven scans
     /// partition `0..version_slot_count` into ranges; each worker then
@@ -696,24 +666,22 @@ impl WriteTxn {
 
     /// Publishes one typed change event on behalf of this transaction,
     /// unless suppressed. Called with no storage lock held (the change
-    /// log's own lock ranks last in the declared order).
+    /// log's own lock ranks last in the declared order), so the publish
+    /// yield hook runs first — even for a suppressed event, which keeps
+    /// the upsert's raw heartbeat-table legs schedule points.
     fn publish_change(&self, data: ChangeData) {
+        crate::changelog::publish_yield();
         if self.suppress_events.load(AtomicOrdering::Relaxed) {
             return;
         }
-        let epoch = self
-            .read
-            .state
-            .heartbeat_epoch
-            .load(AtomicOrdering::Acquire);
-        self.read.state.changes.publish(self.id, epoch, data);
+        self.read.state.changes.publish(self.id, data);
     }
 
     /// Inserts a row (schema-checked and coerced). Returns its slot.
-    /// Writes landing in the heartbeat table bump the heartbeat epoch —
-    /// SQL DML reaches recency state through this entry point, bypassing
-    /// [`WriteTxn::heartbeat`], and a cached recency plan must not
-    /// survive it.
+    /// Writes landing in the heartbeat table publish
+    /// [`ChangeData::HeartbeatDml`] — SQL DML reaches recency state
+    /// through this entry point, bypassing [`WriteTxn::heartbeat`], and
+    /// no maintained report may fold across it.
     pub fn insert(&self, tid: TableId, row: Vec<Value>) -> Result<RowSlot> {
         let _order = lockorder::acquire(LockId::DbData);
         let mut inner = self.read.state.data.write();
@@ -726,18 +694,9 @@ impl WriteTxn {
         for idx in &mut st.indexes {
             idx.insert(&row[idx.column], slot);
         }
-        let epoch = self
-            .read
-            .state
-            .heartbeat_epoch
-            .load(AtomicOrdering::Acquire);
-        inner
-            .catalog
-            .table_stats_mut(tid)
-            .observe_insert(&row, epoch);
+        inner.catalog.table_stats_mut(tid).observe_insert(&row);
         drop(inner);
         if touches_heartbeat {
-            bump_heartbeat_epoch(&self.read.state);
             // Raw DML on the heartbeat table bypasses the monotone
             // upsert: no fold stays exact, so the typed event is the
             // rescan trigger (the semantic upsert suppresses this and
@@ -750,8 +709,9 @@ impl WriteTxn {
     }
 
     /// Deletes the row at `slot` (it must be visible to this txn).
-    /// Deletes from the heartbeat table bump the heartbeat epoch (see
-    /// [`WriteTxn::insert`]; updates route through delete + insert).
+    /// Deletes from the heartbeat table publish
+    /// [`ChangeData::HeartbeatDml`] (see [`WriteTxn::insert`]; updates
+    /// route through delete + insert).
     pub fn delete(&self, tid: TableId, slot: RowSlot) -> Result<()> {
         let txns = Arc::clone(&self.read.state.txns);
         let _order = lockorder::acquire(LockId::DbData);
@@ -775,15 +735,9 @@ impl WriteTxn {
             let _stamped_order = lockorder::acquire(LockId::TxnStamped);
             self.stamped.lock().push((tid, slot));
         }
-        let epoch = self
-            .read
-            .state
-            .heartbeat_epoch
-            .load(AtomicOrdering::Acquire);
-        inner.catalog.table_stats_mut(tid).observe_delete(epoch);
+        inner.catalog.table_stats_mut(tid).observe_delete();
         drop(inner);
         if touches_heartbeat {
-            bump_heartbeat_epoch(&self.read.state);
             self.publish_change(ChangeData::HeartbeatDml);
         } else if !is_temp {
             self.publish_change(ChangeData::RowDelete { table: tid });
@@ -824,20 +778,14 @@ impl WriteTxn {
                 )))
             }
         }
-        let epoch_before = self.read.heartbeat_epoch();
         let slot = self.insert(tid, row)?;
         self.heartbeat(source, event_time)?;
-        debug_assert!(
-            self.read.heartbeat_epoch() > epoch_before,
-            "ingest must advance the heartbeat epoch"
-        );
         Ok(slot)
     }
 
     /// Advances `source`'s recency timestamp monotonically (an explicit
     /// "nothing to report" beacon, Section 3.1).
     pub fn heartbeat(&self, source: &SourceId, ts: Timestamp) -> Result<()> {
-        let epoch_before = self.read.heartbeat_epoch();
         // The upsert's raw heartbeat-table writes are suppressed on the
         // change stream: the one semantic `HeartbeatUpsert` event below
         // carries strictly more information (max-fold is exact), and
@@ -846,18 +794,12 @@ impl WriteTxn {
         let upserted = heartbeat::upsert(self, source, ts);
         self.suppress_events.store(false, AtomicOrdering::Relaxed);
         upserted?;
-        // The upsert's own heartbeat-table write already bumped when it
-        // stored anything; this explicit bump also covers the no-op case
-        // (ts older than current), staying conservative.
-        bump_heartbeat_epoch(&self.read.state);
+        // Published even for a no-op (stale) offer: the fold is a max,
+        // so the event is harmless and stays conservative.
         self.publish_change(ChangeData::HeartbeatUpsert {
             source: Value::text(source.as_str()),
             ts: Value::Timestamp(ts),
         });
-        debug_assert!(
-            self.read.heartbeat_epoch() > epoch_before,
-            "heartbeat must advance the heartbeat epoch"
-        );
         Ok(())
     }
 
@@ -1259,53 +1201,6 @@ mod tests {
         assert_eq!(rows, r.index_probe_in(tid, 0, &keys).unwrap().unwrap());
         // Unindexed column reports no index, same as the flat probe.
         assert!(r.index_probe_in_chunks(tid, 1, &keys, 4).unwrap().is_none());
-    }
-
-    #[test]
-    fn heartbeat_epoch_advances_on_upserts_only() {
-        let db = Database::new();
-        let tid = activity(&db);
-        let e0 = db.heartbeat_epoch();
-        db.with_write(|w| w.insert(tid, act_row("m1", "idle", 1)))
-            .unwrap();
-        assert_eq!(db.heartbeat_epoch(), e0, "plain insert leaves epoch");
-        let m1 = SourceId::new("m1");
-        db.with_write(|w| w.heartbeat(&m1, Timestamp::from_secs(5)))
-            .unwrap();
-        assert!(db.heartbeat_epoch() > e0);
-        let e1 = db.heartbeat_epoch();
-        db.with_write(|w| w.ingest(&m1, tid, act_row("m1", "busy", 9), Timestamp::from_secs(9)))
-            .unwrap();
-        assert!(db.heartbeat_epoch() > e1, "ingest heartbeats too");
-        assert_eq!(db.begin_read().heartbeat_epoch(), db.heartbeat_epoch());
-    }
-
-    #[test]
-    fn raw_heartbeat_table_dml_advances_epoch() {
-        // SQL DML reaches the heartbeat table through plain
-        // insert/update/delete, bypassing `WriteTxn::heartbeat`. Each
-        // such write must still advance the epoch, or a prepared plan
-        // cached against the old recency state would be served stale
-        // (the coverage hole diagnostic TRAC019 certifies against).
-        let db = Database::new();
-        let hb = db.begin_read().table_id(HEARTBEAT_TABLE).unwrap();
-        let hb_row = |secs: i64| {
-            vec![
-                Value::text("m9"),
-                Value::Timestamp(Timestamp::from_secs(secs)),
-            ]
-        };
-        let e0 = db.heartbeat_epoch();
-        db.with_write(|w| w.insert(hb, hb_row(1))).unwrap();
-        assert!(db.heartbeat_epoch() > e0, "raw insert must bump");
-        let (slot, _) = db.begin_read().scan_slots(hb).unwrap().pop().unwrap();
-        let e1 = db.heartbeat_epoch();
-        db.with_write(|w| w.update(hb, slot, hb_row(2))).unwrap();
-        assert!(db.heartbeat_epoch() > e1, "raw update must bump");
-        let (slot, _) = db.begin_read().scan_slots(hb).unwrap().pop().unwrap();
-        let e2 = db.heartbeat_epoch();
-        db.with_write(|w| w.delete(hb, slot)).unwrap();
-        assert!(db.heartbeat_epoch() > e2, "raw delete must bump");
     }
 
     #[test]

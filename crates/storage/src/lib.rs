@@ -15,10 +15,9 @@
 //! * [`catalog`] — table/index name resolution, session temp tables.
 //! * [`heartbeat`] — the system `Heartbeat(sid, recency)` table and the
 //!   ingestion discipline that keeps it monotone (Section 3.1).
-//! * [`epoch`] — the heartbeat-epoch mutation-path registry auditing
-//!   freshness-counter coverage (diagnostic `TRAC019`).
 //! * [`changelog`] — the typed, sequenced change stream maintained
-//!   reports fold, with its coverage audit (diagnostic `TRAC028`).
+//!   reports fold (the database's freshness witness), with its coverage
+//!   audit (diagnostic `TRAC028`).
 //! * [`lockorder`] — the declared lock-acquisition order and the
 //!   instrumented acquisition graph (diagnostic `TRAC020`).
 //! * [`db`] — the [`Database`] facade tying it all together.
@@ -28,7 +27,6 @@
 pub mod catalog;
 pub mod changelog;
 pub mod db;
-pub mod epoch;
 pub mod heartbeat;
 pub mod index;
 pub mod lockorder;
@@ -39,11 +37,10 @@ pub mod txn;
 
 pub use catalog::{Catalog, ColumnStats, IndexMeta, NdvSketch, TableId, TableStats};
 pub use changelog::{
-    ChangeData, ChangeEvent, ChangeLog, RescanRequired, StreamObservation,
+    set_publish_yield_hook, ChangeData, ChangeEvent, ChangeLog, RescanRequired, StreamObservation,
     DEFAULT_CHANGELOG_CAPACITY,
 };
 pub use db::{Database, ReadTxn, VacuumStats, WriteTxn};
-pub use epoch::{set_epoch_yield_hook, Observation};
 pub use heartbeat::{HEARTBEAT_RECENCY_COL, HEARTBEAT_SID_COL, HEARTBEAT_TABLE};
 pub use lockorder::{LockId, LockToken};
 pub use persist::{load_snapshot, save_snapshot};

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full CI gate, runnable locally (same sequence as .github/workflows/ci.yml):
-# formatting, the workspace lint wall, all tests, and the soundness
-# analyzer over every sample workload.
+# The full CI gate, runnable locally: formatting, the workspace lint wall,
+# all tests, the standalone benchmark package, and the soundness analyzer
+# over every sample workload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +59,16 @@ cargo run --release -q -p trac-bench --bin bench_schema -- \
   | diff -u scripts/bench_schema.json - \
   || { echo "bench JSON schema diverged from scripts/bench_schema.json"; exit 1; }
 rm -rf "$BENCH_SMOKE_DIR"
+
+echo "==> benchmark package tests (the standalone ruler builds against the engine API)"
+# benchmark/ is its own package, outside the workspace, importing
+# trac_storage and trac_core; no other step builds it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke: one short point_reports window"
+# run.sh exits non-zero when the build fails or any op fails the
+# benchmark's correctness gate.
+bash benchmark/run.sh --workload point_reports --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "==> trac-analyze --typeflow (soundness audit of sample workloads, incl. planned recency subqueries)"
 cargo run --release -p trac-analyze --bin trac-analyze -- --typeflow
