@@ -6,7 +6,8 @@
 //! session unless copied. The catalog tracks which tables belong to which
 //! session so they can be dropped en masse.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use trac_types::{Result, TracError, Value};
 
@@ -183,10 +184,19 @@ pub struct Catalog {
     tables: HashMap<String, TableEntry>,
     indexes: Vec<IndexMeta>,
     stats: HashMap<TableId, TableStats>,
+    /// Ids of the tables whose entry has a `temp_owner`, so the per-row
+    /// write path answers [`Catalog::is_temp_id`] without a scan.
+    temp_ids: HashSet<TableId>,
 }
 
-fn norm(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// Table names are case-insensitive. An already-lowercase name, such as
+/// the heartbeat table's, is looked up without allocating.
+fn norm(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 impl Catalog {
@@ -211,9 +221,12 @@ impl Catalog {
     }
 
     fn register(&mut self, name: &str, id: TableId, owner: Option<SessionId>) -> Result<()> {
-        let key = norm(name);
+        let key = norm(name).into_owned();
         if self.tables.contains_key(&key) {
             return Err(TracError::Catalog(format!("table {name} already exists")));
+        }
+        if owner.is_some() {
+            self.temp_ids.insert(id);
         }
         self.tables.insert(
             key,
@@ -227,13 +240,13 @@ impl Catalog {
 
     /// Resolves a table name.
     pub fn lookup_table(&self, name: &str) -> Option<TableId> {
-        self.tables.get(&norm(name)).map(|e| e.id)
+        self.tables.get(norm(name).as_ref()).map(|e| e.id)
     }
 
     /// True when `name` refers to a temp table.
     pub fn is_temp(&self, name: &str) -> bool {
         self.tables
-            .get(&norm(name))
+            .get(norm(name).as_ref())
             .is_some_and(|e| e.temp_owner.is_some())
     }
 
@@ -241,20 +254,19 @@ impl Catalog {
     /// session-private report materializations; the change stream skips
     /// them so maintained consumers fold only shared, durable state.
     pub fn is_temp_id(&self, id: TableId) -> bool {
-        self.tables
-            .values()
-            .any(|e| e.id == id && e.temp_owner.is_some())
+        self.temp_ids.contains(&id)
     }
 
     /// Removes one table binding (and its index metadata); returns its id.
     pub fn drop_table(&mut self, name: &str) -> Result<TableId> {
         let id = self
             .tables
-            .remove(&norm(name))
+            .remove(norm(name).as_ref())
             .map(|e| e.id)
             .ok_or_else(|| TracError::Catalog(format!("no table named {name}")))?;
         self.indexes.retain(|m| m.table != id);
         self.stats.remove(&id);
+        self.temp_ids.remove(&id);
         Ok(id)
     }
 
@@ -273,6 +285,7 @@ impl Catalog {
         self.indexes.retain(|m| !ids.contains(&m.table));
         for id in &ids {
             self.stats.remove(id);
+            self.temp_ids.remove(id);
         }
         ids
     }
@@ -282,9 +295,10 @@ impl Catalog {
     pub fn persist_temp(&mut self, name: &str) -> Result<()> {
         let e = self
             .tables
-            .get_mut(&norm(name))
+            .get_mut(norm(name).as_ref())
             .ok_or_else(|| TracError::Catalog(format!("no table named {name}")))?;
         e.temp_owner = None;
+        self.temp_ids.remove(&e.id);
         Ok(())
     }
 
@@ -349,21 +363,31 @@ mod tests {
         c.register_temp_table("sys_temp_a1", TableId(1), 7).unwrap();
         c.register_temp_table("sys_temp_e1", TableId(2), 7).unwrap();
         c.register_temp_table("sys_temp_a2", TableId(3), 8).unwrap();
+        c.register_table("activity", TableId(4)).unwrap();
         assert!(c.is_temp("sys_temp_a1"));
+        assert!((1..=3).all(|i| c.is_temp_id(TableId(i))));
+        assert!(!c.is_temp_id(TableId(4)));
         let dropped = c.drop_session_temps(7);
         assert_eq!(dropped.len(), 2);
         assert_eq!(c.lookup_table("sys_temp_a1"), None);
         assert_eq!(c.lookup_table("sys_temp_a2"), Some(TableId(3)));
+        assert!(!c.is_temp_id(TableId(1)) && !c.is_temp_id(TableId(2)));
+        assert!(c.is_temp_id(TableId(3)));
+        c.drop_table("sys_temp_a2").unwrap();
+        assert!(!c.is_temp_id(TableId(3)));
     }
 
     #[test]
     fn persist_temp_survives_session_drop() {
         let mut c = Catalog::new();
         c.register_temp_table("keeper", TableId(1), 7).unwrap();
-        c.persist_temp("keeper").unwrap();
+        assert!(c.is_temp_id(TableId(1)));
+        c.persist_temp("Keeper").unwrap();
         assert!(!c.is_temp("keeper"));
+        assert!(!c.is_temp_id(TableId(1)));
         assert!(c.drop_session_temps(7).is_empty());
         assert_eq!(c.lookup_table("keeper"), Some(TableId(1)));
+        assert!(!c.is_temp_id(TableId(1)));
     }
 
     #[test]

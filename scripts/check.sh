@@ -70,6 +70,11 @@ echo "==> benchmark smoke: one short point_reports window"
 # benchmark's correctness gate.
 bash benchmark/run.sh --workload point_reports --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "==> benchmark smoke: one short ingest_and_report window"
+# The write path under the same gate: begin/commit through ingest
+# batches, change-stream ring overflow and the rescans it forces.
+bash benchmark/run.sh --workload ingest_and_report --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "==> trac-analyze --typeflow (soundness audit of sample workloads, incl. planned recency subqueries)"
 cargo run --release -p trac-analyze --bin trac-analyze -- --typeflow
 
