@@ -10,12 +10,12 @@
 //!
 //! # What is maintained
 //!
-//! * the **recency map** — every heartbeat source's current recency
+//! * the **member map** — the union of the plan's per-subquery
+//!   relevant-source sets, each member with its current recency
 //!   (folded with `max`, which is exact because heartbeat maintenance
-//!   is monotone and events carry the *offered* timestamp);
-//! * the **member set** — the union of the plan's per-subquery
-//!   relevant-source sets, grown per event under each subquery's
-//!   [`MaintenanceLicense`];
+//!   is monotone and events carry the *offered* timestamp), grown per
+//!   event under each subquery's [`MaintenanceLicense`];
+//! * the stream **cursor** and the fold **basis** (see below);
 //! * certified **auxiliary aggregates** over the member pairs:
 //!   max-recency (maintained directly — heartbeat advances are
 //!   monotone), min-recency (a lazy tournament: only re-resolved when
@@ -52,6 +52,22 @@
 //!    serves an older one: the fold basis is remembered as a
 //!    [`SnapshotBasis`] and a serving snapshot that does not
 //!    [`cover`](Snapshot::covers_basis) it gets a rescan.
+//!
+//! Nothing is kept per source beyond the members, so registration costs
+//! the relevant set, not every heartbeat source. The one fact a
+//! non-member's heartbeat event needs — "is this source new?" — travels
+//! on the event as `created`: the writer knows it when it upserts.
+//! `created == false` means the row was committed before the writer
+//! began (or written earlier by the same transaction), so its creating
+//! event has a lower `seq` and was either visible to the registration
+//! rescan or folded before this one; membership was decided there, and
+//! a timestamp advance cannot change a foldable membership. Heartbeat
+//! row creation is first-writer-wins, so `created == true` marks a
+//! source no fold has seen; were it to reach a known source, re-deciding
+//! its membership would still be exact. A recency the state does not
+//! hold (a witness insert nominating a non-member, an existence gate
+//! opening) is read from `Heartbeat` under the serving snapshot, which
+//! is exact because every later event is folded with `max`.
 //!
 //! Ring-buffer overflow surfaces as the typed
 //! [`trac_storage::RescanRequired`] and re-registers the state; raw
@@ -124,12 +140,9 @@ pub struct MaintainedReport {
     /// Fold basis: the most recent snapshot whose visible transactions
     /// are all folded in. Serving snapshots must cover it.
     basis: SnapshotBasis,
-    /// Current recency of every heartbeat source (max-folded).
-    recency: BTreeMap<SourceId, Timestamp>,
     /// Union of the subqueries' relevant-source sets, each member
-    /// carrying its current recency (mirrored from [`Self::recency`] on
-    /// every advance) so serving is one linear pass over this map — no
-    /// per-member lookup back into the full recency map.
+    /// carrying its current recency (max-folded), sid-sorted so serving
+    /// is one linear pass.
     members: BTreeMap<SourceId, Timestamp>,
     /// Per-subquery fold logic (proven-empty subqueries are absent).
     subs: Vec<SubFold>,
@@ -157,32 +170,13 @@ impl MaintainedReport {
         plan: &RecencyPlan,
         opts: ExecOptions,
     ) -> Result<(MaintainedReport, Vec<(SourceId, Timestamp)>)> {
-        // DBLog low watermark: capture the stream position BEFORE the
-        // rescan. Writers racing the rescan publish at >= lo; whether
-        // the rescan saw their rows or not, re-folding their events is
+        // DBLog low watermark, taken before the rescan: the first event
+        // this snapshot cannot see. Writers racing the rescan publish
+        // at or past it; re-folding what the rescan already saw is
         // idempotent, so the state cannot miss them.
-        let (buffered, lo) = db.change_log().window();
+        let cursor = db.change_log().registration_cursor(&txn.snapshot);
         let sids = plan.execute_with(txn, opts)?;
         let pairs = fetch_recencies(txn, &sids)?;
-        let recency: BTreeMap<SourceId, Timestamp> =
-            heartbeat::all_recencies(txn)?.into_iter().collect();
-        // Events already buffered but not visible to this snapshot are
-        // not in the rescan; pin the cursor at the earliest such event
-        // so the first fold picks them up once they commit.
-        let mgr = db.txn_manager();
-        let mut cursor = lo;
-        for ev in &buffered {
-            if ev.seq >= lo {
-                break;
-            }
-            if mgr.status(ev.txn) == TxnStatus::Aborted {
-                continue;
-            }
-            if !txn.snapshot.committed_before(ev.txn) {
-                cursor = ev.seq;
-                break;
-            }
-        }
         let mut subs = Vec::new();
         if !plan.all_sources {
             for sub in &plan.subqueries {
@@ -195,7 +189,6 @@ impl MaintainedReport {
         let mut state = MaintainedReport {
             cursor,
             basis: txn.snapshot.coverage_basis(),
-            recency,
             members: BTreeMap::new(),
             subs,
             all_sources: plan.all_sources,
@@ -293,16 +286,20 @@ impl MaintainedReport {
     /// [`Self::needs_rescan`] instead of erroring.
     fn fold_event(&mut self, txn: &ReadTxn, ev: &ChangeEvent) -> Result<()> {
         match &ev.data {
-            ChangeData::HeartbeatUpsert { source, ts } => {
+            ChangeData::HeartbeatUpsert {
+                source,
+                ts,
+                created,
+            } => {
                 let (Some(sid), Some(ts)) = (SourceId::from_value(source), ts.as_timestamp())
                 else {
                     // Malformed payload: never expected, always sound.
                     self.needs_rescan = true;
                     return Ok(());
                 };
-                self.fold_heartbeat(txn, sid, ts)
+                self.fold_heartbeat(txn, sid, ts, *created)
             }
-            ChangeData::RowInsert { table, row } => self.fold_insert(*table, row),
+            ChangeData::RowInsert { table, row } => self.fold_insert(txn, *table, row),
             ChangeData::RowDelete { table } => {
                 for sub in &self.subs {
                     let hit = match sub {
@@ -328,49 +325,39 @@ impl MaintainedReport {
         }
     }
 
-    fn fold_heartbeat(&mut self, txn: &ReadTxn, sid: SourceId, offered: Timestamp) -> Result<()> {
-        let prev = self.recency.get(&sid).copied();
-        // The stored recency is max(current, offered): fold with max so
-        // a stale (no-op) upsert leaves the map exact.
-        let ts = prev.map_or(offered, |p| p.max(offered));
-        self.recency.insert(sid.clone(), ts);
-        let is_new = prev.is_none();
-        if prev.is_some_and(|p| ts > p) {
-            // A pure timestamp advance changes no foldable membership,
-            // but a rescan-licensed subquery whose predicate reads
-            // H.recency can flip on it.
-            for sub in &self.subs {
-                if let SubFold::Rescan {
-                    recency_sensitive: true,
-                    ..
-                } = sub
-                {
-                    self.needs_rescan = true;
-                }
-            }
-        }
-        if self.members.contains_key(&sid) {
-            if let Some(old) = prev {
-                if ts > old {
-                    self.advance_member(&sid, old, ts);
-                }
+    fn fold_heartbeat(
+        &mut self,
+        txn: &ReadTxn,
+        sid: SourceId,
+        offered: Timestamp,
+        created: bool,
+    ) -> Result<()> {
+        if let Some(old) = self.members.get(&sid).copied() {
+            // The stored recency is max(current, offered): fold with max
+            // so a stale (no-op) upsert leaves the member exact.
+            if offered > old {
+                self.flag_recency_sensitive();
+                self.advance_member(&sid, old, offered);
             }
             return Ok(());
         }
-        // A known source that was not a member cannot become one from a
-        // timestamp advance: foldable memberships depend on the sid and
-        // on witness rows, never on recency values.
-        if !is_new {
+        if !created {
+            // A source that existed before its writer began and is not
+            // a member cannot become one from a timestamp advance:
+            // foldable memberships depend on the sid and on witness
+            // rows, never on recency values. The advance may still flip
+            // a rescan-licensed subquery that reads H.recency.
+            self.flag_recency_sensitive();
             return Ok(());
         }
         if self.all_sources {
-            self.add_member(sid, ts);
+            self.add_member(sid, offered);
             return Ok(());
         }
         let mut joins = false;
         for i in 0..self.subs.len() {
             let member = match &self.subs[i] {
-                SubFold::HeartbeatOnly { h_terms } => h_pass(h_terms, &sid, ts)?,
+                SubFold::HeartbeatOnly { h_terms } => h_pass(h_terms, &sid)?,
                 SubFold::SidEquality {
                     witness_tid,
                     witness_cols,
@@ -380,12 +367,12 @@ impl MaintainedReport {
                     // A brand-new source may already have qualifying
                     // witness rows (ingested before its first
                     // heartbeat): probe once, O(index probe).
-                    h_pass(h_terms, &sid, ts)?
+                    h_pass(h_terms, &sid)?
                         && witness_has(txn, *witness_tid, witness_cols, other_terms, &sid)?
                 }
                 SubFold::Existence {
                     h_terms, exists, ..
-                } => *exists && h_pass(h_terms, &sid, ts)?,
+                } => *exists && h_pass(h_terms, &sid)?,
                 SubFold::Rescan { .. } => {
                     // Whether the new source is relevant through this
                     // subquery is not locally decidable.
@@ -398,13 +385,35 @@ impl MaintainedReport {
             }
         }
         if joins {
-            self.add_member(sid, ts);
+            self.add_member(sid, offered);
         }
         Ok(())
     }
 
-    fn fold_insert(&mut self, table: TableId, row: &Row) -> Result<()> {
-        let mut additions: Vec<SourceId> = Vec::new();
+    /// A heartbeat advance changes no foldable membership, but a
+    /// rescan-licensed subquery whose predicate reads `H.recency` can
+    /// flip on it.
+    fn flag_recency_sensitive(&mut self) {
+        if self.subs.iter().any(|sub| {
+            matches!(
+                sub,
+                SubFold::Rescan {
+                    recency_sensitive: true,
+                    ..
+                }
+            )
+        }) {
+            self.needs_rescan = true;
+        }
+    }
+
+    fn fold_insert(&mut self, txn: &ReadTxn, table: TableId, row: &Row) -> Result<()> {
+        // Sources nominated by a witness row; their recencies are read
+        // under the serving snapshot below. One with no visible
+        // heartbeat row yet is picked up when its creating event folds:
+        // that event probes the witness table and finds this row.
+        let mut nominated: BTreeSet<SourceId> = BTreeSet::new();
+        let mut opened: Vec<(SourceId, Timestamp)> = Vec::new();
         for i in 0..self.subs.len() {
             match &mut self.subs[i] {
                 SubFold::HeartbeatOnly { .. } => {}
@@ -447,13 +456,9 @@ impl MaintainedReport {
                         // Non-text witness value can never equal a sid.
                         continue;
                     };
-                    if let Some(ts) = self.recency.get(&sid).copied() {
-                        if h_pass(h_terms, &sid, ts)? {
-                            additions.push(sid);
-                        }
+                    if !self.members.contains_key(&sid) && h_pass(h_terms, &sid)? {
+                        nominated.insert(sid);
                     }
-                    // No heartbeat row yet: if one arrives, its event
-                    // probes the witness table and finds this row.
                 }
                 SubFold::Existence {
                     witness_tid,
@@ -476,11 +481,12 @@ impl MaintainedReport {
                         continue;
                     }
                     // The gate opens: every heartbeat source passing
-                    // P_s' becomes relevant. O(sources), not O(data).
+                    // P_s' becomes relevant. O(sources), not O(data),
+                    // and only on the event that opens it.
                     *exists = true;
-                    for (sid, ts) in &self.recency {
-                        if h_pass(h_terms, sid, *ts)? {
-                            additions.push(sid.clone());
+                    for (sid, ts) in heartbeat::all_recencies(txn)? {
+                        if h_pass(h_terms, &sid)? {
+                            opened.push((sid, ts));
                         }
                     }
                 }
@@ -491,10 +497,8 @@ impl MaintainedReport {
                 }
             }
         }
-        for sid in additions {
-            if let Some(ts) = self.recency.get(&sid).copied() {
-                self.add_member(sid, ts);
-            }
+        for (sid, ts) in opened.into_iter().chain(fetch_recencies(txn, &nominated)?) {
+            self.add_member(sid, ts);
         }
         Ok(())
     }
@@ -715,12 +719,14 @@ impl SubFold {
     }
 }
 
-/// Evaluates `P_s'` for one source against a synthesized heartbeat row.
-fn h_pass(h_terms: &[BoundExpr], sid: &SourceId, ts: Timestamp) -> Result<bool> {
+/// Evaluates `P_s'` for one source. Foldable licenses restrict `P_s'`
+/// to `H.sid` ([`trac_plan::classify_maintenance`]), so the synthesized
+/// heartbeat row leaves the recency column NULL.
+fn h_pass(h_terms: &[BoundExpr], sid: &SourceId) -> Result<bool> {
     if h_terms.is_empty() {
         return Ok(true);
     }
-    let row: Row = Arc::from(vec![sid.to_value(), Value::Timestamp(ts)].into_boxed_slice());
+    let row: Row = Arc::from(vec![sid.to_value(), Value::Null].into_boxed_slice());
     let tuple = std::slice::from_ref(&row);
     for t in h_terms {
         if eval_predicate(t, tuple)? != Truth::True {
@@ -1120,5 +1126,135 @@ mod tests {
             .unwrap();
         assert_eq!(kind, ServeKind::Rescan, "stale snapshot cannot use folds");
         assert!(!old_pairs.iter().any(|(s, _)| s.as_str() == "m6"));
+    }
+
+    fn beat(db: &Database, sid: &str, at: &str) {
+        db.with_write(|w| w.heartbeat(&SourceId::new(sid), Timestamp::parse(at).unwrap()))
+            .unwrap();
+    }
+
+    #[test]
+    fn rescan_only_plan_rescans_new_sources_and_folds_known_advances() {
+        let db = paper_db();
+        beat(&db, "m4", "2006-02-10 00:09:00");
+        // Every generated subquery joins heartbeat with two relations:
+        // rescan-only, reading H.sid alone.
+        let plan = plan_of(
+            &db,
+            "SELECT A.mach_id FROM Routing R, Activity A, Routing R2 \
+             WHERE R.neighbor = A.mach_id AND R2.mach_id = R.mach_id \
+             AND R.mach_id IN ('m1', 'm2') AND A.value = 'idle'",
+        );
+        assert!(plan
+            .subqueries
+            .iter()
+            .filter_map(|s| s.query.as_ref())
+            .all(|q| !trac_plan::classify_maintenance(q).delta_foldable()));
+        let txn = db.begin_read();
+        let (mut state, pairs) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        assert!(
+            !pairs.iter().any(|(s, _)| s.as_str() == "m4"),
+            "m4 is known, not a member"
+        );
+        drop(txn);
+        // A brand-new source's relevance is not locally decidable.
+        beat(&db, "m5", "2006-02-10 00:09:01");
+        let txn = db.begin_read();
+        let (pairs, kind) = state
+            .refresh(&txn, &db, &plan, ExecOptions::default())
+            .unwrap();
+        assert_eq!(kind, ServeKind::Rescan);
+        assert_eq!(
+            pairs,
+            rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+        );
+        drop(txn);
+        // Advancing a known non-member (and a member) folds.
+        beat(&db, "m4", "2006-02-10 00:09:02");
+        beat(&db, "m1", "2006-02-10 00:09:03");
+        check_delta(&db, &plan, &mut state);
+    }
+
+    #[test]
+    fn existence_gate_opening_after_registration_admits_current_recencies() {
+        let db = paper_db();
+        trac_exec::execute_statement(&db, "DELETE FROM activity WHERE value = 'idle'").unwrap();
+        // The routing subquery is gated by the existence of an idle m3
+        // activity row; m1 and m2 pass its P_s'.
+        let plan = plan_of(
+            &db,
+            "SELECT R.mach_id FROM Routing R, Activity A \
+             WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id = 'm3' AND A.value = 'idle'",
+        );
+        let txn = db.begin_read();
+        let (mut state, pairs) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        assert!(
+            !pairs.iter().any(|(s, _)| s.as_str() != "m3"),
+            "gate closed: {pairs:?}"
+        );
+        drop(txn);
+        // The sources advance while they are not members; the fold
+        // holds no recency for them.
+        beat(&db, "m1", "2006-02-10 00:10:01");
+        beat(&db, "m2", "2006-02-10 00:10:02");
+        check_delta(&db, &plan, &mut state);
+        let activity = db.begin_read().table_id("activity").unwrap();
+        db.with_write(|w| {
+            let ts = Timestamp::parse("2006-02-10 00:00:45").unwrap();
+            w.insert(
+                activity,
+                vec![Value::text("m3"), Value::text("idle"), Value::Timestamp(ts)],
+            )
+        })
+        .unwrap();
+        check_delta(&db, &plan, &mut state);
+        let served = state.serve_pairs();
+        for (sid, at) in [("m1", "2006-02-10 00:10:01"), ("m2", "2006-02-10 00:10:02")] {
+            assert!(
+                served.contains(&(SourceId::new(sid), Timestamp::parse(at).unwrap())),
+                "{sid} admitted at its current recency: {served:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn witness_insert_waits_for_a_heartbeat_that_commits_later() {
+        let db = paper_db();
+        // Via-A subquery of the paper's Q2: H.sid = R.neighbor.
+        let plan = plan_of(
+            &db,
+            "SELECT A.mach_id FROM Routing R, Activity A \
+             WHERE R.mach_id = 'm1' AND A.value = 'idle' AND R.neighbor = A.mach_id",
+        );
+        let txn = db.begin_read();
+        let (mut state, _) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        drop(txn);
+        // m8's first heartbeat is written by a transaction that began
+        // before the witness row naming m8 committed, and commits after
+        // the fold has passed that row.
+        let w = db.begin_write();
+        trac_exec::execute_statement(
+            &db,
+            "INSERT INTO routing VALUES ('m1', 'm8', TIMESTAMP '2006-02-10 00:03:00')",
+        )
+        .unwrap();
+        w.heartbeat(
+            &SourceId::new("m8"),
+            Timestamp::parse("2006-02-10 00:11:00").unwrap(),
+        )
+        .unwrap();
+        let txn = db.begin_read();
+        let (pairs, kind) = state
+            .refresh(&txn, &db, &plan, ExecOptions::default())
+            .unwrap();
+        assert_eq!(kind, ServeKind::Rescan, "the heartbeat is in flight");
+        assert!(!pairs.iter().any(|(s, _)| s.as_str() == "m8"));
+        drop(txn);
+        w.commit();
+        check_delta(&db, &plan, &mut state);
+        assert!(state.serve_pairs().iter().any(|(s, _)| s.as_str() == "m8"));
     }
 }

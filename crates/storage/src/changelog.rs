@@ -37,7 +37,7 @@
 use crate::catalog::TableId;
 use crate::lockorder::{self, LockId};
 use crate::table::Row;
-use crate::txn::TxnId;
+use crate::txn::{Snapshot, TxnId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -82,6 +82,11 @@ pub enum ChangeData {
         source: Value,
         /// Offered recency timestamp.
         ts: Value,
+        /// True when this upsert inserted the source's heartbeat row:
+        /// the writer's own view held none. `false` means the row was
+        /// committed before the writer began, or written earlier by the
+        /// same transaction, so its creating event precedes this one.
+        created: bool,
     },
     /// A row inserted into a user table (plain SQL DML or ingest).
     RowInsert {
@@ -231,25 +236,27 @@ impl ChangeLog {
                 compacted_below: ring.compacted_below,
             });
         }
-        Ok(ring
-            .buf
-            .iter()
-            .filter(|e| e.seq >= cursor)
-            .cloned()
-            .collect())
+        // Sequences are dense and the buffer holds exactly
+        // `compacted_below..next_seq`, so the suffix starts at an offset.
+        let len = ring.buf.len();
+        let start = usize::try_from(cursor - ring.compacted_below).map_or(len, |o| o.min(len));
+        Ok(ring.buf.range(start..).cloned().collect())
     }
 
-    /// Atomically snapshots every buffered event together with the
-    /// high-water sequence at the moment of the call. Registration of
-    /// maintained report state uses this to scan the watermark window
-    /// for events whose transactions are not yet visible to the
-    /// registration snapshot — those pin the initial cursor below the
-    /// high-water mark so the first fold re-reads them (the DBLog
-    /// low/high-watermark rule).
-    pub fn window(&self) -> (Vec<ChangeEvent>, u64) {
+    /// The cursor a consumer registering under `snapshot` must start
+    /// from: the `seq` of the first buffered event whose transaction the
+    /// snapshot neither sees committed nor knows aborted, or `next_seq`
+    /// when there is none. Such an event is not in a rescan taken under
+    /// the snapshot, so the first fold must re-read it (the DBLog
+    /// low/high-watermark rule). An event of a transaction that aborts
+    /// after the snapshot also pins the cursor; the fold skips it then.
+    pub fn registration_cursor(&self, snapshot: &Snapshot) -> u64 {
         let _order = lockorder::acquire(LockId::ChangeLog);
         let ring = self.inner.lock();
-        (ring.buf.iter().cloned().collect(), ring.next_seq)
+        ring.buf
+            .iter()
+            .find(|e| !snapshot.committed_before(e.txn) && !snapshot.aborted_before(e.txn))
+            .map_or(ring.next_seq, |e| e.seq)
     }
 }
 
@@ -527,6 +534,75 @@ mod tests {
             suffix.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![2, 3, 4, 5]
         );
+    }
+
+    #[test]
+    fn suffix_reads_on_a_wrapped_ring_match_a_filter() {
+        let log = ChangeLog::with_capacity(4);
+        for n in 0..11 {
+            log.publish(TxnId(1), ev(n));
+        }
+        // Seven compactions wrapped the ring; 7..11 are retained.
+        assert_eq!(log.compacted_below(), 7);
+        let filtered = |cursor: u64| -> Vec<ChangeEvent> {
+            let ring = log.inner.lock();
+            ring.buf
+                .iter()
+                .filter(|e| e.seq >= cursor)
+                .cloned()
+                .collect()
+        };
+        // Front, middle, last, next_seq and past it.
+        for cursor in [7, 9, 10, 11, 12] {
+            assert_eq!(
+                log.read_from(cursor).unwrap(),
+                filtered(cursor),
+                "cursor {cursor}"
+            );
+        }
+        assert_eq!(log.read_from(9).unwrap().len(), 2);
+        assert!(log.read_from(log.next_seq()).unwrap().is_empty());
+        assert_eq!(
+            log.read_from(6).unwrap_err(),
+            RescanRequired {
+                cursor: 6,
+                compacted_below: 7
+            }
+        );
+    }
+
+    #[test]
+    fn registration_cursor_pins_the_first_event_the_snapshot_cannot_see() {
+        let mgr = crate::txn::TxnManager::new();
+        let log = ChangeLog::with_capacity(16);
+        let committed = mgr.begin();
+        let aborted = mgr.begin();
+        let in_flight = mgr.begin();
+        log.publish(committed, ev(0));
+        log.publish(aborted, ev(1));
+        log.publish(in_flight, ev(2));
+        log.publish(committed, ev(3));
+        mgr.commit(committed);
+        mgr.abort(aborted);
+        let snap = mgr.snapshot();
+        assert_eq!(
+            log.registration_cursor(&snap),
+            2,
+            "skip aborted, pin in-flight"
+        );
+        mgr.commit(in_flight);
+        assert_eq!(
+            log.registration_cursor(&snap),
+            2,
+            "committed after the snapshot"
+        );
+        assert_eq!(log.registration_cursor(&mgr.snapshot()), log.next_seq());
+        // Aborting after the snapshot still pins: the fold skips it then.
+        let late = mgr.begin();
+        log.publish(late, ev(4));
+        let snap = mgr.snapshot();
+        mgr.abort(late);
+        assert_eq!(log.registration_cursor(&snap), 4);
     }
 
     #[test]

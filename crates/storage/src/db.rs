@@ -683,12 +683,36 @@ impl WriteTxn {
     /// through this entry point, bypassing [`WriteTxn::heartbeat`], and
     /// no maintained report may fold across it.
     pub fn insert(&self, tid: TableId, row: Vec<Value>) -> Result<RowSlot> {
+        self.append_row(tid, row, None)
+    }
+
+    /// [`WriteTxn::insert`] of a row whose value in column `key` this
+    /// transaction is creating: first writer wins, as it does for
+    /// updates. Fails with a write-write conflict when another
+    /// transaction that this one cannot see and that has not aborted
+    /// wrote a version with the same key — a concurrent creator, still
+    /// in flight or committed since this transaction began. The check
+    /// and the append run under one write latch, so of two racing
+    /// creators exactly one succeeds.
+    pub(crate) fn insert_new_key(
+        &self,
+        tid: TableId,
+        key: usize,
+        row: Vec<Value>,
+    ) -> Result<RowSlot> {
+        self.append_row(tid, row, Some(key))
+    }
+
+    fn append_row(&self, tid: TableId, row: Vec<Value>, new_key: Option<usize>) -> Result<RowSlot> {
         let _order = lockorder::acquire(LockId::DbData);
         let mut inner = self.read.state.data.write();
         let touches_heartbeat = is_heartbeat_table(&inner, tid);
         let is_temp = inner.catalog.is_temp_id(tid);
         let st = store_mut(&mut inner, tid)?;
         let row = st.table.schema.check_row(row)?;
+        if let Some(col) = new_key {
+            self.claim_key(st, col, &row[col])?;
+        }
         let row: Row = Arc::from(row.into_boxed_slice());
         let slot = st.table.append(Arc::clone(&row), self.id);
         for idx in &mut st.indexes {
@@ -706,6 +730,36 @@ impl WriteTxn {
             self.publish_change(ChangeData::RowInsert { table: tid, row });
         }
         Ok(slot)
+    }
+
+    /// The conflict check of [`WriteTxn::insert_new_key`], run under
+    /// the data latch the append holds.
+    fn claim_key(&self, st: &Stored, col: usize, key: &Value) -> Result<()> {
+        let slots: Vec<RowSlot> = match st.indexes.iter().find(|i| i.column == col) {
+            Some(idx) => idx.probe_eq(key).collect(),
+            None => st
+                .table
+                .all_versions()
+                .filter(|(_, v)| v.values.get(col) == Some(key))
+                .map(|(slot, _)| slot)
+                .collect(),
+        };
+        let txns = &self.read.state.txns;
+        for slot in slots {
+            let Some(v) = st.table.version(slot) else {
+                continue;
+            };
+            if v.xmin != self.id
+                && !self.read.snapshot.committed_before(v.xmin)
+                && txns.status(v.xmin) != TxnStatus::Aborted
+            {
+                return Err(TracError::TxnAborted(format!(
+                    "write-write conflict on {}: key {key} already written by {}",
+                    st.table.schema.name, v.xmin
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Deletes the row at `slot` (it must be visible to this txn).
@@ -793,12 +847,13 @@ impl WriteTxn {
         self.suppress_events.store(true, AtomicOrdering::Relaxed);
         let upserted = heartbeat::upsert(self, source, ts);
         self.suppress_events.store(false, AtomicOrdering::Relaxed);
-        upserted?;
+        let created = upserted?;
         // Published even for a no-op (stale) offer: the fold is a max,
         // so the event is harmless and stays conservative.
         self.publish_change(ChangeData::HeartbeatUpsert {
             source: Value::text(source.as_str()),
             ts: Value::Timestamp(ts),
+            created,
         });
         Ok(())
     }
@@ -1216,5 +1271,94 @@ mod tests {
         let err = w2.delete(tid, slot).unwrap_err();
         assert_eq!(err.kind(), "txn_aborted");
         w1.commit();
+    }
+
+    /// The `created` bit of every heartbeat event published since `mark`.
+    fn created_bits(db: &Database, mark: u64) -> Vec<bool> {
+        db.change_log()
+            .read_from(mark)
+            .unwrap()
+            .into_iter()
+            .map(|e| match e.data {
+                ChangeData::HeartbeatUpsert { created, .. } => created,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn heartbeat_events_say_whether_the_upsert_created_the_source() {
+        let db = Database::new();
+        let m1 = SourceId::new("m1");
+        let mark = db.change_log().next_seq();
+        // First upsert creates; a second one in the same txn does not.
+        db.with_write(|w| {
+            w.heartbeat(&m1, Timestamp::from_secs(10))?;
+            w.heartbeat(&m1, Timestamp::from_secs(20))
+        })
+        .unwrap();
+        // A later transaction advances, then offers a stale (no-op) ts.
+        db.with_write(|w| w.heartbeat(&m1, Timestamp::from_secs(30)))
+            .unwrap();
+        db.with_write(|w| w.heartbeat(&m1, Timestamp::from_secs(5)))
+            .unwrap();
+        assert_eq!(created_bits(&db, mark), vec![true, false, false, false]);
+    }
+
+    #[test]
+    fn racing_creators_of_one_source_leave_one_row() {
+        // A writer that began before another committed a source's first
+        // row cannot see that row. Its upsert must not add a second row
+        // for the source (every rescan would then report the source
+        // twice), so creation is first-writer-wins, like updates.
+        let db = Database::new();
+        let m1 = SourceId::new("m1");
+        let first = db.begin_write();
+        let late = db.begin_write();
+        let mark = db.change_log().next_seq();
+        first.heartbeat(&m1, Timestamp::from_secs(10)).unwrap();
+        let err = late.heartbeat(&m1, Timestamp::from_secs(20)).unwrap_err();
+        assert_eq!(err.kind(), "txn_aborted", "in-flight creator wins");
+        late.abort();
+        let late = db.begin_write();
+        first.commit();
+        let err = late.heartbeat(&m1, Timestamp::from_secs(20)).unwrap_err();
+        assert_eq!(err.kind(), "txn_aborted", "creator committed after begin");
+        late.abort();
+        assert_eq!(
+            created_bits(&db, mark),
+            vec![true],
+            "losers publish nothing"
+        );
+        let r = db.begin_read();
+        let hb = r.table_id(HEARTBEAT_TABLE).unwrap();
+        assert_eq!(r.scan(hb).unwrap().len(), 1);
+        assert_eq!(
+            heartbeat::recency_of(&r, &m1).unwrap(),
+            Some(Timestamp::from_secs(10))
+        );
+    }
+
+    #[test]
+    fn a_creator_that_aborts_leaves_the_source_new() {
+        // The conservative case: a writer that began before the first
+        // creator finished sees no row either way. When that creator
+        // aborts, the later writer's upsert creates the source, and its
+        // event says so; the aborted event is never folded.
+        let db = Database::new();
+        let m1 = SourceId::new("m1");
+        let mark = db.change_log().next_seq();
+        let first = db.begin_write();
+        let late = db.begin_write();
+        first.heartbeat(&m1, Timestamp::from_secs(10)).unwrap();
+        first.abort();
+        late.heartbeat(&m1, Timestamp::from_secs(20)).unwrap();
+        late.commit();
+        assert_eq!(created_bits(&db, mark), vec![true, true]);
+        let r = db.begin_read();
+        assert_eq!(
+            heartbeat::recency_of(&r, &m1).unwrap(),
+            Some(Timestamp::from_secs(20))
+        );
     }
 }

@@ -251,6 +251,13 @@ impl Snapshot {
         id < self.xmax && !self.in_flight.contains(&id) && !self.aborted.contains(&id)
     }
 
+    /// True iff transaction `id` had aborted when this snapshot was
+    /// taken. Reads only the snapshot; an id that aborts later reads
+    /// `false` here.
+    pub fn aborted_before(&self, id: TxnId) -> bool {
+        self.aborted.contains(&id)
+    }
+
     /// Extracts the comparison data [`Snapshot::covers_basis`] needs,
     /// without keeping the snapshot itself alive (a registered
     /// [`Snapshot`] holds back the vacuum horizon; a basis does not).
@@ -339,8 +346,12 @@ mod tests {
         let m = TxnManager::new();
         let t1 = m.begin();
         m.abort(t1);
+        let t2 = m.begin();
         let snap = m.snapshot();
+        m.abort(t2);
         assert!(!snap.committed_before(t1));
+        assert!(snap.aborted_before(t1));
+        assert!(!snap.aborted_before(t2), "aborted after the snapshot");
     }
 
     #[test]

@@ -75,6 +75,12 @@ echo "==> benchmark smoke: one short ingest_and_report window"
 # batches, change-stream ring overflow and the rescans it forces.
 bash benchmark/run.sh --workload ingest_and_report --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "==> benchmark smoke: one short adhoc_reports window"
+# Every statement misses the plan cache, so this registers hundreds of
+# maintained plans, including the mixed-predicate upper-bound shape,
+# each checked against a rescan by the benchmark's correctness gate.
+bash benchmark/run.sh --workload adhoc_reports --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "==> trac-analyze --typeflow (soundness audit of sample workloads, incl. planned recency subqueries)"
 cargo run --release -p trac-analyze --bin trac-analyze -- --typeflow
 

@@ -463,6 +463,18 @@ enum DeltaOp {
     /// heartbeat event, report while it is in flight (both paths must
     /// exclude it), commit, report again (both must include it).
     BlockedReport { sid: usize, micros: i64 },
+    /// Two writers in flight at once both heartbeat `SIDS[sid]` (which
+    /// may be new); the second offers `micros + 1`. Heartbeat rows are
+    /// first-writer-wins, so the second may fail with a write-write
+    /// conflict and abort. A report runs while both are in flight, then
+    /// the survivors finish in the order `order` picks (0: first then
+    /// second commit, 1: second then first, 2: first aborts, 3: second
+    /// aborts), with a report after each step.
+    RacingBeats {
+        sid: usize,
+        micros: i64,
+        order: usize,
+    },
 }
 
 fn delta_op() -> BoxedStrategy<DeltaOp> {
@@ -474,7 +486,9 @@ fn delta_op() -> BoxedStrategy<DeltaOp> {
         2 => (0..4usize, 0..5usize).prop_map(|(sid, n)| DeltaOp::SqlInsert { sid, n }),
         1 => (0..5usize).prop_map(|n| DeltaOp::Delete { n }),
         3 => Just(DeltaOp::Report),
-        1 => (0..4usize, micros).prop_map(|(sid, micros)| DeltaOp::BlockedReport { sid, micros }),
+        1 => (0..4usize, micros.clone()).prop_map(|(sid, micros)| DeltaOp::BlockedReport { sid, micros }),
+        1 => (0..4usize, micros, 0..4usize)
+            .prop_map(|(sid, micros, order)| DeltaOp::RacingBeats { sid, micros, order }),
     ]
     .boxed()
 }
@@ -566,6 +580,37 @@ proptest! {
                     w.commit();
                     // Committed: both must pick it up.
                     check_report_parity(&maintained, &reference, &sql)?;
+                }
+                DeltaOp::RacingBeats { sid, micros, order } => {
+                    let src = SourceId::new(SIDS[*sid]);
+                    let first = db.begin_write();
+                    let second = db.begin_write();
+                    first.heartbeat(&src, Timestamp::from_micros(*micros)).unwrap();
+                    let second = match second.heartbeat(&src, Timestamp::from_micros(micros + 1)) {
+                        Ok(()) => Some(second),
+                        Err(e) => {
+                            prop_assert_eq!(e.kind(), "txn_aborted", "unexpected: {}", e);
+                            second.abort();
+                            None
+                        }
+                    };
+                    check_report_parity(&maintained, &reference, &sql)?;
+                    // (writer, abort it) in finishing order.
+                    let steps = match order {
+                        0 => [(Some(first), false), (second, false)],
+                        1 => [(second, false), (Some(first), false)],
+                        2 => [(Some(first), true), (second, false)],
+                        _ => [(Some(first), false), (second, true)],
+                    };
+                    for (w, abort) in steps {
+                        let Some(w) = w else { continue };
+                        if abort {
+                            w.abort();
+                        } else {
+                            w.commit();
+                        }
+                        check_report_parity(&maintained, &reference, &sql)?;
+                    }
                 }
             }
         }
