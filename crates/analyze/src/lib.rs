@@ -449,7 +449,7 @@ pub fn analyze_concurrency() -> Result<Vec<Diagnostic>> {
         ),
         (
             LOCK_ORDER,
-            "audited the instrumented lock-acquisition graph: every observed edge respects PlanCache < DbData < TxnStamped < MorselSlot < ChangeLog".to_string(),
+            "audited the instrumented lock-acquisition graph: every observed edge respects PlanCache < ReportTables < DbData < TxnStamped < MorselSlot < ChangeLog".to_string(),
         ),
     ];
     for (code, message) in certs {

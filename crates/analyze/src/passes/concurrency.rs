@@ -25,7 +25,8 @@
 //!   the dataflow facts (the same facts backing `TRAC011`).
 //! * **`TRAC020` lock order** — the instrumented acquisition graph
 //!   ([`trac_storage::lockorder`]) must respect the declared partial
-//!   order `PlanCache < DbData < TxnStamped < MorselSlot < ChangeLog`.
+//!   order `PlanCache < ReportTables < DbData < TxnStamped < MorselSlot <
+//!   ChangeLog`.
 //!
 //! Like every pass, the fine-grained check functions take the claimed
 //! artifact as an argument so tests can seed one violation and assert
@@ -143,8 +144,9 @@ pub fn audit_lock_order() -> Result<Vec<Diagnostic>> {
 }
 
 /// A workload touching every declared lock: the plan cache (parallel
-/// session reports, hit and miss), the data map and the stamped-slot
-/// list (heartbeat upsert = delete + insert), the morsel result slots
+/// session reports, hit and miss), the pending report tables (a query
+/// naming one materializes it), the data map and the stamped-slot list
+/// (heartbeat upsert = delete + insert), the morsel result slots
 /// (parallel execution), and vacuum.
 fn drive_lock_workload() -> Result<()> {
     let paper = load_paper_tables()?;
@@ -152,7 +154,8 @@ fn drive_lock_workload() -> Result<()> {
     session.exec_options = trac_plan::ExecOptions::default().with_parallelism(2, 2);
     let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
     session.recency_report(sql)?;
-    session.recency_report(sql)?;
+    let out = session.recency_report(sql)?;
+    session.query(&format!("SELECT sid FROM {}", out.normal_table))?;
     let txn = paper.db.begin_write();
     txn.heartbeat(&SourceId::new("m1"), Timestamp(999_000_000))?;
     txn.commit();

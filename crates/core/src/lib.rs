@@ -13,8 +13,9 @@
 //!    relevant source, the bound of inconsistency, and z-score-based
 //!    "exceptional" source detection (Section 4.3) — transactionally
 //!    consistent with the user query result (same MVCC snapshot);
-//! 4. materializes the detail into session temp tables exactly like the
-//!    prototype's `sys_temp_a…`/`sys_temp_e…` tables (Section 5.1).
+//! 4. puts the detail in session temp tables named like the prototype's
+//!    `sys_temp_a…`/`sys_temp_e…` tables (Section 5.1), materialized when
+//!    a statement first names them.
 //!
 //! Entry point: [`Session::recency_report`]. The [`oracle`] module holds
 //! the brute-force ground-truth computation used by the evaluation's

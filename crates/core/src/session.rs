@@ -3,9 +3,11 @@
 //! [`Session::recency_report`] runs a user query *and* its recency
 //! analysis against one MVCC snapshot (the first guiding requirement of
 //! Section 3.2), splits off exceptional sources, computes the descriptive
-//! statistics, and materializes the detail into session temp tables
-//! (`sys_temp_a…` for normal, `sys_temp_e…` for exceptional sources) that
-//! remain queryable until the session ends — or are persisted on request.
+//! statistics, and names the detail's session temp tables (`sys_temp_a…`
+//! for normal, `sys_temp_e…` for exceptional sources). Those remain
+//! queryable until the session ends — or are persisted on request — but
+//! their rows stay private to the session until a statement names them:
+//! only then are they materialized, so a report itself writes nothing.
 //!
 //! Three reporting methods mirror the evaluation:
 //! * [`Method::Focused`] — full pipeline: parse, analyze, generate and
@@ -19,7 +21,7 @@ use crate::relevance::{Guarantee, RecencyPlan, RelevanceConfig};
 use crate::report::{RecencyReport, ReportConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use trac_exec::{ExecOptions, QueryResult};
 use trac_expr::{bind_select, BoundSelect};
@@ -47,8 +49,10 @@ pub struct Timings {
     pub user_query: Duration,
     /// Compute relevant sources / fetch recency timestamps.
     pub relevance_query: Duration,
-    /// Detect exceptional sources and compute min/max/range statistics
-    /// (including temp-table materialization).
+    /// Detect exceptional sources and compute min/max/range statistics,
+    /// and hand the detail rows to the session. Materializing them as
+    /// temp tables is not included: that happens only when a later
+    /// statement names one.
     pub stats: Duration,
 }
 
@@ -99,7 +103,9 @@ impl ReportOutput {
 /// makes repeated reports O(changes) instead of O(data).
 struct CachedPlan {
     config: RelevanceConfig,
-    plan: RecencyPlan,
+    /// Shared with every report served from this entry: a hit is a
+    /// refcount bump, not a copy of the bound and lowered subqueries.
+    plan: Arc<RecencyPlan>,
     /// Delta-maintained state ([`MaintainedReport`]), present after the
     /// first maintained report. `None` while a report has it checked
     /// out for folding (or when maintenance is disabled).
@@ -131,6 +137,9 @@ impl PlanKey {
     }
 }
 
+/// The detail rows of one report table, `(source, recency)`.
+type ReportRows = Vec<(SourceId, Timestamp)>;
+
 /// A user session against a TRAC-enabled database.
 pub struct Session {
     db: Database,
@@ -153,6 +162,10 @@ pub struct Session {
     /// delta-maintained [`MaintainedReport`] state, which folds the
     /// typed change stream up to the serving snapshot on every report.
     plan_cache: Mutex<HashMap<PlanKey, CachedPlan>>,
+    /// Report tables named by a report but not yet materialized, keyed
+    /// by their (lower-case) name. A statement that names one creates it
+    /// first (see [`Self::open`]); [`Self::close`] discards the rest.
+    report_tables: Mutex<HashMap<String, ReportRows>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     maint_registrations: AtomicU64,
@@ -195,6 +208,7 @@ impl Session {
             report_config: ReportConfig::default(),
             exec_options: ExecOptions::default(),
             plan_cache: Mutex::new(HashMap::new()),
+            report_tables: Mutex::new(HashMap::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             maint_registrations: AtomicU64::new(0),
@@ -213,8 +227,8 @@ impl Session {
     /// so a parallel session runs its baseline through the same batched
     /// path as its reports.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let txn = self.db.begin_read();
-        trac_exec::execute_sql_with(&txn, sql, self.exec_options)
+        let (txn, bound) = self.open(sql)?;
+        Ok(trac_exec::execute_select_with(&txn, &bound, self.exec_options)?.0)
     }
 
     /// Runs `sql` with Focused recency reporting.
@@ -229,40 +243,45 @@ impl Session {
     /// its generated subqueries straight to plan IR) and the user-query
     /// execution. No SQL string is re-parsed anywhere downstream.
     pub fn recency_report_with(&self, sql: &str, method: Method) -> Result<ReportOutput> {
-        let txn = self.db.begin_read();
+        let t0 = Instant::now();
+        let (txn, bound) = self.open(sql)?;
         match method {
             Method::Focused => {
-                let t0 = Instant::now();
-                let stmt = parse_select(sql)?;
-                let bound = bind_select(&txn, &stmt)?;
                 let key = PlanKey::new(sql, self.exec_options);
                 let plan = self.cached_or_build_plan(&txn, &key, &bound)?;
                 let analyze = t0.elapsed();
                 self.report_inner(&txn, &bound, Some(&plan), analyze, Some(&key))
             }
-            Method::Naive => {
-                let stmt = parse_select(sql)?;
-                let bound = bind_select(&txn, &stmt)?;
-                self.report_inner(&txn, &bound, None, Duration::ZERO, None)
-            }
+            Method::Naive => self.report_inner(&txn, &bound, None, Duration::ZERO, None),
         }
     }
 
     /// Runs `sql` reusing a prebuilt recency plan (the *Focused
     /// hardcoded* variant: no parse/generation cost inside the call).
     pub fn recency_report_prebuilt(&self, sql: &str, plan: &RecencyPlan) -> Result<ReportOutput> {
-        let txn = self.db.begin_read();
-        let stmt = parse_select(sql)?;
-        let bound = bind_select(&txn, &stmt)?;
+        let (txn, bound) = self.open(sql)?;
         self.report_inner(&txn, &bound, Some(plan), Duration::ZERO, None)
     }
 
     /// Builds a recency plan for later reuse (outside any timing).
     pub fn build_plan(&self, sql: &str) -> Result<RecencyPlan> {
-        let txn = self.db.begin_read();
-        let stmt = parse_select(sql)?;
-        let bound = bind_select(&txn, &stmt)?;
+        let (txn, bound) = self.open(sql)?;
         RecencyPlan::build(&txn, &bound, self.relevance_config)
+    }
+
+    /// Opens one statement: parses `sql`, materializes every pending
+    /// report table its `FROM` list names, and only then takes the
+    /// snapshot, so the statement sees the tables it names.
+    fn open(&self, sql: &str) -> Result<(ReadTxn, BoundSelect)> {
+        let stmt = parse_select(sql)?;
+        self.with_report_tables(|pending| {
+            stmt.from
+                .iter()
+                .try_for_each(|t| self.materialize(pending, &t.table))
+        })?;
+        let txn = self.db.begin_read();
+        let bound = bind_select(&txn, &stmt)?;
+        Ok((txn, bound))
     }
 
     /// Returns the prepared recency plan for `key` from the session
@@ -276,7 +295,7 @@ impl Session {
         txn: &ReadTxn,
         key: &PlanKey,
         bound: &BoundSelect,
-    ) -> Result<RecencyPlan> {
+    ) -> Result<Arc<RecencyPlan>> {
         // Schedule point: the cache probe races report folds and
         // config changes; the interleaving explorer switches threads
         // here (yields no-op outside an exploration).
@@ -291,12 +310,12 @@ impl Session {
             {
                 if hit.config == self.relevance_config {
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit.plan.clone());
+                    return Ok(Arc::clone(&hit.plan));
                 }
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = RecencyPlan::build(txn, bound, self.relevance_config)?;
+        let plan = Arc::new(RecencyPlan::build(txn, bound, self.relevance_config)?);
         trac_exec::schedule::yield_point(trac_exec::schedule::Site::CacheWrite);
         let _cache_order = lockorder::acquire(LockId::PlanCache);
         // Replacing an entry drops any maintained state with it: the
@@ -305,7 +324,7 @@ impl Session {
             key.clone(),
             CachedPlan {
                 config: self.relevance_config,
-                plan: plan.clone(),
+                plan: Arc::clone(&plan),
                 maintained: None,
             },
         );
@@ -371,14 +390,17 @@ impl Session {
             ),
         };
         let relevance_query = t0.elapsed();
-        // 3. Statistics + temp-table materialization.
+        // 3. Statistics; the detail tables are only named here, and
+        // materialized when a later statement names them.
         let t0 = Instant::now();
         let report = RecencyReport::compute(pairs, guarantee, self.report_config);
         let n = self.seq.fetch_add(1, Ordering::Relaxed);
         let normal_table = format!("sys_temp_a{}_{n}", self.id);
         let exceptional_table = format!("sys_temp_e{}_{n}", self.id);
-        self.materialize(&normal_table, &report.normal)?;
-        self.materialize(&exceptional_table, &report.exceptional)?;
+        self.with_report_tables(|pending| {
+            pending.insert(normal_table.clone(), report.normal.clone());
+            pending.insert(exceptional_table.clone(), report.exceptional.clone());
+        });
         let stats = t0.elapsed();
         Ok(ReportOutput {
             result,
@@ -449,9 +471,29 @@ impl Session {
         Ok(pairs)
     }
 
-    fn materialize(&self, name: &str, rows: &[(SourceId, Timestamp)]) -> Result<()> {
+    /// Runs `f` on the pending report tables, holding their lock
+    /// throughout, so a table two statements race to name is created
+    /// once and neither sees it missing.
+    fn with_report_tables<T>(&self, f: impl FnOnce(&mut HashMap<String, ReportRows>) -> T) -> T {
+        let _order = lockorder::acquire(LockId::ReportTables);
+        // A poisoned map only means a materialization panicked part-way;
+        // the entries left in it are still whole.
+        f(&mut self
+            .report_tables
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Creates and fills the report table `name` if it is still pending
+    /// (names match case-insensitively, as in the catalog); a no-op for
+    /// any other name. This is the only place a report writes storage.
+    fn materialize(&self, pending: &mut HashMap<String, ReportRows>, name: &str) -> Result<()> {
+        let name = name.to_ascii_lowercase();
+        let Some(rows) = pending.get(&name) else {
+            return Ok(());
+        };
         let schema = TableSchema::new(
-            name,
+            &name,
             vec![
                 ColumnDef::new("sid", DataType::Text),
                 ColumnDef::new("recency", DataType::Timestamp),
@@ -464,17 +506,34 @@ impl Session {
                 w.insert(tid, vec![s.to_value(), Value::Timestamp(*t)])?;
             }
             Ok(())
+        })?;
+        pending.remove(&name);
+        Ok(())
+    }
+
+    /// Materializes every pending report table, for callers that read
+    /// the catalog without going through this session (a shell running
+    /// plain SQL against the database, a table listing).
+    pub fn materialize_report_tables(&self) -> Result<()> {
+        self.with_report_tables(|pending| {
+            let mut names: Vec<String> = pending.keys().cloned().collect();
+            names.sort_unstable();
+            names.iter().try_for_each(|n| self.materialize(pending, n))
         })
     }
 
     /// Copies a temp table to a permanent table, like the prototype lets
-    /// users do "before the end of a session".
+    /// users do "before the end of a session". A report table nothing
+    /// has named yet is materialized first.
     pub fn persist(&self, temp_table: &str) -> Result<()> {
+        self.with_report_tables(|pending| self.materialize(pending, temp_table))?;
         self.db.persist_temp_table(temp_table)
     }
 
-    /// Explicitly drops this session's temp tables (also happens on Drop).
+    /// Explicitly drops this session's temp tables and discards its
+    /// pending report tables (also happens on Drop).
     pub fn close(&self) {
+        self.with_report_tables(HashMap::clear);
         self.db.drop_session_temps(self.id);
     }
 }
@@ -541,12 +600,140 @@ mod tests {
             let out = session
                 .recency_report("SELECT mach_id FROM Activity WHERE mach_id = 'm2'")
                 .unwrap();
+            // Never named before persist: persist materializes it.
             name = out.normal_table.clone();
             session.persist(&name).unwrap();
         }
         let session = Session::new(db);
         let rows = session.query(&format!("SELECT sid FROM {name}")).unwrap();
         assert_eq!(rows.rows[0][0], Value::text("m2"));
+    }
+
+    /// `(sid, recency)` rows of a report table, read through `session`.
+    fn table_rows(session: &Session, name: &str) -> Vec<(SourceId, Timestamp)> {
+        let rows = session
+            .query(&format!("SELECT sid, recency FROM {name} ORDER BY sid"))
+            .unwrap();
+        rows.rows
+            .iter()
+            .map(|r| match (&r[0], &r[1]) {
+                (Value::Text(s), Value::Timestamp(t)) => (SourceId::new(s.as_str()), *t),
+                other => panic!("unexpected report-table row {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reports_write_nothing_until_a_table_is_named() {
+        let db = paper_db();
+        let session = Session::new(db.clone());
+        let tables = db.begin_read().table_names();
+        let before = db.begin_read();
+        let mut last = None;
+        for _ in 0..20 {
+            last = Some(
+                session
+                    .recency_report("SELECT mach_id FROM Activity WHERE value = 'idle'")
+                    .unwrap(),
+            );
+        }
+        let after = db.begin_read();
+        assert_eq!(db.begin_read().table_names(), tables, "no table created");
+        // With nothing in flight, two snapshots cover each other iff
+        // their xmax agree: no transaction id was issued by 20 reports.
+        assert!(before
+            .snapshot
+            .covers_basis(&after.snapshot.coverage_basis()));
+        assert!(after
+            .snapshot
+            .covers_basis(&before.snapshot.coverage_basis()));
+        // Naming one table materializes exactly that table.
+        let out = last.unwrap();
+        assert_eq!(table_rows(&session, &out.normal_table), out.report.normal);
+        let mut expected = tables;
+        expected.push(out.normal_table.clone());
+        expected.sort();
+        let mut now = db.begin_read().table_names();
+        now.sort();
+        assert_eq!(now, expected);
+    }
+
+    #[test]
+    fn report_tables_resolve_however_they_are_named() {
+        let db = paper_db();
+        let session = Session::new(db.clone());
+        let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
+        // Upper case, as the catalog matches names.
+        let out = session.recency_report(sql).unwrap();
+        let upper = out.normal_table.to_ascii_uppercase();
+        assert_eq!(table_rows(&session, &upper), out.report.normal);
+        // Naive reports pend their tables the same way.
+        let naive = session.recency_report_with(sql, Method::Naive).unwrap();
+        assert_eq!(
+            table_rows(&session, &naive.normal_table),
+            naive.report.normal
+        );
+        // A report and a plan build over a pending table see it.
+        let out = session.recency_report(sql).unwrap();
+        let over = format!("SELECT sid FROM {}", out.normal_table);
+        assert_eq!(session.recency_report(&over).unwrap().result.len(), 3);
+        session
+            .build_plan(&format!("SELECT sid FROM {}", out.exceptional_table))
+            .unwrap();
+        assert!(db.begin_read().table_id(&out.exceptional_table).is_ok());
+        // Closing discards what was never named.
+        let out = session.recency_report(sql).unwrap();
+        session.close();
+        let gone = format!("SELECT sid FROM {}", out.normal_table);
+        assert!(session.query(&gone).is_err(), "discarded on close");
+        assert!(db
+            .begin_read()
+            .table_names()
+            .iter()
+            .all(|t| !t.starts_with("sys_temp")));
+    }
+
+    #[test]
+    fn racing_references_create_a_report_table_once() {
+        let db = paper_db();
+        let session = Session::new(db.clone());
+        let out = session
+            .recency_report("SELECT mach_id FROM Activity WHERE value = 'idle'")
+            .unwrap();
+        let tables = db.begin_read().table_names().len();
+        let q = format!("SELECT COUNT(*) FROM {}", out.normal_table);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        session.query(&q)
+                    })
+                })
+                .collect();
+            for r in racers {
+                assert_eq!(r.join().unwrap().unwrap().rows[0][0], Value::Int(3));
+            }
+        });
+        assert_eq!(db.begin_read().table_names().len(), tables + 1);
+    }
+
+    #[test]
+    fn materializing_takes_report_tables_before_storage_locks() {
+        let session = Session::new(paper_db());
+        let out = session
+            .recency_report("SELECT mach_id FROM Activity WHERE value = 'idle'")
+            .unwrap();
+        lockorder::enable_tracking();
+        let named = session.query(&format!("SELECT sid FROM {}", out.normal_table));
+        let edges = lockorder::take_edges();
+        named.unwrap();
+        assert!(
+            edges.contains(&(LockId::ReportTables, LockId::DbData)),
+            "{edges:?}"
+        );
+        assert!(edges.iter().all(|&(a, b)| lockorder::edge_is_legal(a, b)));
     }
 
     #[test]
@@ -643,6 +830,29 @@ mod tests {
         assert!(text.contains("(2 rows)"));
     }
 
+    /// Flips the cached plan's guarantee to `UpperBound` in place.
+    fn poison_cached_plan(session: &Session, sql: &str) {
+        let mut cache = session.plan_cache.lock().unwrap();
+        let entry = cache
+            .get_mut(&PlanKey::new(sql, session.exec_options))
+            .unwrap();
+        Arc::make_mut(&mut entry.plan).guarantee = Guarantee::UpperBound;
+    }
+
+    #[test]
+    fn cache_hit_shares_the_cached_plan() {
+        let db = paper_db();
+        let session = Session::new(db);
+        let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
+        session.recency_report(sql).unwrap();
+        let key = PlanKey::new(sql, session.exec_options);
+        let (txn, bound) = session.open(sql).unwrap();
+        let hit = session.cached_or_build_plan(&txn, &key, &bound).unwrap();
+        let cache = session.plan_cache.lock().unwrap();
+        assert!(Arc::ptr_eq(&hit, &cache[&key].plan), "a hit must not copy");
+        assert_eq!(session.plan_cache_stats().hits, 1);
+    }
+
     #[test]
     fn plan_cache_survives_heartbeat_writes_and_reports_stay_fresh() {
         // PR 8 flips the invalidation story: heartbeat traffic no
@@ -658,14 +868,7 @@ mod tests {
         assert_eq!(session.plan_cache.lock().unwrap().len(), 1);
         // Poison the cached plan's guarantee: only a cache hit can
         // surface the poisoned value in the next report.
-        session
-            .plan_cache
-            .lock()
-            .unwrap()
-            .get_mut(&PlanKey::new(sql, session.exec_options))
-            .unwrap()
-            .plan
-            .guarantee = Guarantee::UpperBound;
+        poison_cached_plan(&session, sql);
         db.with_write(|w| {
             w.heartbeat(
                 &SourceId::new("m1"),
@@ -712,14 +915,7 @@ mod tests {
         // Poison the cached plan, then change the config: the mismatch
         // must force a rebuild that washes the poison out, even though
         // no write has been published to the change stream.
-        session
-            .plan_cache
-            .lock()
-            .unwrap()
-            .get_mut(&PlanKey::new(sql, session.exec_options))
-            .unwrap()
-            .plan
-            .guarantee = Guarantee::UpperBound;
+        poison_cached_plan(&session, sql);
         session.relevance_config.dnf_budget += 1;
         let out = session.recency_report(sql).unwrap();
         assert_eq!(

@@ -4,13 +4,14 @@
 //! Deadlock freedom rests on all code paths acquiring them consistently
 //! with one declared partial order:
 //!
-//! | rank | lock        | guards                                         |
-//! |------|-------------|------------------------------------------------|
-//! | 0    | `PlanCache` | the session's prepared-plan cache              |
-//! | 1    | `DbData`    | the database's table/catalog `RwLock`          |
-//! | 2    | `TxnStamped`| a write transaction's stamped-version list     |
-//! | 3    | `MorselSlot`| a parallel worker's per-morsel result slot     |
-//! | 4    | `ChangeLog` | the typed change-stream ring                   |
+//! | rank | lock          | guards                                         |
+//! |------|---------------|------------------------------------------------|
+//! | 0    | `PlanCache`   | the session's prepared-plan cache              |
+//! | 1    | `ReportTables`| the session's pending report tables            |
+//! | 2    | `DbData`      | the database's table/catalog `RwLock`          |
+//! | 3    | `TxnStamped`  | a write transaction's stamped-version list     |
+//! | 4    | `MorselSlot`  | a parallel worker's per-morsel result slot     |
+//! | 5    | `ChangeLog`   | the typed change-stream ring                   |
 //!
 //! An acquisition of lock `b` while holding lock `a` is legal iff
 //! `rank(a) < rank(b)`. The order is *checked*, not assumed: when
@@ -21,7 +22,8 @@
 //!
 //! Instrumented sites are the *nesting-relevant* ones: guard
 //! acquisitions that can be held across another acquisition (write
-//! paths, the stamped list, plan-cache access, morsel slots).
+//! paths, the stamped list, plan-cache and report-table access, morsel
+//! slots).
 //! Straight-line read probes that take and release `DbData` inside one
 //! expression are left uninstrumented — the recorded graph is an
 //! under-approximation of all acquisitions but covers every site that
@@ -38,6 +40,10 @@ use std::sync::Mutex;
 pub enum LockId {
     /// Session prepared-plan cache (`trac-core`).
     PlanCache,
+    /// Session map of report tables not yet materialized (`trac-core`).
+    /// Held across a materialization, which creates and fills a temp
+    /// table, so it ranks above every storage lock.
+    ReportTables,
     /// Database table/catalog data lock.
     DbData,
     /// Write transaction's stamped-version list.
@@ -61,6 +67,7 @@ impl LockId {
     pub fn name(self) -> &'static str {
         match self {
             LockId::PlanCache => "PlanCache",
+            LockId::ReportTables => "ReportTables",
             LockId::DbData => "DbData",
             LockId::TxnStamped => "TxnStamped",
             LockId::MorselSlot => "MorselSlot",
@@ -153,7 +160,8 @@ mod tests {
 
     #[test]
     fn ranks_follow_variant_order() {
-        assert!(LockId::PlanCache.rank() < LockId::DbData.rank());
+        assert!(LockId::PlanCache.rank() < LockId::ReportTables.rank());
+        assert!(LockId::ReportTables.rank() < LockId::DbData.rank());
         assert!(LockId::DbData.rank() < LockId::TxnStamped.rank());
         assert!(LockId::TxnStamped.rank() < LockId::MorselSlot.rank());
         assert!(LockId::MorselSlot.rank() < LockId::ChangeLog.rank());

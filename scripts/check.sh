@@ -70,6 +70,11 @@ echo "==> benchmark smoke: one short point_reports window"
 # benchmark's correctness gate.
 bash benchmark/run.sh --workload point_reports --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "==> benchmark smoke: one short scan_reports window"
+# The only workload whose report tables hold ~10 000 sources each, and
+# whose user queries scan whole tables.
+bash benchmark/run.sh --workload scan_reports --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "==> benchmark smoke: one short ingest_and_report window"
 # The write path under the same gate: begin/commit through ingest
 # batches, change-stream ring overflow and the rescans it forces.

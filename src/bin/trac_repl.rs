@@ -80,6 +80,7 @@ fn run_line(db: &mut Database, session: &mut Session, line: &str) -> Result<bool
             "q" | "quit" | "exit" => return Ok(true),
             "help" | "h" | "?" => println!("{HELP}"),
             "tables" => {
+                session.materialize_report_tables()?;
                 for t in db.begin_read().table_names() {
                     println!("  {t}");
                 }
@@ -172,7 +173,9 @@ fn run_line(db: &mut Database, session: &mut Session, line: &str) -> Result<bool
         }
         return Ok(false);
     }
-    // Plain SQL.
+    // Plain SQL runs against the database, not the session, so the
+    // session's report tables must exist in the catalog first.
+    session.materialize_report_tables()?;
     match execute_statement(db, line)? {
         StatementResult::Rows(q) => println!("{q}"),
         StatementResult::Affected(n) => println!("OK, {n} row(s) affected"),
