@@ -104,7 +104,7 @@ pub fn run(plan: &RecencyPlan, name: &str) -> Vec<Diagnostic> {
                      subquery on any relevant change event instead of folding deltas"
                 ),
             );
-            d.source = sub.sql.clone();
+            d.source = sub.sql().to_string();
             out.push(d);
         }
     }

@@ -460,17 +460,18 @@ pub fn check_subquery_ir(
         return Vec::new();
     };
     let mut out = Vec::new();
-    check_bound_shape(context, &sub.sql, query, &mut out);
-    check_bound_leaks(context, &sub.sql, query, analyzed_binding, &mut out);
+    let sql = sub.sql();
+    check_bound_shape(context, sql, query, &mut out);
+    check_bound_leaks(context, sql, query, analyzed_binding, &mut out);
     match &sub.plan {
-        Some(plan) => check_plan_leaks(context, &sub.sql, &plan.root, analyzed_binding, &mut out),
+        Some(plan) => check_plan_leaks(context, sql, &plan.root, analyzed_binding, &mut out),
         None => out.push(
             Diagnostic::new(
                 BAD_PROJECTION,
                 context,
                 "recency subquery carries a bound query but no physical plan",
             )
-            .with_span(&sub.sql, None),
+            .with_span(sql, None),
         ),
     }
     out

@@ -513,10 +513,10 @@ pub fn run(
             continue;
         };
         let context = format!("{} subquery #{i} (via {})", ctx.label, sub.via_relation);
-        let finder = SpanFinder::new(&sub.sql);
+        let finder = SpanFinder::new(sub.sql());
         let sub_ctx = PassCtx {
             label: &context,
-            sql: &sub.sql,
+            sql: sub.sql(),
             finder: &finder,
         };
         out.extend(validate_plan(subq, subplan, &context, Some(&sub_ctx)));

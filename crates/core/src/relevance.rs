@@ -22,6 +22,7 @@
 use crate::semijoin;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 use trac_expr::{
     classify_conjunct, conjunct_satisfiable, to_dnf, unbind::UnbindCtx, unbind_expr, BoundExpr,
     BoundSelect, BoundTable, ColRef, Conjunct, Projection, Sat3,
@@ -88,13 +89,16 @@ pub struct RecencySubquery {
     pub status: SubqueryStatus,
     /// The executable query (absent when `status == Empty`).
     pub query: Option<BoundSelect>,
-    /// Physical plan lowered from `query` at build time (absent when
-    /// `status == Empty`). This is what EXPLAIN-style display and the
-    /// static analyzer inspect; execution re-plans against its own
-    /// snapshot so index choices never go stale.
+    /// Physical plan lowered from `query` once, at build time (absent
+    /// when `status == Empty`). The static analyzer certifies it, and
+    /// [`RecencyPlan::execute_with`] runs it as stored when `query`
+    /// reads Heartbeat alone. Only its plan choices can go stale: an
+    /// index is never dropped, and a dropped table breaks the bound
+    /// `query` just as it breaks the plan.
     pub plan: Option<trac_plan::PhysicalPlan>,
-    /// Printable SQL for the generated query (`"-- empty"` when pruned).
-    pub sql: String,
+    /// Printable SQL for the generated query, rendered on first read
+    /// (see [`Self::sql`]); set at build for pruned subqueries.
+    sql: OnceLock<String>,
     /// True when `status == Minimum` was obtained through the refinement
     /// pass (the `P_m`/`J_rm` terms were proved vacuous under the
     /// residual column domains) rather than through the structural
@@ -125,9 +129,33 @@ pub struct RecencyPlan {
     pub guarantee: Guarantee,
 }
 
+impl RecencySubquery {
+    /// Printable SQL for the generated query (`"-- empty: …"` when
+    /// pruned), rendered from `query` the first time it is read.
+    pub fn sql(&self) -> &str {
+        self.sql.get_or_init(|| match &self.query {
+            Some(q) => render_sql(q).unwrap_or_else(|e| format!("-- unrenderable: {e}")),
+            None => "-- empty".into(),
+        })
+    }
+}
+
 impl RecencyPlan {
-    /// Analyzes `q` and generates its recency subqueries.
+    /// Analyzes `q` and generates its recency subqueries, lowering them
+    /// under the default [`trac_plan::ExecOptions`].
     pub fn build(txn: &ReadTxn, q: &BoundSelect, config: RelevanceConfig) -> Result<RecencyPlan> {
+        RecencyPlan::build_with(txn, q, config, trac_plan::ExecOptions::default())
+    }
+
+    /// Like [`RecencyPlan::build`], but lowering every subquery under
+    /// `opts` (with the cost-based join order forced on), so the stored
+    /// plans are the ones a session executing under `opts` runs.
+    pub fn build_with(
+        txn: &ReadTxn,
+        q: &BoundSelect,
+        config: RelevanceConfig,
+        opts: trac_plan::ExecOptions,
+    ) -> Result<RecencyPlan> {
         let hb_id = txn.table_id(HEARTBEAT_TABLE)?;
         let hb_schema = txn.schema(hb_id)?;
         // Treat a missing predicate as a single empty conjunct: every
@@ -154,7 +182,8 @@ impl RecencyPlan {
                 let mut sub =
                     build_subquery(q, disjunct, d_idx, rel, hb_id, &hb_schema, &hb_binding)?;
                 // Lower the generated query to plan IR right here — no SQL
-                // round-trip. The stored plan feeds EXPLAIN and analysis.
+                // round-trip. The stored plan feeds analysis and, for a
+                // single-relation subquery, every execution.
                 if let Some(query) = &sub.query {
                     // Generated subqueries opt into the cost-based join
                     // order: their output is consumed as a *set* of
@@ -162,14 +191,16 @@ impl RecencyPlan {
                     // so the row-order pin that keeps user queries in
                     // FROM order does not apply, and the statistics can
                     // start the join from the smallest filtered table.
-                    sub.plan = Some(trac_plan::plan_select(
+                    let plan = trac_plan::plan_select(
                         txn,
                         query,
                         trac_plan::ExecOptions {
                             cost_based_join_order: true,
-                            ..Default::default()
+                            ..opts
                         },
-                    )?);
+                    )?;
+                    trac_exec::debug_validate_plan(query, &plan);
+                    sub.plan = Some(plan);
                 }
                 match sub.status {
                     SubqueryStatus::Minimum | SubqueryStatus::Empty => {}
@@ -192,20 +223,24 @@ impl RecencyPlan {
     /// Runs the plan's subqueries in `txn`'s snapshot, returning the
     /// union of relevant source ids.
     ///
-    /// Subqueries are evaluated as **semijoins** between `Heartbeat` and
-    /// the other relations (the paper's Theorem 4 phrasing) rather than
-    /// as literal `DISTINCT`-over-cross-product queries: the generated
-    /// SQL has no join predicate tying `H` to relations that only appear
-    /// through `P_o`, so a naive cross product would materialize
-    /// |H| × |R_j| tuples just to throw them away.
+    /// A subquery over Heartbeat alone runs its stored, certified
+    /// `plan`. A multi-relation one is evaluated as a **semijoin**
+    /// between `Heartbeat` and the other relations (the paper's
+    /// Theorem 4 phrasing) rather than as a literal
+    /// `DISTINCT`-over-cross-product query: the generated SQL has no
+    /// join predicate tying `H` to relations that only appear through
+    /// `P_o`, so a naive cross product would materialize |H| × |R_j|
+    /// tuples just to throw them away.
     pub fn execute(&self, txn: &ReadTxn) -> Result<BTreeSet<SourceId>> {
         self.execute_with(txn, trac_exec::ExecOptions::default())
     }
 
-    /// Like [`RecencyPlan::execute`], but evaluating every subquery's
-    /// witness and H-side selects through the general executor with
-    /// `opts` — the same batched morsel-driven path the user query
-    /// takes when `opts.threads > 1`.
+    /// Like [`RecencyPlan::execute`], but running every subquery
+    /// through the general executor with `opts` — the same batched
+    /// morsel-driven path the user query takes when `opts.threads > 1`.
+    /// A single-relation subquery runs its stored `plan`, which
+    /// [`RecencyPlan::build_with`] lowered under the same `opts`; a
+    /// multi-relation one lowers its witness and H-side selects per call.
     pub fn execute_with(
         &self,
         txn: &ReadTxn,
@@ -220,7 +255,15 @@ impl RecencyPlan {
         let mut out = BTreeSet::new();
         for sub in &self.subqueries {
             let Some(query) = &sub.query else { continue };
-            semijoin::execute_recency_subquery(txn, query, opts, &mut out)?;
+            if query.tables.len() > 1 {
+                semijoin::execute_recency_subquery(txn, query, opts, &mut out)?;
+                continue;
+            }
+            let plan = sub.plan.as_ref().ok_or_else(|| {
+                TracError::Analysis("recency subquery carries no physical plan".into())
+            })?;
+            let rows = trac_exec::execute_plan_with(txn, plan, opts)?.rows;
+            out.extend(rows.iter().filter_map(|r| SourceId::from_value(&r[0])));
         }
         Ok(out)
     }
@@ -228,7 +271,10 @@ impl RecencyPlan {
     /// The generated SQL strings (for display, like the prototype's
     /// generated recency query).
     pub fn generated_sql(&self) -> Vec<String> {
-        self.subqueries.iter().map(|s| s.sql.clone()).collect()
+        self.subqueries
+            .iter()
+            .map(|s| s.sql().to_string())
+            .collect()
     }
 }
 
@@ -267,7 +313,7 @@ fn build_subquery(
             status: SubqueryStatus::Empty,
             query: None,
             plan: None,
-            sql: "-- empty: relation has no data source column".into(),
+            sql: OnceLock::from("-- empty: relation has no data source column".to_string()),
             refined: false,
             maintenance: trac_plan::MaintenanceLicense::ProvenEmpty,
         });
@@ -306,7 +352,7 @@ fn build_subquery(
             status: SubqueryStatus::Empty,
             query: None,
             plan: None,
-            sql: "-- empty: selection predicates unsatisfiable".into(),
+            sql: OnceLock::from("-- empty: selection predicates unsatisfiable".to_string()),
             refined: false,
             maintenance: trac_plan::MaintenanceLicense::ProvenEmpty,
         });
@@ -381,7 +427,6 @@ fn build_subquery(
         order_by: vec![],
         limit: None,
     };
-    let sql = render_sql(&query)?;
     let maintenance = trac_plan::classify_maintenance(&query);
     Ok(RecencySubquery {
         disjunct: d_idx,
@@ -389,7 +434,7 @@ fn build_subquery(
         status,
         query: Some(query),
         plan: None,
-        sql,
+        sql: OnceLock::new(),
         refined,
         maintenance,
     })
@@ -460,9 +505,9 @@ mod tests {
         assert_eq!(names(&sources), vec!["m1", "m2"]);
         assert_eq!(plan.subqueries.len(), 1);
         assert!(
-            plan.subqueries[0].sql.contains("H.sid IN ('m1', 'm2')"),
+            plan.subqueries[0].sql().contains("H.sid IN ('m1', 'm2')"),
             "sql: {}",
-            plan.subqueries[0].sql
+            plan.subqueries[0].sql()
         );
     }
 
@@ -491,11 +536,11 @@ mod tests {
         assert_eq!(via_a.status, SubqueryStatus::Minimum);
         assert_eq!(plan.guarantee, Guarantee::UpperBound);
         // The via-A query semijoins Heartbeat with Routing.
-        assert!(via_a.sql.contains("routing"), "sql: {}", via_a.sql);
+        assert!(via_a.sql().contains("routing"), "sql: {}", via_a.sql());
         assert!(
-            via_a.sql.contains("R.neighbor = H.sid"),
+            via_a.sql().contains("R.neighbor = H.sid"),
             "sql: {}",
-            via_a.sql
+            via_a.sql()
         );
         // In this instance the upper bound is in fact exact (the paper
         // notes the bound equals the minimum when domains align).
@@ -637,7 +682,7 @@ mod tests {
             &db,
             "SELECT H.mach_id FROM Activity H WHERE H.mach_id = 'm1'",
         );
-        assert!(plan.subqueries[0].sql.contains("heartbeat H_"));
+        assert!(plan.subqueries[0].sql().contains("heartbeat H_"));
     }
 
     #[test]

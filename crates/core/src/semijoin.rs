@@ -1,4 +1,10 @@
-//! Semijoin evaluation of generated recency subqueries.
+//! Semijoin evaluation of multi-relation recency subqueries.
+//!
+//! A subquery over Heartbeat alone never comes here:
+//! [`RecencyPlan::execute_with`](crate::relevance::RecencyPlan::execute_with)
+//! runs the plan [`RecencyPlan::build`](crate::relevance::RecencyPlan::build)
+//! lowered for it. This module serves the rest, lowering its witness and
+//! H-side selects on every call until the plan IR has a semijoin node.
 //!
 //! Theorem 4's recency expression is
 //! `π_{H.c_s} σ_{P_s' ∧ J_s' ∧ P_o}(H × R_1 × … × R_{i-1} × R_{i+1} × … × R_n)`
@@ -37,18 +43,22 @@ fn run_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<trac_
     Ok(execute_select_with(txn, q, opts)?.0)
 }
 
-/// Evaluates one generated recency subquery (shape: `SELECT DISTINCT
-/// H.sid FROM heartbeat H, others… WHERE conjunction`), adding relevant
-/// source ids to `out`. The witness and H-side parts run through the
-/// general executor with `opts` — a parallel session evaluates its
-/// recency subqueries through the same batched operators as its user
-/// queries.
+/// Evaluates one generated multi-relation recency subquery (shape:
+/// `SELECT DISTINCT H.sid FROM heartbeat H, others… WHERE conjunction`,
+/// with at least one other relation), adding relevant source ids to
+/// `out`. The witness and H-side parts run through the general executor
+/// with `opts` — a parallel session evaluates its recency subqueries
+/// through the same batched operators as its user queries.
 pub(crate) fn execute_recency_subquery(
     txn: &ReadTxn,
     q: &BoundSelect,
     opts: ExecOptions,
     out: &mut BTreeSet<SourceId>,
 ) -> Result<()> {
+    debug_assert!(
+        q.tables.len() > 1,
+        "single-relation recency subqueries run their stored plan"
+    );
     let mut conjuncts = Vec::new();
     if let Some(p) = &q.predicate {
         split_and(p, &mut conjuncts);
@@ -72,135 +82,133 @@ pub(crate) fn execute_recency_subquery(
         }
     }
 
-    if q.tables.len() > 1 {
-        // Witness columns: every non-H column the join terms mention.
-        let witness_cols: Vec<ColRef> = cross_terms
+    // Witness columns: every non-H column the join terms mention.
+    let witness_cols: Vec<ColRef> = cross_terms
+        .iter()
+        .flat_map(trac_expr::BoundExpr::references)
+        .filter(|c| c.table != 0)
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let remap = |c: ColRef| ColRef {
+        table: c.table - 1,
+        column: c.column,
+    };
+    let projections = if witness_cols.is_empty() {
+        vec![Projection::Scalar {
+            expr: BoundExpr::lit(1i64),
+            name: "one".into(),
+        }]
+    } else {
+        witness_cols
             .iter()
-            .flat_map(trac_expr::BoundExpr::references)
-            .filter(|c| c.table != 0)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let remap = |c: ColRef| ColRef {
-            table: c.table - 1,
-            column: c.column,
-        };
-        let projections = if witness_cols.is_empty() {
-            vec![Projection::Scalar {
-                expr: BoundExpr::lit(1i64),
-                name: "one".into(),
-            }]
-        } else {
-            witness_cols
-                .iter()
-                .enumerate()
-                .map(|(i, c)| Projection::Scalar {
-                    expr: BoundExpr::Column(remap(*c)),
-                    name: format!("w{i}"),
-                })
-                .collect()
-        };
-        // Pure existence probe (no join terms, single other relation):
-        // stream the scan with early exit instead of materializing it.
-        if witness_cols.is_empty() && q.tables.len() == 2 {
-            let terms: Vec<BoundExpr> = other_terms.iter().map(|t| t.map_columns(&remap)).collect();
-            let found = txn.scan_find(q.tables[1].id, |row| {
-                let tuple = std::slice::from_ref(row);
-                for t in &terms {
-                    if eval_predicate(t, tuple)? != Truth::True {
-                        return Ok(false);
-                    }
+            .enumerate()
+            .map(|(i, c)| Projection::Scalar {
+                expr: BoundExpr::Column(remap(*c)),
+                name: format!("w{i}"),
+            })
+            .collect()
+    };
+    // Pure existence probe (no join terms, single other relation):
+    // stream the scan with early exit instead of materializing it.
+    if witness_cols.is_empty() && q.tables.len() == 2 {
+        let terms: Vec<BoundExpr> = other_terms.iter().map(|t| t.map_columns(&remap)).collect();
+        let found = txn.scan_find(q.tables[1].id, |row| {
+            let tuple = std::slice::from_ref(row);
+            for t in &terms {
+                if eval_predicate(t, tuple)? != Truth::True {
+                    return Ok(false);
                 }
-                Ok(true)
-            })?;
-            if found.is_none() {
-                return Ok(());
             }
-            return collect_h(txn, q, &h_terms, None, opts, out);
-        }
-        let others_q = BoundSelect {
-            tables: q.tables[1..].to_vec(),
-            predicate: BoundExpr::conjoin(other_terms.iter().map(|t| t.map_columns(&remap))),
-            projections,
-            group_by: vec![],
-            having: None,
-            distinct: !witness_cols.is_empty(),
-            order_by: vec![],
-            limit: if witness_cols.is_empty() {
-                Some(1)
-            } else {
-                None
-            },
-        };
-        let witnesses = run_select(txn, &others_q, opts)?;
-        if witnesses.is_empty() {
-            // Definition 2 needs existing tuples in every other relation.
+            Ok(true)
+        })?;
+        if found.is_none() {
             return Ok(());
         }
-        if !cross_terms.is_empty() {
-            let wmap: HashMap<ColRef, usize> = witness_cols
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (*c, i))
-                .collect();
-            let cross_on_witness: Vec<BoundExpr> = cross_terms
-                .iter()
-                .map(|t| {
-                    t.map_columns(&|c| {
-                        if c.table == 0 {
-                            c
-                        } else {
-                            ColRef {
-                                table: 1,
-                                column: wmap[&c],
-                            }
-                        }
-                    })
-                })
-                .collect();
-            // Fast path: every join term is `H.sid = <witness column>`.
-            if let Some(eq_cols) = all_sid_equalities(&cross_on_witness) {
-                let mut candidates: BTreeSet<Value> = BTreeSet::new();
-                'witness: for row in &witnesses.rows {
-                    let v = &row[eq_cols[0]];
-                    if v.is_null() {
-                        continue;
-                    }
-                    for w in &eq_cols[1..] {
-                        if v.sql_eq(&row[*w]) != Some(true) {
-                            continue 'witness;
-                        }
-                    }
-                    candidates.insert(v.clone());
-                }
-                return collect_h(txn, q, &h_terms, Some(candidates), opts, out);
-            }
-            // General fallback: nested loop over filtered H × witnesses.
-            let h_rows = h_matches(txn, q, &h_terms, None, opts)?;
-            for h in h_rows {
-                let h_row: trac_storage::Row = Arc::from(h.clone().into_boxed_slice());
-                let mut hit = false;
-                'search: for wrow in &witnesses.rows {
-                    let w_row: trac_storage::Row = Arc::from(wrow.clone().into_boxed_slice());
-                    let tuple = [h_row.clone(), w_row];
-                    for t in &cross_on_witness {
-                        if eval_predicate(t, &tuple)? != Truth::True {
-                            continue 'search;
-                        }
-                    }
-                    hit = true;
-                    break;
-                }
-                if hit {
-                    if let Some(s) = SourceId::from_value(&h[0]) {
-                        out.insert(s);
-                    }
-                }
-            }
-            return Ok(());
-        }
-        // No join terms: existence of witnesses is all P_o required.
+        return collect_h(txn, q, &h_terms, None, opts, out);
     }
+    let others_q = BoundSelect {
+        tables: q.tables[1..].to_vec(),
+        predicate: BoundExpr::conjoin(other_terms.iter().map(|t| t.map_columns(&remap))),
+        projections,
+        group_by: vec![],
+        having: None,
+        distinct: !witness_cols.is_empty(),
+        order_by: vec![],
+        limit: if witness_cols.is_empty() {
+            Some(1)
+        } else {
+            None
+        },
+    };
+    let witnesses = run_select(txn, &others_q, opts)?;
+    if witnesses.is_empty() {
+        // Definition 2 needs existing tuples in every other relation.
+        return Ok(());
+    }
+    if !cross_terms.is_empty() {
+        let wmap: HashMap<ColRef, usize> = witness_cols
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (*c, i))
+            .collect();
+        let cross_on_witness: Vec<BoundExpr> = cross_terms
+            .iter()
+            .map(|t| {
+                t.map_columns(&|c| {
+                    if c.table == 0 {
+                        c
+                    } else {
+                        ColRef {
+                            table: 1,
+                            column: wmap[&c],
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Fast path: every join term is `H.sid = <witness column>`.
+        if let Some(eq_cols) = all_sid_equalities(&cross_on_witness) {
+            let mut candidates: BTreeSet<Value> = BTreeSet::new();
+            'witness: for row in &witnesses.rows {
+                let v = &row[eq_cols[0]];
+                if v.is_null() {
+                    continue;
+                }
+                for w in &eq_cols[1..] {
+                    if v.sql_eq(&row[*w]) != Some(true) {
+                        continue 'witness;
+                    }
+                }
+                candidates.insert(v.clone());
+            }
+            return collect_h(txn, q, &h_terms, Some(candidates), opts, out);
+        }
+        // General fallback: nested loop over filtered H × witnesses.
+        let h_rows = h_matches(txn, q, &h_terms, None, opts)?;
+        for h in h_rows {
+            let h_row: trac_storage::Row = Arc::from(h.clone().into_boxed_slice());
+            let mut hit = false;
+            'search: for wrow in &witnesses.rows {
+                let w_row: trac_storage::Row = Arc::from(wrow.clone().into_boxed_slice());
+                let tuple = [h_row.clone(), w_row];
+                for t in &cross_on_witness {
+                    if eval_predicate(t, &tuple)? != Truth::True {
+                        continue 'search;
+                    }
+                }
+                hit = true;
+                break;
+            }
+            if hit {
+                if let Some(s) = SourceId::from_value(&h[0]) {
+                    out.insert(s);
+                }
+            }
+        }
+        return Ok(());
+    }
+    // No join terms: existence of witnesses is all P_o required.
     collect_h(txn, q, &h_terms, None, opts, out)
 }
 
@@ -341,8 +349,10 @@ mod tests {
     use trac_expr::bind_select;
     use trac_sql::parse_select;
 
-    /// The semijoin evaluation must agree with the literal cross-product
-    /// evaluation of every generated subquery on a small instance.
+    /// Both routes of `RecencyPlan::execute_with` must agree with the
+    /// literal cross-product evaluation of every generated subquery on a
+    /// small instance: the stored plan of a single-relation subquery and
+    /// the semijoin of a multi-relation one, serial and parallel.
     #[test]
     fn agrees_with_general_executor() {
         let db = paper_db();
@@ -350,35 +360,70 @@ mod tests {
         let queries = [
             "SELECT mach_id FROM Activity WHERE mach_id IN ('m1','m2') AND value = 'idle'",
             "SELECT mach_id FROM Activity WHERE value = 'busy'",
+            "SELECT mach_id FROM Activity WHERE mach_id NOT IN ('m1') AND value = 'idle'",
+            "SELECT mach_id FROM Activity WHERE mach_id NOT IN ('m1', 'm2') OR value = 'idle'",
+            "SELECT mach_id FROM Activity WHERE mach_id = 'm1' OR mach_id = 'm3' AND value = 'busy'",
+            "SELECT mach_id FROM Routing WHERE mach_id <> neighbor AND mach_id IN ('m1', 'm2')",
             "SELECT A.mach_id FROM Routing R, Activity A \
              WHERE R.mach_id = 'm1' AND A.value = 'idle' AND R.neighbor = A.mach_id",
             "SELECT A.mach_id FROM Routing R, Activity A \
              WHERE R.mach_id = A.mach_id AND A.value = 'idle'",
             "SELECT A.mach_id FROM Routing R, Activity A \
              WHERE R.neighbor = A.mach_id AND A.value = 'idle' OR R.mach_id = 'm2'",
+            "SELECT A.mach_id FROM Routing R, Activity A \
+             WHERE R.neighbor <> A.mach_id AND R.mach_id NOT IN ('m2')",
             "SELECT mach_id FROM Activity",
         ];
-        for sql in queries {
-            let stmt = parse_select(sql).unwrap();
-            let bound = bind_select(&txn, &stmt).unwrap();
-            let plan = RecencyPlan::build(&txn, &bound, RelevanceConfig::default()).unwrap();
-            for sub in &plan.subqueries {
-                let Some(query) = &sub.query else { continue };
-                // Literal evaluation through the general executor.
-                let literal: BTreeSet<SourceId> = trac_exec::execute_select(&txn, query)
-                    .unwrap()
-                    .rows
-                    .into_iter()
-                    .filter_map(|r| SourceId::from_value(&r[0]))
-                    .collect();
-                let mut semi = BTreeSet::new();
-                execute_recency_subquery(&txn, query, ExecOptions::default(), &mut semi).unwrap();
-                assert_eq!(
-                    semi, literal,
-                    "semijoin disagrees for {sql} via {} ({})",
-                    sub.via_relation, sub.sql
-                );
+        for opts in [
+            ExecOptions::default(),
+            ExecOptions::default().with_parallelism(4, 2),
+        ] {
+            let mut routes = [0usize; 2];
+            for sql in queries {
+                let stmt = parse_select(sql).unwrap();
+                let bound = bind_select(&txn, &stmt).unwrap();
+                let plan = RecencyPlan::build_with(&txn, &bound, RelevanceConfig::default(), opts)
+                    .unwrap();
+                let mut union = BTreeSet::new();
+                for sub in &plan.subqueries {
+                    let Some(query) = &sub.query else { continue };
+                    // Literal evaluation through the general executor.
+                    let literal: BTreeSet<SourceId> = trac_exec::execute_select(&txn, query)
+                        .unwrap()
+                        .rows
+                        .into_iter()
+                        .filter_map(|r| SourceId::from_value(&r[0]))
+                        .collect();
+                    let routed: BTreeSet<SourceId> = if query.tables.len() == 1 {
+                        routes[0] += 1;
+                        let stored = sub.plan.as_ref().unwrap();
+                        trac_exec::execute_plan_with(&txn, stored, opts)
+                            .unwrap()
+                            .rows
+                            .into_iter()
+                            .filter_map(|r| SourceId::from_value(&r[0]))
+                            .collect()
+                    } else {
+                        routes[1] += 1;
+                        let mut semi = BTreeSet::new();
+                        execute_recency_subquery(&txn, query, opts, &mut semi).unwrap();
+                        semi
+                    };
+                    assert_eq!(
+                        routed,
+                        literal,
+                        "route disagrees for {sql} via {} ({})",
+                        sub.via_relation,
+                        sub.sql()
+                    );
+                    union.extend(literal);
+                }
+                assert_eq!(plan.execute_with(&txn, opts).unwrap(), union, "{sql}");
             }
+            assert!(
+                routes.iter().all(|&n| n > 0),
+                "both routes covered: {routes:?}"
+            );
         }
     }
 

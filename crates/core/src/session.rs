@@ -80,13 +80,23 @@ pub struct ReportOutput {
     pub normal_table: String,
     /// Name of the temp table holding exceptional relevant sources.
     pub exceptional_table: String,
-    /// The generated recency subqueries (SQL), for inspection.
-    pub generated_sql: Vec<String>,
+    /// The recency plan a Focused report ran (`None` for Naive), shared
+    /// with the plan cache; [`Self::generated_sql`] renders it.
+    pub plan: Option<Arc<RecencyPlan>>,
     /// Wall-clock breakdown.
     pub timings: Timings,
 }
 
 impl ReportOutput {
+    /// The recency queries this report ran, as SQL, rendered on demand:
+    /// the plan's generated subqueries, or the Naive full heartbeat read.
+    pub fn generated_sql(&self) -> Vec<String> {
+        match &self.plan {
+            Some(plan) => plan.generated_sql(),
+            None => vec![format!("SELECT sid, recency FROM {HEARTBEAT_TABLE}")],
+        }
+    }
+
     /// Renders the whole psql-style session block of Section 5.1.
     pub fn render(&self) -> String {
         format!(
@@ -113,15 +123,17 @@ struct CachedPlan {
 }
 
 /// Prepared-plan cache key: the query shape plus the *complete*
-/// execution configuration the subqueries will run under. Every
-/// [`ExecOptions`] knob shapes the lowered subquery twins — threads and
-/// morsel size place Exchange/Gather pairs, the access-path and join
-/// toggles pick operators, `fast_paths` admits storage shortcuts,
-/// `cost_based_join_order` permutes FROM order, and `typed_kernels`
-/// decides whether a kernel certificate is attached — so a plan
-/// prepared under one configuration must never be served to another. A
-/// session that flips any knob of [`Session::exec_options`] mid-flight
-/// gets a fresh build, not a configuration mismatch.
+/// execution configuration. A miss lowers every subquery under the
+/// session's [`ExecOptions`] ([`RecencyPlan::build_with`]), and
+/// single-relation subqueries run that stored plan on every rescan, so
+/// the knobs shape what runs: threads and morsel size place
+/// Exchange/Gather pairs, the access-path and join toggles pick
+/// operators, `fast_paths` admits storage shortcuts, and `typed_kernels`
+/// decides whether a kernel certificate is attached. Keying on every
+/// field, not only on those lowering reads today, means a plan prepared
+/// under one configuration is never served to another: a session that
+/// flips any knob of [`Session::exec_options`] mid-flight gets a fresh
+/// build, not a configuration mismatch.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     sql: String,
@@ -258,15 +270,26 @@ impl Session {
 
     /// Runs `sql` reusing a prebuilt recency plan (the *Focused
     /// hardcoded* variant: no parse/generation cost inside the call).
-    pub fn recency_report_prebuilt(&self, sql: &str, plan: &RecencyPlan) -> Result<ReportOutput> {
+    pub fn recency_report_prebuilt(
+        &self,
+        sql: &str,
+        plan: &Arc<RecencyPlan>,
+    ) -> Result<ReportOutput> {
         let (txn, bound) = self.open(sql)?;
         self.report_inner(&txn, &bound, Some(plan), Duration::ZERO, None)
     }
 
-    /// Builds a recency plan for later reuse (outside any timing).
-    pub fn build_plan(&self, sql: &str) -> Result<RecencyPlan> {
+    /// Builds a recency plan for later reuse (outside any timing),
+    /// lowered under [`Self::exec_options`].
+    pub fn build_plan(&self, sql: &str) -> Result<Arc<RecencyPlan>> {
         let (txn, bound) = self.open(sql)?;
-        RecencyPlan::build(&txn, &bound, self.relevance_config)
+        self.build(&txn, &bound).map(Arc::new)
+    }
+
+    /// Builds `bound`'s recency plan under the session's relevance
+    /// config, lowering its subqueries under [`Self::exec_options`].
+    fn build(&self, txn: &ReadTxn, bound: &BoundSelect) -> Result<RecencyPlan> {
+        RecencyPlan::build_with(txn, bound, self.relevance_config, self.exec_options)
     }
 
     /// Opens one statement: parses `sql`, materializes every pending
@@ -315,7 +338,7 @@ impl Session {
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(RecencyPlan::build(txn, bound, self.relevance_config)?);
+        let plan = Arc::new(self.build(txn, bound)?);
         trac_exec::schedule::yield_point(trac_exec::schedule::Site::CacheWrite);
         let _cache_order = lockorder::acquire(LockId::PlanCache);
         // Replacing an entry drops any maintained state with it: the
@@ -365,7 +388,7 @@ impl Session {
         &self,
         txn: &ReadTxn,
         bound: &BoundSelect,
-        plan: Option<&RecencyPlan>,
+        plan: Option<&Arc<RecencyPlan>>,
         analyze: Duration,
         cache_key: Option<&PlanKey>,
     ) -> Result<ReportOutput> {
@@ -377,17 +400,9 @@ impl Session {
         // 2. Relevant sources + their recency timestamps, same snapshot
         // — folded from the change stream when maintained state exists.
         let t0 = Instant::now();
-        let (pairs, guarantee, generated_sql) = match plan {
-            Some(plan) => (
-                self.relevant_pairs(txn, plan, cache_key)?,
-                plan.guarantee,
-                plan.generated_sql(),
-            ),
-            None => (
-                heartbeat::all_recencies(txn)?,
-                Guarantee::UpperBound,
-                vec![format!("SELECT sid, recency FROM {HEARTBEAT_TABLE}")],
-            ),
+        let (pairs, guarantee) = match plan {
+            Some(plan) => (self.relevant_pairs(txn, plan, cache_key)?, plan.guarantee),
+            None => (heartbeat::all_recencies(txn)?, Guarantee::UpperBound),
         };
         let relevance_query = t0.elapsed();
         // 3. Statistics; the detail tables are only named here, and
@@ -407,7 +422,7 @@ impl Session {
             report,
             normal_table,
             exceptional_table,
-            generated_sql,
+            plan: plan.cloned(),
             timings: Timings {
                 analyze,
                 user_query,
@@ -757,6 +772,28 @@ mod tests {
     }
 
     #[test]
+    fn generated_sql_is_the_plans_rendered_on_read() {
+        let session = Session::new(paper_db());
+        for sql in [
+            "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'",
+            "SELECT A.mach_id FROM Routing R, Activity A \
+             WHERE R.mach_id = 'm1' AND A.value = 'idle' AND R.neighbor = A.mach_id",
+        ] {
+            let out = session.recency_report(sql).unwrap();
+            let plan = session.build_plan(sql).unwrap();
+            assert_eq!(out.generated_sql(), plan.generated_sql(), "{sql}");
+        }
+        let naive = session
+            .recency_report_with("SELECT mach_id FROM Activity", Method::Naive)
+            .unwrap();
+        assert!(naive.plan.is_none());
+        assert_eq!(
+            naive.generated_sql(),
+            ["SELECT sid, recency FROM heartbeat"]
+        );
+    }
+
+    #[test]
     fn prebuilt_plan_skips_analysis_cost() {
         let db = paper_db();
         let session = Session::new(db);
@@ -765,6 +802,10 @@ mod tests {
         let out = session.recency_report_prebuilt(sql, &plan).unwrap();
         assert_eq!(out.timings.analyze, Duration::ZERO);
         assert_eq!(out.report.relevant_count(), 2);
+        assert!(
+            Arc::ptr_eq(out.plan.as_ref().unwrap(), &plan),
+            "shared, not copied"
+        );
     }
 
     #[test]
@@ -904,6 +945,50 @@ mod tests {
                 rescan_serves: 0,
             }
         );
+    }
+
+    /// Operator counts over the single-relation subquery plans the
+    /// session cached for `sql`: the plans its rescans run.
+    fn cached_single_relation_ops(session: &Session, sql: &str) -> HashMap<&'static str, usize> {
+        let cache = session.plan_cache.lock().unwrap();
+        let entry = &cache[&PlanKey::new(sql, session.exec_options)];
+        let mut ops = HashMap::new();
+        for sub in &entry.plan.subqueries {
+            if sub.query.as_ref().is_some_and(|q| q.tables.len() == 1) {
+                for (op, n) in sub.plan.as_ref().unwrap().operator_counts() {
+                    *ops.entry(op).or_insert(0) += n;
+                }
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn cache_miss_lowers_subqueries_under_the_session_options() {
+        let db = paper_db();
+        let probe = "SELECT mach_id FROM Activity WHERE mach_id IN ('m1','m2') AND value = 'idle'";
+        let scan = "SELECT mach_id, value FROM Activity WHERE value = 'idle'";
+        let serial = Session::new(db.clone());
+        let mut no_index = Session::new(db.clone());
+        no_index.exec_options.enable_index_scan = false;
+        let mut parallel = Session::new(db);
+        parallel.exec_options = ExecOptions::default().with_parallelism(4, 2);
+        for sql in [probe, scan] {
+            let expect = serial.recency_report(sql).unwrap();
+            for other in [&no_index, &parallel] {
+                let out = other.recency_report(sql).unwrap();
+                assert_eq!(out.result.rows, expect.result.rows, "{sql}");
+                assert_eq!(out.report.normal, expect.report.normal, "{sql}");
+                assert_eq!(out.report.exceptional, expect.report.exceptional, "{sql}");
+                assert_eq!(out.report.guarantee, expect.report.guarantee, "{sql}");
+            }
+        }
+        let ops = cached_single_relation_ops(&serial, probe);
+        assert!(ops.contains_key("IndexLookup"), "{ops:?}");
+        let ops = cached_single_relation_ops(&no_index, probe);
+        assert!(!ops.contains_key("IndexLookup"), "{ops:?}");
+        let ops = cached_single_relation_ops(&parallel, scan);
+        assert!(ops.contains_key("Exchange"), "{ops:?}");
     }
 
     #[test]

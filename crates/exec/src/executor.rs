@@ -33,7 +33,8 @@ static PLAN_CHECK: OnceLock<PlanCheck> = OnceLock::new();
 static EXPLAIN_ANNOTATOR: OnceLock<ExplainAnnotator> = OnceLock::new();
 
 /// Installs a process-wide plan validator, run (debug builds only)
-/// against every plan just before execution. Returns `false` when a
+/// against every plan just before execution, or when a stored plan is
+/// lowered (see [`debug_validate_plan`]). Returns `false` when a
 /// validator was already installed (the first one wins).
 pub fn install_plan_check(check: PlanCheck) -> bool {
     PLAN_CHECK.set(check).is_ok()
@@ -47,8 +48,10 @@ pub fn install_explain_annotator(annotate: ExplainAnnotator) -> bool {
 
 /// Pre-execution hook: in debug builds, an installed [`PlanCheck`]
 /// certifies every plan before the operators run; a violation aborts
-/// with the validator's findings. Release builds skip the check.
-fn debug_validate_plan(q: &BoundSelect, plan: &PhysicalPlan) {
+/// with the validator's findings. Release builds skip the check. A
+/// caller that stores a plan to run later (a prepared recency plan)
+/// calls it once, when the plan is lowered.
+pub fn debug_validate_plan(q: &BoundSelect, plan: &PhysicalPlan) {
     #[cfg(debug_assertions)]
     if let Some(check) = PLAN_CHECK.get() {
         let findings = check(q, plan);

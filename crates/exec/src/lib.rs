@@ -42,9 +42,9 @@ pub mod schedule;
 
 pub use dml::{execute_statement, StatementResult};
 pub use executor::{
-    execute_plan_with, execute_select, execute_select_with, execute_sql, execute_sql_with,
-    explain_select, install_explain_annotator, install_plan_check, render_explain,
-    ExplainAnnotator, PlanCheck, PlanInfo,
+    debug_validate_plan, execute_plan_with, execute_select, execute_select_with, execute_sql,
+    execute_sql_with, explain_select, install_explain_annotator, install_plan_check,
+    render_explain, ExplainAnnotator, PlanCheck, PlanInfo,
 };
 pub use operators::execute_plan;
 pub use result::QueryResult;

@@ -158,6 +158,9 @@ struct Ring {
     buf: VecDeque<ChangeEvent>,
     next_seq: u64,
     compacted_below: u64,
+    /// Largest transaction id ever published (`TxnId(0)` before the
+    /// first event); every buffered event's id is at most this.
+    max_txn: TxnId,
 }
 
 /// A bounded, compacting ring of [`ChangeEvent`]s shared by one
@@ -185,6 +188,7 @@ impl ChangeLog {
                 buf: VecDeque::new(),
                 next_seq: 0,
                 compacted_below: 0,
+                max_txn: TxnId(0),
             }),
             capacity,
         }
@@ -197,6 +201,7 @@ impl ChangeLog {
         let mut ring = self.inner.lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
+        ring.max_txn = ring.max_txn.max(txn);
         ring.buf.push_back(ChangeEvent { seq, txn, data });
         while ring.buf.len() > self.capacity {
             // By construction the watermark lands exactly past the
@@ -250,9 +255,16 @@ impl ChangeLog {
     /// the snapshot, so the first fold must re-read it (the DBLog
     /// low/high-watermark rule). An event of a transaction that aborts
     /// after the snapshot also pins the cursor; the fold skips it then.
+    ///
+    /// When the snapshot decides every transaction the ring has ever
+    /// seen (the usual case: no writer in flight), no buffered event can
+    /// pin the cursor, so this is `next_seq` without walking the ring.
     pub fn registration_cursor(&self, snapshot: &Snapshot) -> u64 {
         let _order = lockorder::acquire(LockId::ChangeLog);
         let ring = self.inner.lock();
+        if snapshot.decides_all_up_to(ring.max_txn) {
+            return ring.next_seq;
+        }
         ring.buf
             .iter()
             .find(|e| !snapshot.committed_before(e.txn) && !snapshot.aborted_before(e.txn))
@@ -603,6 +615,68 @@ mod tests {
         let snap = mgr.snapshot();
         mgr.abort(late);
         assert_eq!(log.registration_cursor(&snap), 4);
+    }
+
+    /// The cursor `registration_cursor` returns, checked against a full
+    /// walk of the ring with the same rule.
+    fn cursor_matching_walk(log: &ChangeLog, snap: &Snapshot) -> u64 {
+        let walked = {
+            let ring = log.inner.lock();
+            ring.buf
+                .iter()
+                .find(|e| !snap.committed_before(e.txn) && !snap.aborted_before(e.txn))
+                .map_or(ring.next_seq, |e| e.seq)
+        };
+        let cursor = log.registration_cursor(snap);
+        assert_eq!(cursor, walked, "fast cursor disagrees with the walk");
+        cursor
+    }
+
+    #[test]
+    fn fast_registration_cursor_equals_the_walk() {
+        let mgr = crate::txn::TxnManager::new();
+        let log = ChangeLog::with_capacity(4);
+        // No writer ever: an empty ring.
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 0);
+        // No writer in flight: committed events never pin.
+        let done = mgr.begin();
+        log.publish(done, ev(0));
+        log.publish(done, ev(1));
+        mgr.commit(done);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 2);
+        // A writer in flight at the snapshot pins its first event.
+        let w = mgr.begin();
+        log.publish(w, ev(2));
+        let snap = mgr.snapshot();
+        assert!(!snap.decides_all_up_to(TxnId(0)));
+        assert_eq!(cursor_matching_walk(&log, &snap), 2);
+        mgr.commit(w);
+        assert_eq!(cursor_matching_walk(&log, &snap), 2);
+        // A writer that began after the snapshot pins too.
+        let snap = mgr.snapshot();
+        let late = mgr.begin();
+        log.publish(late, ev(3));
+        assert_eq!(cursor_matching_walk(&log, &snap), 3);
+        mgr.commit(late);
+        // An aborted writer is decided: it pins nothing.
+        let gone = mgr.begin();
+        log.publish(gone, ev(4));
+        mgr.abort(gone);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 5);
+        // A wrapped ring, with and without a writer in flight.
+        let open = mgr.begin();
+        let filler = mgr.begin();
+        log.publish(open, ev(5));
+        for n in 6..11 {
+            log.publish(filler, ev(n));
+        }
+        mgr.commit(filler);
+        assert_eq!(log.compacted_below(), 7);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 11);
+        log.publish(open, ev(11));
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 11);
+        mgr.commit(open);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 12);
     }
 
     #[test]

@@ -251,6 +251,14 @@ impl Snapshot {
         id < self.xmax && !self.in_flight.contains(&id) && !self.aborted.contains(&id)
     }
 
+    /// True iff every transaction id up to and including `id` was
+    /// decided (committed or aborted) when this snapshot was taken: `id`
+    /// began before it and nothing was in flight. Then each such id is
+    /// either [`Self::committed_before`] or [`Self::aborted_before`].
+    pub fn decides_all_up_to(&self, id: TxnId) -> bool {
+        id < self.xmax && self.in_flight.is_empty()
+    }
+
     /// True iff transaction `id` had aborted when this snapshot was
     /// taken. Reads only the snapshot; an id that aborts later reads
     /// `false` here.

@@ -43,7 +43,7 @@ fn report(session: &Session, label: &str, sql: &str) -> Result<Vec<String>> {
         out.report.guarantee,
         relevant
     );
-    for sql in &out.generated_sql {
+    for sql in out.generated_sql() {
         if !sql.starts_with("--") {
             println!("   recency query: {sql}");
         }

@@ -58,15 +58,12 @@ fn main() -> Result<()> {
 
     println!("{}", out.render());
     println!();
+    let generated = out.generated_sql();
     println!(
         "generated recency quer{}:",
-        if out.generated_sql.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        }
+        if generated.len() == 1 { "y" } else { "ies" }
     );
-    for sql in &out.generated_sql {
+    for sql in &generated {
         println!("  {sql}");
     }
     println!();

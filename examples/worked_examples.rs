@@ -31,7 +31,9 @@ fn show(db: &trac::storage::Database, label: &str, sql: &str) -> Result<()> {
     for sub in &plan.subqueries {
         println!(
             "   S(Q, {}) [{:?}]: {}",
-            sub.via_relation, sub.status, sub.sql
+            sub.via_relation,
+            sub.status,
+            sub.sql()
         );
     }
     let computed = plan.execute(&txn)?;

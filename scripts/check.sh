@@ -17,6 +17,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> concurrency suite in release, 10 runs (start-up races show only when reports are fast)"
+for _ in $(seq 10); do
+  cargo test --release -q --test mvcc_consistency
+done
+
 echo "==> differential suite, single-threaded test runner (ordering flakes)"
 # The parallel-vs-serial differential asserts byte-identical rows; run it
 # once with a serialized test runner so a scheduling-dependent flake

@@ -129,7 +129,7 @@ fn run_line(db: &mut Database, session: &mut Session, line: &str) -> Result<bool
                 let out = session.recency_report_with(arg, method)?;
                 println!("{}", out.render());
                 if method == Method::Focused {
-                    for sql in &out.generated_sql {
+                    for sql in out.generated_sql() {
                         println!("-- recency query: {sql}");
                     }
                 }
@@ -160,7 +160,7 @@ fn run_line(db: &mut Database, session: &mut Session, line: &str) -> Result<bool
                         sub.via_relation,
                         sub.status,
                         if sub.refined { ", refined" } else { "" },
-                        sub.sql
+                        sub.sql()
                     );
                     println!("    {}", sub.maintenance.marker());
                 }

@@ -63,6 +63,17 @@ fn reports_never_tear_across_writers() {
         }));
     }
 
+    // A report loop can finish before either writer is first scheduled;
+    // start it only once both writers have committed at least once.
+    for w in ["w1", "w2"] {
+        let src = SourceId::new(w);
+        while trac::storage::heartbeat::recency_of(&db.begin_read(), &src)
+            .unwrap()
+            .is_none()
+        {
+            std::thread::yield_now();
+        }
+    }
     let session = Session::new(db.clone());
     let mut checked = 0;
     for _ in 0..200 {
