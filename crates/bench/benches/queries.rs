@@ -10,7 +10,7 @@ use trac_workload::{load_eval_db, EvalConfig, PAPER_QUERIES};
 fn bench_queries(c: &mut Criterion) {
     // 20,000 rows, 2,000 sources: large enough for index effects to show.
     let e = load_eval_db(&EvalConfig::new(20_000, 10)).expect("generate");
-    let session = Session::new(e.db.clone());
+    let session = Session::new(e.db);
     let mut group = c.benchmark_group("paper_queries");
     group.sample_size(20);
     for (name, sql) in PAPER_QUERIES {

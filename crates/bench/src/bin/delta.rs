@@ -37,7 +37,7 @@ fn apply_changes(db: &Database, n_sources: u64, changes: u64, tick: &mut i64) {
     let txn = db.begin_write();
     for _ in 0..changes {
         *tick += 1;
-        let sid = SourceId(source_name(1 + (*tick as u64 % n_sources)));
+        let sid = SourceId::new(source_name(1 + (*tick as u64 % n_sources)));
         txn.heartbeat(&sid, Timestamp(FUTURE_BASE_MICROS + *tick))
             .expect("heartbeat upsert");
     }

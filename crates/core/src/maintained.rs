@@ -173,7 +173,10 @@ impl MaintainedReport {
         // DBLog low watermark, taken before the rescan: the first event
         // this snapshot cannot see. Writers racing the rescan publish
         // at or past it; re-folding what the rescan already saw is
-        // idempotent, so the state cannot miss them.
+        // idempotent, so the state cannot miss them. With no complete
+        // suffix (a writer this snapshot cannot see has events the ring
+        // already compacted), the rescan still serves this report, and
+        // the next one registers again.
         let cursor = db.change_log().registration_cursor(&txn.snapshot);
         let sids = plan.execute_with(txn, opts)?;
         let pairs = fetch_recencies(txn, &sids)?;
@@ -187,12 +190,12 @@ impl MaintainedReport {
             }
         }
         let mut state = MaintainedReport {
-            cursor,
+            cursor: cursor.unwrap_or(0),
             basis: txn.snapshot.coverage_basis(),
             members: BTreeMap::new(),
             subs,
             all_sources: plan.all_sources,
-            needs_rescan: false,
+            needs_rescan: cursor.is_none(),
             max: None,
             min: None,
             min_stale: false,
@@ -238,12 +241,14 @@ impl MaintainedReport {
         let mgr = db.txn_manager();
         let mut stopped = false;
         for ev in events {
-            if mgr.status(ev.txn) == TxnStatus::Aborted {
-                // Its effects never became real; skip past it.
-                self.cursor = ev.seq + 1;
-                continue;
-            }
+            // Visible first: an id this snapshot saw committed can never
+            // abort, so only the events it rejects ask the manager.
             if !txn.snapshot.committed_before(ev.txn) {
+                if mgr.status(ev.txn) == TxnStatus::Aborted {
+                    // Its effects never became real; skip past it.
+                    self.cursor = ev.seq + 1;
+                    continue;
+                }
                 // In flight or committed after this snapshot. Stop: the
                 // cursor stays here and a later refresh resumes.
                 stopped = true;
@@ -290,15 +295,7 @@ impl MaintainedReport {
                 source,
                 ts,
                 created,
-            } => {
-                let (Some(sid), Some(ts)) = (SourceId::from_value(source), ts.as_timestamp())
-                else {
-                    // Malformed payload: never expected, always sound.
-                    self.needs_rescan = true;
-                    return Ok(());
-                };
-                self.fold_heartbeat(txn, sid, ts, *created)
-            }
+            } => self.fold_heartbeat(txn, source, *ts, *created),
             ChangeData::RowInsert { table, row } => self.fold_insert(txn, *table, row),
             ChangeData::RowDelete { table } => {
                 for sub in &self.subs {
@@ -328,16 +325,16 @@ impl MaintainedReport {
     fn fold_heartbeat(
         &mut self,
         txn: &ReadTxn,
-        sid: SourceId,
+        sid: &SourceId,
         offered: Timestamp,
         created: bool,
     ) -> Result<()> {
-        if let Some(old) = self.members.get(&sid).copied() {
+        if let Some(old) = self.members.get(sid).copied() {
             // The stored recency is max(current, offered): fold with max
             // so a stale (no-op) upsert leaves the member exact.
             if offered > old {
                 self.flag_recency_sensitive();
-                self.advance_member(&sid, old, offered);
+                self.advance_member(sid, old, offered);
             }
             return Ok(());
         }
@@ -351,13 +348,16 @@ impl MaintainedReport {
             return Ok(());
         }
         if self.all_sources {
-            self.add_member(sid, offered);
+            self.add_member(sid.clone(), offered);
             return Ok(());
         }
+        // A brand-new source: its id as the heartbeat row stores it, for
+        // the predicates and witness probes below.
+        let key = sid.to_value();
         let mut joins = false;
         for i in 0..self.subs.len() {
             let member = match &self.subs[i] {
-                SubFold::HeartbeatOnly { h_terms } => h_pass(h_terms, &sid)?,
+                SubFold::HeartbeatOnly { h_terms } => h_pass(h_terms, &key)?,
                 SubFold::SidEquality {
                     witness_tid,
                     witness_cols,
@@ -367,12 +367,12 @@ impl MaintainedReport {
                     // A brand-new source may already have qualifying
                     // witness rows (ingested before its first
                     // heartbeat): probe once, O(index probe).
-                    h_pass(h_terms, &sid)?
-                        && witness_has(txn, *witness_tid, witness_cols, other_terms, &sid)?
+                    h_pass(h_terms, &key)?
+                        && witness_has(txn, *witness_tid, witness_cols, other_terms, &key)?
                 }
                 SubFold::Existence {
                     h_terms, exists, ..
-                } => *exists && h_pass(h_terms, &sid)?,
+                } => *exists && h_pass(h_terms, &key)?,
                 SubFold::Rescan { .. } => {
                     // Whether the new source is relevant through this
                     // subquery is not locally decidable.
@@ -385,7 +385,7 @@ impl MaintainedReport {
             }
         }
         if joins {
-            self.add_member(sid, offered);
+            self.add_member(sid.clone(), offered);
         }
         Ok(())
     }
@@ -452,12 +452,12 @@ impl MaintainedReport {
                     {
                         continue;
                     }
-                    let Some(sid) = SourceId::from_value(v) else {
+                    let Some(sid) = v.as_text() else {
                         // Non-text witness value can never equal a sid.
                         continue;
                     };
-                    if !self.members.contains_key(&sid) && h_pass(h_terms, &sid)? {
-                        nominated.insert(sid);
+                    if !self.members.contains_key(sid) && h_pass(h_terms, v)? {
+                        nominated.insert(SourceId::from(sid));
                     }
                 }
                 SubFold::Existence {
@@ -485,7 +485,7 @@ impl MaintainedReport {
                     // and only on the event that opens it.
                     *exists = true;
                     for (sid, ts) in heartbeat::all_recencies(txn)? {
-                        if h_pass(h_terms, &sid)? {
+                        if h_pass(h_terms, &sid.to_value())? {
                             opened.push((sid, ts));
                         }
                     }
@@ -567,8 +567,8 @@ impl MaintainedReport {
         self.min = self
             .members
             .iter()
-            .map(|(s, t)| (s.clone(), *t))
-            .min_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+            .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
+            .map(|(s, t)| (s.clone(), *t));
         self.min_stale = false;
     }
 
@@ -719,14 +719,15 @@ impl SubFold {
     }
 }
 
-/// Evaluates `P_s'` for one source. Foldable licenses restrict `P_s'`
-/// to `H.sid` ([`trac_plan::classify_maintenance`]), so the synthesized
-/// heartbeat row leaves the recency column NULL.
-fn h_pass(h_terms: &[BoundExpr], sid: &SourceId) -> Result<bool> {
+/// Evaluates `P_s'` for the source whose id value is `sid`. Foldable
+/// licenses restrict `P_s'` to `H.sid`
+/// ([`trac_plan::classify_maintenance`]), so the synthesized heartbeat
+/// row leaves the recency column NULL.
+fn h_pass(h_terms: &[BoundExpr], sid: &Value) -> Result<bool> {
     if h_terms.is_empty() {
         return Ok(true);
     }
-    let row: Row = Arc::from(vec![sid.to_value(), Value::Null].into_boxed_slice());
+    let row: Row = Arc::from(vec![sid.clone(), Value::Null].into_boxed_slice());
     let tuple = std::slice::from_ref(&row);
     for t in h_terms {
         if eval_predicate(t, tuple)? != Truth::True {
@@ -737,26 +738,26 @@ fn h_pass(h_terms: &[BoundExpr], sid: &SourceId) -> Result<bool> {
 }
 
 /// Does the witness table hold a row (visible to `txn`) whose witness
-/// columns all equal `sid` and which passes `P_o`? Prefers the index.
+/// columns all equal the source id value `key` and which passes `P_o`?
+/// Prefers the index.
 fn witness_has(
     txn: &ReadTxn,
     tid: TableId,
     cols: &[usize],
     other_terms: &[BoundExpr],
-    sid: &SourceId,
+    key: &Value,
 ) -> Result<bool> {
-    let key = sid.to_value();
-    let rows = match txn.index_probe_in(tid, cols[0], std::slice::from_ref(&key))? {
+    let rows = match txn.index_probe_in(tid, cols[0], std::slice::from_ref(key))? {
         Some(rows) => rows,
         None => txn
             .scan(tid)?
             .into_iter()
-            .filter(|r| r.get(cols[0]).map(|v| v.sql_eq(&key)) == Some(Some(true)))
+            .filter(|r| r.get(cols[0]).map(|v| v.sql_eq(key)) == Some(Some(true)))
             .collect(),
     };
     'row: for row in rows {
         for c in cols {
-            if row.get(*c).map(|v| v.sql_eq(&key)) != Some(Some(true)) {
+            if row.get(*c).map(|v| v.sql_eq(key)) != Some(Some(true)) {
                 continue 'row;
             }
         }
@@ -799,7 +800,7 @@ pub(crate) fn fetch_recencies(
         None => txn
             .scan(hb)?
             .into_iter()
-            .filter(|r| keys.contains(&r[0]))
+            .filter(|r| r[0].as_text().is_some_and(|s| sids.contains(s)))
             .collect(),
     };
     rows.into_iter()
@@ -1256,5 +1257,111 @@ mod tests {
         w.commit();
         check_delta(&db, &plan, &mut state);
         assert!(state.serve_pairs().iter().any(|(s, _)| s.as_str() == "m8"));
+    }
+
+    #[test]
+    fn registration_under_a_writer_whose_events_were_compacted_rescans_next() {
+        let db = paper_db();
+        let plan = plan_of(
+            &db,
+            "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2')",
+        );
+        // An open writer advances member m1, then pushes that event out
+        // of the ring with beats for non-member m3.
+        let w = db.begin_write();
+        w.heartbeat(
+            &SourceId::new("m1"),
+            Timestamp::parse("2006-02-10 00:12:00").unwrap(),
+        )
+        .unwrap();
+        for i in 0..trac_storage::DEFAULT_CHANGELOG_CAPACITY + 76 {
+            w.heartbeat(
+                &SourceId::new("m3"),
+                Timestamp::from_micros(2_000_000_000 + i as i64),
+            )
+            .unwrap();
+        }
+        let txn = db.begin_read();
+        let (mut state, pairs) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        assert_eq!(
+            pairs,
+            rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+        );
+        assert!(
+            state.needs_rescan(),
+            "no cursor re-reads the compacted advance"
+        );
+        drop(txn);
+        w.commit();
+        let txn = db.begin_read();
+        let (pairs, kind) = state
+            .refresh(&txn, &db, &plan, ExecOptions::default())
+            .unwrap();
+        assert_eq!(kind, ServeKind::Rescan);
+        assert_eq!(
+            pairs,
+            rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+        );
+        assert!(pairs.contains(&(
+            SourceId::new("m1"),
+            Timestamp::parse("2006-02-10 00:12:00").unwrap()
+        )));
+        drop(txn);
+        // Registered again with no writer in flight: folds resume.
+        beat(&db, "m2", "2006-02-10 00:12:01");
+        check_delta(&db, &plan, &mut state);
+    }
+
+    #[test]
+    fn aborted_writers_are_skipped_and_a_late_commit_stops_the_fold() {
+        let db = paper_db();
+        let plan = plan_of(&db, "SELECT mach_id FROM Activity");
+        let ts = |at: &str| Timestamp::parse(at).unwrap();
+        // `before` aborts before the registration snapshot; `after`,
+        // in flight then, pins the cursor below `before`'s event and
+        // aborts after registration.
+        let after = db.begin_write();
+        after
+            .heartbeat(&SourceId::new("m2"), ts("2006-02-10 00:13:00"))
+            .unwrap();
+        let before = db.begin_write();
+        before
+            .heartbeat(&SourceId::new("m1"), ts("2006-02-10 00:13:01"))
+            .unwrap();
+        before.abort();
+        let txn = db.begin_read();
+        let (mut state, pairs) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        assert_eq!(
+            pairs,
+            rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+        );
+        assert!(!state.needs_rescan());
+        drop(txn);
+        // `late` publishes, a snapshot sees `after` still in flight, and
+        // only then does `after` abort: the snapshot rejects its event
+        // and the manager says it aborted.
+        let late = db.begin_write();
+        let late_seq = db.change_log().next_seq();
+        late.heartbeat(&SourceId::new("m1"), ts("2006-02-10 00:13:02"))
+            .unwrap();
+        let txn = db.begin_read();
+        after.abort();
+        let (pairs, kind) = state
+            .refresh(&txn, &db, &plan, ExecOptions::default())
+            .unwrap();
+        assert_eq!(kind, ServeKind::Rescan, "the late writer stops the fold");
+        assert_eq!(
+            pairs,
+            rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+        );
+        assert_eq!(state.cursor(), late_seq, "both aborted events skipped");
+        drop(txn);
+        late.commit();
+        check_delta(&db, &plan, &mut state);
+        let served = state.serve_pairs();
+        assert!(served.contains(&(SourceId::new("m1"), ts("2006-02-10 00:13:02"))));
+        assert!(!served.contains(&(SourceId::new("m2"), ts("2006-02-10 00:13:00"))));
     }
 }

@@ -616,7 +616,7 @@ mod tests {
                 .recency_report("SELECT mach_id FROM Activity WHERE mach_id = 'm2'")
                 .unwrap();
             // Never named before persist: persist materializes it.
-            name = out.normal_table.clone();
+            name = out.normal_table;
             session.persist(&name).unwrap();
         }
         let session = Session::new(db);
@@ -666,7 +666,7 @@ mod tests {
         let out = last.unwrap();
         assert_eq!(table_rows(&session, &out.normal_table), out.report.normal);
         let mut expected = tables;
-        expected.push(out.normal_table.clone());
+        expected.push(out.normal_table);
         expected.sort();
         let mut now = db.begin_read().table_names();
         now.sort();

@@ -339,7 +339,7 @@ mod tests {
                     .rows
                     .iter()
                     .map(|row| match &row[0] {
-                        Value::Text(t) => t.to_string(),
+                        Value::Text(t) => t.clone(),
                         other => panic!("{other:?}"),
                     })
                     .collect();

@@ -1145,7 +1145,7 @@ mod tests {
         );
         let m1 = row(vec![Value::text("a")]);
         let m2 = row(vec![Value::text("b")]);
-        let joined = outer.join_extend(1, &[vec![m1.clone(), m2.clone()], vec![m2.clone()]]);
+        let joined = outer.join_extend(1, &[vec![m1, m2.clone()], vec![m2]]);
         assert_eq!(joined.len(), 3);
         let outer_col = joined
             .column(ColRef {

@@ -254,7 +254,7 @@ mod tests {
         let tru = E::binary(BinaryOp::Eq, E::col(0, 1), E::lit(1i64));
         let fal = E::binary(BinaryOp::Eq, E::col(0, 1), E::lit(2i64));
         // unknown AND false = false
-        let e = E::binary(BinaryOp::And, unknown.clone(), fal.clone());
+        let e = E::binary(BinaryOp::And, unknown.clone(), fal);
         assert_eq!(eval_predicate(&e, &t).unwrap(), Truth::False);
         // unknown AND true = unknown
         let e = E::binary(BinaryOp::And, unknown.clone(), tru.clone());

@@ -169,7 +169,7 @@ impl Sniffer {
         let mine = txn
             .index_probe_in_slots(schema.activity, 0, std::slice::from_ref(&me))?
             .unwrap_or_default();
-        let new_row = vec![me.clone(), Value::text(state), Value::Timestamp(at)];
+        let new_row = vec![me, Value::text(state), Value::Timestamp(at)];
         match mine.into_iter().next() {
             Some((slot, _)) => {
                 txn.update(schema.activity, slot, new_row)?;

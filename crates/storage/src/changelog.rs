@@ -41,7 +41,7 @@ use crate::txn::{Snapshot, TxnId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
-use trac_types::Value;
+use trac_types::{SourceId, Timestamp, Value};
 
 /// Optional callback run right before every publication attempt.
 static PUBLISH_YIELD: OnceLock<fn()> = OnceLock::new();
@@ -78,10 +78,10 @@ pub enum ChangeData {
     /// current value and `ts`, so folding with `max` is exact even for
     /// a no-op (stale) upsert.
     HeartbeatUpsert {
-        /// Source id, as the heartbeat table stores it (text value).
-        source: Value,
+        /// Source id: the writer's own handle, shared (not copied).
+        source: SourceId,
         /// Offered recency timestamp.
-        ts: Value,
+        ts: Timestamp,
         /// True when this upsert inserted the source's heartbeat row:
         /// the writer's own view held none. `false` means the row was
         /// committed before the writer began, or written earlier by the
@@ -161,6 +161,10 @@ struct Ring {
     /// Largest transaction id ever published (`TxnId(0)` before the
     /// first event); every buffered event's id is at most this.
     max_txn: TxnId,
+    /// Largest transaction id among the compacted events (`TxnId(0)`
+    /// before the first compaction). A snapshot that leaves some id up
+    /// to this undecided may be missing events the ring no longer holds.
+    max_compacted_txn: TxnId,
 }
 
 /// A bounded, compacting ring of [`ChangeEvent`]s shared by one
@@ -189,6 +193,7 @@ impl ChangeLog {
                 next_seq: 0,
                 compacted_below: 0,
                 max_txn: TxnId(0),
+                max_compacted_txn: TxnId(0),
             }),
             capacity,
         }
@@ -209,6 +214,7 @@ impl ChangeLog {
             // complete suffix, a cursor below it gets RescanRequired.
             if let Some(dropped) = ring.buf.pop_front() {
                 ring.compacted_below = dropped.seq + 1;
+                ring.max_compacted_txn = ring.max_compacted_txn.max(dropped.txn);
             }
         }
         seq
@@ -256,19 +262,29 @@ impl ChangeLog {
     /// low/high-watermark rule). An event of a transaction that aborts
     /// after the snapshot also pins the cursor; the fold skips it then.
     ///
+    /// `None` when no complete suffix exists: the snapshot leaves some
+    /// transaction undecided that may have published an event the ring
+    /// has already compacted, so no cursor re-reads it. The consumer
+    /// must register again under a later snapshot.
+    ///
     /// When the snapshot decides every transaction the ring has ever
     /// seen (the usual case: no writer in flight), no buffered event can
     /// pin the cursor, so this is `next_seq` without walking the ring.
-    pub fn registration_cursor(&self, snapshot: &Snapshot) -> u64 {
+    pub fn registration_cursor(&self, snapshot: &Snapshot) -> Option<u64> {
         let _order = lockorder::acquire(LockId::ChangeLog);
         let ring = self.inner.lock();
         if snapshot.decides_all_up_to(ring.max_txn) {
-            return ring.next_seq;
+            return Some(ring.next_seq);
         }
-        ring.buf
-            .iter()
-            .find(|e| !snapshot.committed_before(e.txn) && !snapshot.aborted_before(e.txn))
-            .map_or(ring.next_seq, |e| e.seq)
+        if !snapshot.decides_all_up_to(ring.max_compacted_txn) {
+            return None;
+        }
+        Some(
+            ring.buf
+                .iter()
+                .find(|e| !snapshot.committed_before(e.txn) && !snapshot.aborted_before(e.txn))
+                .map_or(ring.next_seq, |e| e.seq),
+        )
     }
 }
 
@@ -309,7 +325,7 @@ pub fn audit() -> trac_types::Result<Vec<StreamObservation>> {
     use crate::db::Database;
     use crate::heartbeat::HEARTBEAT_TABLE;
     use crate::schema::{ColumnDef, TableSchema};
-    use trac_types::{ColumnDomain, DataType, SourceId, Timestamp, TracError};
+    use trac_types::{ColumnDomain, DataType, TracError};
 
     fn scratch_user_table(db: &Database) -> trac_types::Result<TableId> {
         db.create_table(TableSchema::new(
@@ -599,36 +615,44 @@ mod tests {
         let snap = mgr.snapshot();
         assert_eq!(
             log.registration_cursor(&snap),
-            2,
+            Some(2),
             "skip aborted, pin in-flight"
         );
         mgr.commit(in_flight);
         assert_eq!(
             log.registration_cursor(&snap),
-            2,
+            Some(2),
             "committed after the snapshot"
         );
-        assert_eq!(log.registration_cursor(&mgr.snapshot()), log.next_seq());
+        assert_eq!(
+            log.registration_cursor(&mgr.snapshot()),
+            Some(log.next_seq())
+        );
         // Aborting after the snapshot still pins: the fold skips it then.
         let late = mgr.begin();
         log.publish(late, ev(4));
         let snap = mgr.snapshot();
         mgr.abort(late);
-        assert_eq!(log.registration_cursor(&snap), 4);
+        assert_eq!(log.registration_cursor(&snap), Some(4));
     }
 
     /// The cursor `registration_cursor` returns, checked against a full
-    /// walk of the ring with the same rule.
-    fn cursor_matching_walk(log: &ChangeLog, snap: &Snapshot) -> u64 {
-        let walked = {
+    /// walk of the ring with the same rule. The walk only sees buffered
+    /// events, so it is the answer only while the snapshot decides every
+    /// compacted writer; otherwise there must be no cursor at all.
+    fn cursor_matching_walk(log: &ChangeLog, snap: &Snapshot) -> Option<u64> {
+        let (walked, complete) = {
             let ring = log.inner.lock();
-            ring.buf
+            let walked = ring
+                .buf
                 .iter()
                 .find(|e| !snap.committed_before(e.txn) && !snap.aborted_before(e.txn))
-                .map_or(ring.next_seq, |e| e.seq)
+                .map_or(ring.next_seq, |e| e.seq);
+            (walked, snap.decides_all_up_to(ring.max_compacted_txn))
         };
         let cursor = log.registration_cursor(snap);
-        assert_eq!(cursor, walked, "fast cursor disagrees with the walk");
+        let expect = complete.then_some(walked);
+        assert_eq!(cursor, expect, "fast cursor disagrees with the walk");
         cursor
     }
 
@@ -637,33 +661,35 @@ mod tests {
         let mgr = crate::txn::TxnManager::new();
         let log = ChangeLog::with_capacity(4);
         // No writer ever: an empty ring.
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 0);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), Some(0));
         // No writer in flight: committed events never pin.
         let done = mgr.begin();
         log.publish(done, ev(0));
         log.publish(done, ev(1));
         mgr.commit(done);
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 2);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), Some(2));
         // A writer in flight at the snapshot pins its first event.
         let w = mgr.begin();
         log.publish(w, ev(2));
         let snap = mgr.snapshot();
-        assert!(!snap.decides_all_up_to(TxnId(0)));
-        assert_eq!(cursor_matching_walk(&log, &snap), 2);
+        assert!(!snap.decides_all_up_to(w));
+        assert_eq!(cursor_matching_walk(&log, &snap), Some(2));
         mgr.commit(w);
-        assert_eq!(cursor_matching_walk(&log, &snap), 2);
+        assert_eq!(cursor_matching_walk(&log, &snap), Some(2));
         // A writer that began after the snapshot pins too.
         let snap = mgr.snapshot();
         let late = mgr.begin();
         log.publish(late, ev(3));
-        assert_eq!(cursor_matching_walk(&log, &snap), 3);
+        assert_eq!(cursor_matching_walk(&log, &snap), Some(3));
         mgr.commit(late);
         // An aborted writer is decided: it pins nothing.
         let gone = mgr.begin();
         log.publish(gone, ev(4));
         mgr.abort(gone);
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 5);
-        // A wrapped ring, with and without a writer in flight.
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), Some(5));
+        // A wrapped ring, with and without a writer in flight. `open`'s
+        // first event was compacted while it was still in flight: no
+        // cursor can re-read it, so there is no complete suffix.
         let open = mgr.begin();
         let filler = mgr.begin();
         log.publish(open, ev(5));
@@ -672,11 +698,17 @@ mod tests {
         }
         mgr.commit(filler);
         assert_eq!(log.compacted_below(), 7);
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 11);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), None);
         log.publish(open, ev(11));
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 11);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), None);
         mgr.commit(open);
-        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), 12);
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), Some(12));
+        // A writer in flight that began after every compacted event's
+        // writer leaves the suffix complete: its events are all buffered.
+        let fresh = mgr.begin();
+        log.publish(fresh, ev(12));
+        assert_eq!(cursor_matching_walk(&log, &mgr.snapshot()), Some(12));
+        mgr.commit(fresh);
     }
 
     #[test]

@@ -851,8 +851,8 @@ impl WriteTxn {
         // Published even for a no-op (stale) offer: the fold is a max,
         // so the event is harmless and stays conservative.
         self.publish_change(ChangeData::HeartbeatUpsert {
-            source: Value::text(source.as_str()),
-            ts: Value::Timestamp(ts),
+            source: source.clone(),
+            ts,
             created,
         });
         Ok(())
@@ -1303,6 +1303,37 @@ mod tests {
         db.with_write(|w| w.heartbeat(&m1, Timestamp::from_secs(5)))
             .unwrap();
         assert_eq!(created_bits(&db, mark), vec![true, false, false, false]);
+    }
+
+    #[test]
+    fn an_ingest_publishes_the_writers_source_id_and_a_typed_timestamp() {
+        let db = Database::new();
+        let tid = activity(&db);
+        let m1 = SourceId::new("m1");
+        let mark = db.change_log().next_seq();
+        db.with_write(|w| w.ingest(&m1, tid, act_row("m1", "idle", 7), Timestamp::from_secs(9)))
+            .unwrap();
+        let events = db.change_log().read_from(mark).unwrap();
+        let [insert, beat] = events.as_slice() else {
+            panic!("expected a row insert and a heartbeat upsert: {events:?}");
+        };
+        assert_eq!(insert.data.kind(), "row-insert");
+        let ChangeData::HeartbeatUpsert {
+            source,
+            ts,
+            created,
+        } = &beat.data
+        else {
+            panic!("expected a heartbeat upsert: {beat:?}");
+        };
+        assert_eq!(source, &m1);
+        assert_eq!(
+            source.as_str().as_ptr(),
+            m1.as_str().as_ptr(),
+            "the event shares the writer's id"
+        );
+        assert_eq!(*ts, Timestamp::from_secs(9));
+        assert!(*created);
     }
 
     #[test]

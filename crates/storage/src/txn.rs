@@ -253,10 +253,11 @@ impl Snapshot {
 
     /// True iff every transaction id up to and including `id` was
     /// decided (committed or aborted) when this snapshot was taken: `id`
-    /// began before it and nothing was in flight. Then each such id is
-    /// either [`Self::committed_before`] or [`Self::aborted_before`].
+    /// began before it and every transaction then in flight began after
+    /// `id`. Then each such id is either [`Self::committed_before`] or
+    /// [`Self::aborted_before`].
     pub fn decides_all_up_to(&self, id: TxnId) -> bool {
-        id < self.xmax && self.in_flight.is_empty()
+        id < self.xmax && self.in_flight.iter().all(|t| *t > id)
     }
 
     /// True iff transaction `id` had aborted when this snapshot was

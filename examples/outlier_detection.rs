@@ -20,8 +20,7 @@ fn main() -> Result<()> {
     db.create_table(TableSchema::new(
         "activity",
         vec![
-            ColumnDef::new("mach_id", DataType::Text)
-                .with_domain(ColumnDomain::text_set(machines.clone())),
+            ColumnDef::new("mach_id", DataType::Text).with_domain(ColumnDomain::text_set(machines)),
             ColumnDef::new("value", DataType::Text)
                 .with_domain(ColumnDomain::text_set(["idle", "busy"])),
             ColumnDef::new("event_time", DataType::Timestamp),

@@ -76,13 +76,13 @@ fn sources(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
     let computed: Vec<String> = plan
         .execute(&txn)
         .unwrap()
-        .into_iter()
-        .map(|s| s.0)
+        .iter()
+        .map(|s| s.as_str().to_owned())
         .collect();
     let truth: Vec<String> = relevant_sources_oracle(&txn, &bound, 50_000_000)
         .unwrap()
-        .into_iter()
-        .map(|s| s.0)
+        .iter()
+        .map(|s| s.as_str().to_owned())
         .collect();
     (computed, truth)
 }

@@ -351,7 +351,7 @@ proptest! {
         // the *order* unsorted rows stream in (a probe returns key
         // order, a scan slot order), so the claim here is multiset
         // equality; byte-identity per plan is covered above.
-        let mut baseline = serial.clone();
+        let mut baseline = serial;
         baseline.sort();
         for skew_rows in [0u64, 1_000_000] {
             for t in &bound.tables {
@@ -430,7 +430,7 @@ proptest! {
         drop(txn);
         // Cache on/off agreement: cold report (miss), cached report
         // (hit), and the uncached direct path must return identical rows.
-        let session = trac::core::Session::new(db.clone());
+        let session = trac::core::Session::new(db);
         let cold = session.recency_report(&sql).unwrap().result.rows;
         let cached = session.recency_report(&sql).unwrap().result.rows;
         let uncached = session.query(&sql).unwrap().rows;

@@ -150,7 +150,7 @@ fn report_covers_result_sources_under_churn() {
             }
         })
     };
-    let session = Session::new(db.clone());
+    let session = Session::new(db);
     for _ in 0..100 {
         let out = session
             .recency_report("SELECT sid FROM counter WHERE n > 0")

@@ -23,7 +23,10 @@ fn relevant(db: &Database, sql: &str) -> (RecencyPlan, Vec<String>) {
     let bound = bind_select(&txn, &stmt).unwrap();
     let plan = RecencyPlan::build(&txn, &bound, RelevanceConfig::default()).unwrap();
     let sources = plan.execute(&txn).unwrap();
-    (plan, sources.into_iter().map(|s| s.0).collect())
+    (
+        plan,
+        sources.iter().map(|s| s.as_str().to_owned()).collect(),
+    )
 }
 
 fn oracle_names(db: &Database, sql: &str) -> Vec<String> {
@@ -32,8 +35,8 @@ fn oracle_names(db: &Database, sql: &str) -> Vec<String> {
     let bound = bind_select(&txn, &stmt).unwrap();
     relevant_sources_oracle(&txn, &bound, 50_000_000)
         .unwrap()
-        .into_iter()
-        .map(|s| s.0)
+        .iter()
+        .map(|s| s.as_str().to_owned())
         .collect()
 }
 
@@ -82,11 +85,11 @@ fn section_412_q2_example() {
     let via_r_truth = relevant_sources_oracle_via(&txn, &bound, 0, 50_000_000).unwrap();
     let via_a_truth = relevant_sources_oracle_via(&txn, &bound, 1, 50_000_000).unwrap();
     assert_eq!(
-        via_r_truth.into_iter().map(|s| s.0).collect::<Vec<_>>(),
+        via_r_truth.iter().map(SourceId::as_str).collect::<Vec<_>>(),
         vec!["m1"]
     );
     assert_eq!(
-        via_a_truth.into_iter().map(|s| s.0).collect::<Vec<_>>(),
+        via_a_truth.iter().map(SourceId::as_str).collect::<Vec<_>>(),
         vec!["m3"]
     );
 }
