@@ -1082,13 +1082,6 @@ mod tests {
                 },
             ),
             (
-                "columnar",
-                ExecOptions {
-                    columnar: !base.columnar,
-                    ..base
-                },
-            ),
-            (
                 "fast_paths",
                 ExecOptions {
                     fast_paths: !base.fast_paths,

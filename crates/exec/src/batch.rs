@@ -1,30 +1,30 @@
 //! Columnar (vectorized) interpretation of a [`PhysicalPlan`].
 //!
-//! This is the default engine. Instead of pulling one tuple at a time,
-//! each operator produces a [`ColumnarBatch`] — per-slot row vectors
-//! plus a selection vector of live lanes — and predicates, join keys
-//! and projections evaluate over whole batches through
-//! [`trac_expr::eval_vec`]. The row-at-a-time operators in
-//! [`crate::operators`] are retained unchanged as the differential
-//! reference: both engines produce byte-identical results for every
-//! plan (the differential suite executes both and compares).
+//! This is the engine every plan runs through. Instead of pulling one
+//! tuple at a time, each operator produces a [`ColumnarBatch`] —
+//! per-slot row vectors plus a selection vector of live lanes — and
+//! predicates, join keys and projections evaluate over whole batches
+//! through [`trac_expr::eval_vec`]. The differential suite checks its
+//! results against an independent naive evaluator.
 //!
-//! Semantics deliberately mirrored from the scalar engine:
+//! Semantic contracts (the executor tests pin the error ones):
 //!
 //! * Inner join sides stay lazy — a join fetches (or hash-builds) its
 //!   inner table only when the first **non-empty** outer batch arrives,
 //!   so an empty outer input never touches downstream tables.
+//! * A filter conjunct that fails to evaluate counts as not true: the
+//!   lane is dropped, the error never surfaces.
 //! * `LIMIT` is checked before each output lane is materialized, so an
-//!   evaluation error past the limit never surfaces — exactly like the
-//!   scalar engine checking the limit before pulling the next tuple.
+//!   evaluation error past the limit never surfaces; an error on a lane
+//!   the limit reaches does.
 //! * Joins expand outer-major ([`ColumnarBatch::join_extend_ref`] /
-//!   [`ColumnarBatch::join_extend_indexed`]), so lane order equals the
-//!   serial streaming order; the hash build side stores its rows once
-//!   and probes hand out borrowed index lists, so a matched row is
-//!   cloned exactly once — into the output batch.
+//!   [`ColumnarBatch::join_extend_indexed`]), so lane order equals a
+//!   tuple-at-a-time nested loop's order; the hash build side stores
+//!   its rows once and probes hand out borrowed index lists, so a
+//!   matched row is cloned exactly once — into the output batch.
 //! * Aggregates drain their input and finish through the shared
-//!   [`finish_global`]/[`finish_groups`] helpers, keeping
-//!   HAVING/projection error ordering identical.
+//!   [`finish_global`]/[`finish_groups`] helpers, which evaluate
+//!   HAVING before any projection.
 
 use crate::operators::{
     finish_global, finish_groups, leaf_parts, leaf_pos, order_cmp, RowDedup, Tuple,
@@ -392,9 +392,8 @@ impl BatchSource for SortSource<'_> {
     }
 }
 
-/// Top of a parallel region: runs the morsel-driven worker pool (with
-/// the columnar per-morsel driver) on the first pull, then replays the
-/// gathered tuples as one batch.
+/// Top of a parallel region: runs the morsel-driven worker pool on the
+/// first pull, then replays the gathered tuples as one batch.
 struct GatherSource<'a> {
     txn: &'a ReadTxn,
     input: &'a PlanNode,
@@ -408,8 +407,7 @@ impl BatchSource for GatherSource<'_> {
             return Ok(None);
         }
         self.done = true;
-        let tuples =
-            crate::parallel::execute_gather(self.txn, self.input, self.morsel_ordered, true)?;
+        let tuples = crate::parallel::execute_gather(self.txn, self.input, self.morsel_ordered)?;
         Ok(Some(ColumnarBatch::from_tuples(0, &tuples)))
     }
 }
@@ -649,8 +647,8 @@ fn typed_global_aggs(projections: &[Projection], cert: &KernelCert) -> Option<Ve
 
 /// Evaluates every projection vectorized over a batch. Any failure (an
 /// evaluation error on some lane, or an aggregate projection) makes the
-/// caller fall back to per-lane scalar evaluation, which reproduces the
-/// scalar engine's error and its interaction with LIMIT exactly.
+/// caller fall back to per-lane scalar evaluation, which surfaces the
+/// first failing lane's error only if LIMIT reaches that lane.
 fn project_columns(projections: &[Projection], batch: &ColumnarBatch) -> Result<Vec<Vec<Value>>> {
     projections
         .iter()
@@ -681,9 +679,7 @@ fn project_tuple_scalar(projections: &[Projection], tuple: &[Row]) -> Result<Vec
 }
 
 /// Interprets a physical plan against `txn`'s snapshot through the
-/// columnar engine. Byte-identical to
-/// [`crate::operators::execute_plan`] for every plan the planner emits
-/// (and for the malformed-plan error cases the tests pin).
+/// columnar engine.
 pub(crate) fn execute_plan_columnar(
     txn: &ReadTxn,
     plan: &PhysicalPlan,
@@ -827,9 +823,9 @@ pub(crate) fn execute_plan_columnar(
                     Err(_) => {
                         // Some lane fails to evaluate (or a projection
                         // is an aggregate): replay the batch through
-                        // scalar projection so the error surfaces — or
-                        // is masked by LIMIT — exactly as in the scalar
-                        // engine.
+                        // scalar projection, lane by lane, so the error
+                        // surfaces only if LIMIT reaches the failing
+                        // lane.
                         for t in batch.to_tuples() {
                             if full(rows.len()) {
                                 break 'drain;

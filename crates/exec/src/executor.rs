@@ -2,15 +2,14 @@
 //!
 //! Execution is two-phase: [`trac_plan::plan_select`] lowers the bound
 //! query into a [`PhysicalPlan`] operator tree, and
-//! [`crate::operators::execute_plan`] interprets that tree as a
-//! streaming pipeline. [`PlanInfo`] is a per-table rendering of the
-//! same plan for EXPLAIN-style reporting.
+//! [`execute_plan_with`] runs that tree through the columnar engine,
+//! batch by batch. [`PlanInfo`] is a per-table rendering of the same
+//! plan for EXPLAIN-style reporting.
 
-use crate::operators::execute_plan;
 use crate::result::QueryResult;
 use std::sync::OnceLock;
 use trac_expr::{bind_select, BoundSelect};
-use trac_plan::{plan_select, ExecOptions, PhysicalPlan, PlanNode};
+use trac_plan::{plan_select, ExecOptions, PhysicalPlan};
 use trac_sql::parse_select;
 use trac_storage::ReadTxn;
 use trac_types::Result;
@@ -108,10 +107,8 @@ pub fn execute_sql_with(txn: &ReadTxn, sql: &str, opts: ExecOptions) -> Result<Q
 
 /// Executes a bound `SELECT` with default options.
 pub fn execute_select(txn: &ReadTxn, q: &BoundSelect) -> Result<QueryResult> {
-    let opts = ExecOptions::default();
-    let plan = plan_select(txn, q, opts)?;
-    debug_validate_plan(q, &plan);
-    execute_plan_with(txn, &plan, opts)
+    let (result, _) = execute_select_with(txn, q, ExecOptions::default())?;
+    Ok(result)
 }
 
 /// Executes a bound `SELECT`, also reporting the plan taken.
@@ -127,61 +124,17 @@ pub fn execute_select_with(
     Ok((result, info))
 }
 
-/// Executes a physical plan through the engine `opts` selects: the
-/// columnar (vectorized) engine when `opts.columnar` — the default —
-/// and the row-at-a-time reference operators otherwise.
-///
-/// Plans whose join order differs from FROM order always run columnar:
-/// the scalar streams append each inner row at the *next* tuple slot,
-/// which is only correct when leaves sit at consecutive ascending FROM
-/// positions, while the columnar engine writes every row into its
-/// plan-declared slot.
+/// Executes a physical plan through the columnar engine, `opts.batch_size`
+/// rows per leaf batch.
 pub fn execute_plan_with(
     txn: &ReadTxn,
     plan: &PhysicalPlan,
     opts: ExecOptions,
 ) -> Result<QueryResult> {
-    if opts.columnar || !scalar_plan_safe(&plan.root) {
-        crate::batch::execute_plan_columnar(txn, plan, opts.batch_size.max(1))
-    } else {
-        execute_plan(txn, plan)
-    }
+    crate::batch::execute_plan_columnar(txn, plan, opts.batch_size.max(1))
 }
 
-/// True when the scalar engine's append-based joins place every row in
-/// its correct tuple slot: the plan's leaves, in join order, must sit at
-/// FROM positions `0, 1, 2, …`.
-fn scalar_plan_safe(root: &PlanNode) -> bool {
-    fn leaf_positions(node: &PlanNode, out: &mut Vec<usize>) {
-        match node {
-            PlanNode::Scan { pos, .. }
-            | PlanNode::IndexLookup { pos, .. }
-            | PlanNode::TopNIndex { pos, .. } => out.push(*pos),
-            PlanNode::NLJoin { outer, inner, .. } | PlanNode::HashJoin { outer, inner, .. } => {
-                leaf_positions(outer, out);
-                leaf_positions(inner, out);
-            }
-            PlanNode::IndexNLJoin { outer, pos, .. } => {
-                leaf_positions(outer, out);
-                out.push(*pos);
-            }
-            PlanNode::Filter { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::Limit { input, .. }
-            | PlanNode::Aggregate { input, .. }
-            | PlanNode::Exchange { input, .. }
-            | PlanNode::Gather { input, .. } => leaf_positions(input, out),
-            PlanNode::Empty { .. } | PlanNode::CountStar { .. } | PlanNode::IndexMinMax { .. } => {}
-        }
-    }
-    let mut positions = Vec::new();
-    leaf_positions(root, &mut positions);
-    positions.iter().enumerate().all(|(i, &p)| i == p)
-}
-
-/// Plans and executes an already-planned `SELECT`: the EXPLAIN path
+/// Plans a bound `SELECT` without executing it: the EXPLAIN path
 /// renders the same [`PhysicalPlan`] the executor interprets.
 pub fn explain_select(txn: &ReadTxn, q: &BoundSelect) -> Result<PhysicalPlan> {
     plan_select(txn, q, ExecOptions::default())
@@ -504,6 +457,42 @@ mod tests {
                 Value::Int(4)
             ]
         );
+    }
+
+    /// Two error contracts of the engine, serial and morsel-driven: a
+    /// projection error past LIMIT never surfaces, and a filter error
+    /// counts as not true.
+    #[test]
+    fn limit_masks_projection_errors_and_filter_errors_drop_the_row() -> Result<()> {
+        let db = Database::new();
+        let t = db.create_table(TableSchema::new(
+            "nums",
+            vec![
+                ColumnDef::new("sid", DataType::Text),
+                ColumnDef::new("x", DataType::Int),
+            ],
+            Some("sid"),
+        )?)?;
+        db.with_write(|w| {
+            w.insert(t, vec![Value::text("s"), Value::Int(1)])?;
+            w.insert(t, vec![Value::text("s"), Value::Int(0)])
+        })?;
+        let txn = db.begin_read();
+        // Batch size 1 puts the x = 0 row in a batch of its own; 1024
+        // puts both rows in one batch, whose vectorized projection fails
+        // and is replayed lane by lane.
+        for (threads, batch) in [(1, 1), (1, 1024), (2, 1), (2, 1024)] {
+            let opts = ExecOptions::default().with_parallelism(threads, batch);
+            let at = format!("threads={threads} batch={batch}");
+            // LIMIT is checked before the x = 0 lane is projected.
+            let r = execute_sql_with(&txn, "SELECT 10 / x FROM nums LIMIT 1", opts)?;
+            assert_eq!(r.rows, vec![vec![Value::Int(10)]], "{at}");
+            let err = execute_sql_with(&txn, "SELECT 10 / x FROM nums", opts).unwrap_err();
+            assert!(err.message().contains("division by zero"), "{at}: {err}");
+            let r = execute_sql_with(&txn, "SELECT x FROM nums WHERE 10 / x > 1", opts)?;
+            assert_eq!(r.rows, vec![vec![Value::Int(1)]], "{at}");
+        }
+        Ok(())
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Query execution: streaming operators over physical plans, DML.
+//! Query execution: one columnar engine over physical plans, DML.
 //!
 //! The paper's evaluation depends on the engine exploiting B-tree indexes
 //! on data source columns: the Focused recency query probes only the few
 //! relevant sources while a naive scan touches everything (Section 5.2).
 //! Planning lives in `trac-plan` ([`trac_plan::plan_select`] lowers a
 //! bound `SELECT` into a [`trac_plan::PhysicalPlan`]); this crate
-//! interprets those plans:
+//! interprets those plans through one engine:
 //!
-//! * **columnar engine (default)** — each operator produces a
+//! * **columnar engine** — each operator produces a
 //!   [`trac_expr::ColumnarBatch`] and predicates, join keys and
-//!   projections evaluate vectorized over whole batches; selected by
-//!   [`ExecOptions::columnar`] (`batch`, private);
-//! * **streaming operators** — the row-at-a-time reference engine:
-//!   each plan node becomes a pull-based tuple stream; joins keep
+//!   projections evaluate vectorized over whole batches; joins keep
 //!   their inner side lazy so empty inputs never touch downstream
-//!   tables ([`operators`]). Retained as the differential baseline the
-//!   columnar engine is checked against, byte for byte;
+//!   tables (`batch` and the shared leaf, dedup and aggregate helpers
+//!   in `operators`, both private). The differential suite checks it
+//!   against an independent naive evaluator;
 //! * **morsel-driven parallelism** — an `Exchange .. Gather` region
 //!   (present when [`ExecOptions::threads`] > 1) splits the driving
-//!   leaf into morsels for a scoped-thread worker pool and merges the
-//!   per-morsel batches back in morsel order, so parallel results are
-//!   byte-identical to serial ones;
+//!   leaf into morsels for a scoped-thread worker pool that runs the
+//!   same columnar operators per morsel, and merges the per-morsel
+//!   batches back in morsel order, so parallel results are
+//!   byte-identical to serial ones (`parallel`, private);
 //! * **entry points** — parse/bind/plan/execute glue plus the
 //!   [`PlanInfo`] plan summary ([`executor`]);
 //! * **DML/DDL interpretation** for `INSERT`/`UPDATE`/`DELETE`/`CREATE`
@@ -35,7 +34,7 @@
 mod batch;
 pub mod dml;
 pub mod executor;
-pub mod operators;
+mod operators;
 mod parallel;
 pub mod result;
 pub mod schedule;
@@ -46,7 +45,6 @@ pub use executor::{
     execute_sql_with, explain_select, install_explain_annotator, install_plan_check,
     render_explain, ExplainAnnotator, PlanCheck, PlanInfo,
 };
-pub use operators::execute_plan;
 pub use result::QueryResult;
 // Re-exported so downstream crates keep a single import path for the
 // execution-tuning types that moved into `trac-plan`.

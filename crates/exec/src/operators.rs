@@ -1,34 +1,24 @@
-//! Streaming operator interpretation of a [`PhysicalPlan`].
+//! Plan-level helpers the columnar engine ([`crate::batch`]) and the
+//! morsel-driven parallel driver ([`crate::parallel`]) share: leaf
+//! fetching, residual-filter evaluation over positional tuples, the
+//! `DISTINCT` row filter, ORDER BY key comparison, and the aggregate
+//! finishers.
 //!
-//! Each relational operator is a pull-based `TupleStream`: callers ask
-//! for the next tuple and the operator tree produces it on demand,
-//! without materializing `Vec<Vec<Row>>` stages between operators. A
-//! tuple is positional — slot `i` holds the [`Row`] (a cheap `Arc`
+//! A tuple is positional — slot `i` holds the [`Row`] (a cheap `Arc`
 //! handle) of the `i`-th FROM table — so bound expressions evaluate
 //! unchanged at any point in the pipeline.
-//!
-//! Inner join sides stay lazy: a join only fetches (or hash-builds) its
-//! inner table once the first outer tuple arrives, so an empty outer
-//! input never touches downstream tables — matching the old pipeline's
-//! pruning behaviour.
 
 use crate::result::QueryResult;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use trac_expr::{bound::BoundHaving, eval_expr, eval_predicate, AggFunc, Projection, Truth};
-use trac_plan::{PhysicalPlan, PlanNode};
+use trac_plan::PlanNode;
 use trac_storage::{ReadTxn, Row};
 use trac_types::{Result, TracError, Value};
 
 /// A partial result tuple: one [`Row`] per joined FROM table, indexed
 /// by FROM position.
 pub type Tuple = Vec<Row>;
-
-/// A pull-based tuple iterator over one operator subtree.
-trait TupleStream {
-    /// Produces the next tuple, or `None` when exhausted.
-    fn next_tuple(&mut self) -> Result<Option<Tuple>>;
-}
 
 /// True when every conjunct evaluates to `TRUE` for `tuple`.
 ///
@@ -40,23 +30,14 @@ pub(crate) fn passes(filter: &[trac_expr::BoundExpr], tuple: &[Row]) -> bool {
         .all(|c| matches!(eval_predicate(c, tuple), Ok(Truth::True)))
 }
 
-/// Reads the value `c` refers to out of a tuple.
-pub(crate) fn tuple_value(tuple: &[Row], c: trac_expr::ColRef) -> Result<Value> {
-    tuple
-        .get(c.table)
-        .and_then(|r| r.get(c.column))
-        .cloned()
-        .ok_or_else(|| TracError::Execution(format!("bad column ref {c:?}")))
-}
-
 /// Empty residual filter for leaves that apply their predicate while
 /// fetching (currently only [`PlanNode::TopNIndex`]).
 const NO_FILTER: &[trac_expr::BoundExpr] = &[];
 
 /// Fetches the raw rows of a leaf plus the residual filter still to be
-/// applied to them. Both engines build on this: the scalar engine
-/// filters row-at-a-time ([`fetch_leaf_rows`]), the columnar engine
-/// filters whole batches through the vectorized evaluator.
+/// applied to them. The columnar engine filters them as whole batches
+/// through the vectorized evaluator; the parallel region's join
+/// prebuild filters them row-at-a-time ([`fetch_leaf_rows`]).
 ///
 /// [`PlanNode::TopNIndex`] must filter *during* its ordered index walk
 /// (the early stop depends on it), so its rows come back with an empty
@@ -143,8 +124,7 @@ fn fetch_top_n(
 
 /// Fetches the filtered rows of a leaf ([`PlanNode::Scan`],
 /// [`PlanNode::IndexLookup`] or [`PlanNode::TopNIndex`]) in one batch.
-/// Join operators use this for their inner side; [`LeafStream`] uses it
-/// for the base table.
+/// The parallel region prebuilds its join inner sides with this.
 pub(crate) fn fetch_leaf_rows(txn: &ReadTxn, node: &PlanNode) -> Result<Vec<Row>> {
     let (pos, filter, raw) = leaf_parts(txn, node)?;
     if filter.is_empty() {
@@ -162,331 +142,9 @@ pub(crate) fn fetch_leaf_rows(txn: &ReadTxn, node: &PlanNode) -> Result<Vec<Row>
     Ok(out)
 }
 
-/// Produces no tuples (a statically pruned input).
-struct EmptyStream;
-
-impl TupleStream for EmptyStream {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        Ok(None)
-    }
-}
-
-/// Streams the base table of a join chain, one single-slot tuple per
-/// (filtered) row. Rows are fetched lazily on the first pull.
-struct LeafStream<'a> {
-    txn: &'a ReadTxn,
-    node: &'a PlanNode,
-    pos: usize,
-    rows: Option<std::vec::IntoIter<Row>>,
-}
-
-impl TupleStream for LeafStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        if self.rows.is_none() {
-            self.rows = Some(fetch_leaf_rows(self.txn, self.node)?.into_iter());
-        }
-        let Some(row) = self.rows.as_mut().and_then(Iterator::next) else {
-            return Ok(None);
-        };
-        // Slots before `pos` are placeholders (only meaningful when a
-        // hand-built plan roots a leaf at a later FROM position).
-        let mut t: Tuple = vec![std::sync::Arc::from(Vec::new().into_boxed_slice()); self.pos];
-        t.push(row);
-        Ok(Some(t))
-    }
-}
-
-/// Extends `tuple` with each candidate row, keeping combinations that
-/// pass `filter`.
-fn extend_into(
-    tuple: &[Row],
-    candidates: &[Row],
-    filter: &[trac_expr::BoundExpr],
-    out: &mut VecDeque<Tuple>,
-) {
-    for r in candidates {
-        let mut t = Vec::with_capacity(tuple.len() + 1);
-        t.extend(tuple.iter().cloned());
-        t.push(r.clone());
-        if passes(filter, &t) {
-            out.push_back(t);
-        }
-    }
-}
-
-/// Nested-loop join: every inner row against every outer tuple.
-struct NLJoinStream<'a> {
-    txn: &'a ReadTxn,
-    outer: Box<dyn TupleStream + 'a>,
-    inner_node: &'a PlanNode,
-    inner_rows: Option<Vec<Row>>,
-    filter: &'a [trac_expr::BoundExpr],
-    queue: VecDeque<Tuple>,
-}
-
-impl TupleStream for NLJoinStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.queue.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(outer_t) = self.outer.next_tuple()? else {
-                return Ok(None);
-            };
-            if self.inner_rows.is_none() {
-                self.inner_rows = Some(fetch_leaf_rows(self.txn, self.inner_node)?);
-            }
-            let rows = self.inner_rows.as_deref().unwrap_or_default();
-            extend_into(&outer_t, rows, self.filter, &mut self.queue);
-        }
-    }
-}
-
-/// Hash join: builds `inner_col → rows` buckets from the inner leaf on
-/// the first outer tuple, then probes per outer tuple. NULL keys never
-/// match. Bucket lookup uses `Value` equality; the original equi-join
-/// conjunct rides in `filter` and is re-applied with SQL comparison
-/// semantics.
-struct HashJoinStream<'a> {
-    txn: &'a ReadTxn,
-    outer: Box<dyn TupleStream + 'a>,
-    inner_node: &'a PlanNode,
-    inner_col: usize,
-    outer_key: trac_expr::ColRef,
-    filter: &'a [trac_expr::BoundExpr],
-    table: Option<HashMap<Value, Vec<Row>>>,
-    queue: VecDeque<Tuple>,
-}
-
-impl TupleStream for HashJoinStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.queue.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(outer_t) = self.outer.next_tuple()? else {
-                return Ok(None);
-            };
-            if self.table.is_none() {
-                let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-                for r in fetch_leaf_rows(self.txn, self.inner_node)? {
-                    let k = r[self.inner_col].clone();
-                    if !k.is_null() {
-                        table.entry(k).or_default().push(r);
-                    }
-                }
-                self.table = Some(table);
-            }
-            let key = tuple_value(&outer_t, self.outer_key)?;
-            let Some(matches) = self.table.as_ref().and_then(|t| t.get(&key)) else {
-                continue;
-            };
-            extend_into(&outer_t, matches, self.filter, &mut self.queue);
-        }
-    }
-}
-
-/// Index nested-loop join: probes the inner table's index once per
-/// outer tuple with the outer key value. NULL keys are skipped.
-struct IndexNLJoinStream<'a> {
-    txn: &'a ReadTxn,
-    outer: Box<dyn TupleStream + 'a>,
-    table: &'a trac_expr::BoundTable,
-    inner_col: usize,
-    outer_key: trac_expr::ColRef,
-    filter: &'a [trac_expr::BoundExpr],
-    queue: VecDeque<Tuple>,
-}
-
-impl TupleStream for IndexNLJoinStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.queue.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(outer_t) = self.outer.next_tuple()? else {
-                return Ok(None);
-            };
-            let key = tuple_value(&outer_t, self.outer_key)?;
-            if key.is_null() {
-                continue;
-            }
-            let rows = self
-                .txn
-                .index_probe_in(self.table.id, self.inner_col, std::slice::from_ref(&key))?
-                .ok_or_else(|| {
-                    TracError::Execution(format!(
-                        "index on {}.col#{} vanished mid-plan",
-                        self.table.binding, self.inner_col
-                    ))
-                })?;
-            extend_into(&outer_t, &rows, self.filter, &mut self.queue);
-        }
-    }
-}
-
-/// Residual predicate over full tuples.
-struct FilterStream<'a> {
-    input: Box<dyn TupleStream + 'a>,
-    predicate: &'a [trac_expr::BoundExpr],
-}
-
-impl TupleStream for FilterStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            let Some(t) = self.input.next_tuple()? else {
-                return Ok(None);
-            };
-            if passes(self.predicate, &t) {
-                return Ok(Some(t));
-            }
-        }
-    }
-}
-
-/// Pipeline breaker: drains its input on the first pull, sorts by the
-/// plan's keys, then replays in order.
-struct SortStream<'a> {
-    input: Box<dyn TupleStream + 'a>,
-    keys: &'a [(trac_expr::BoundExpr, bool)],
-    sorted: Option<std::vec::IntoIter<Tuple>>,
-}
-
-impl TupleStream for SortStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        if self.sorted.is_none() {
-            let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::new();
-            while let Some(t) = self.input.next_tuple()? {
-                let mut ks = Vec::with_capacity(self.keys.len());
-                for (e, _) in self.keys {
-                    ks.push(eval_expr(e, &t)?);
-                }
-                keyed.push((ks, t));
-            }
-            keyed.sort_by(|a, b| order_cmp(&a.0, &b.0, self.keys));
-            self.sorted = Some(
-                keyed
-                    .into_iter()
-                    .map(|(_, t)| t)
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            );
-        }
-        Ok(self.sorted.as_mut().and_then(Iterator::next))
-    }
-}
-
-/// Top of a parallel region: runs the morsel-driven worker pool under
-/// its [`PlanNode::Gather`] on the first pull (so `LIMIT 0` and other
-/// never-pulled plans do no parallel work), then replays the gathered
-/// tuples in deterministic morsel order.
-struct GatherStream<'a> {
-    txn: &'a ReadTxn,
-    input: &'a PlanNode,
-    morsel_ordered: bool,
-    gathered: Option<std::vec::IntoIter<Tuple>>,
-}
-
-impl TupleStream for GatherStream<'_> {
-    fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        if self.gathered.is_none() {
-            self.gathered = Some(
-                crate::parallel::execute_gather(self.txn, self.input, self.morsel_ordered, false)?
-                    .into_iter(),
-            );
-        }
-        Ok(self.gathered.as_mut().and_then(Iterator::next))
-    }
-}
-
-/// Builds the stream tree for the relational part of a plan.
-fn build_stream<'a>(txn: &'a ReadTxn, node: &'a PlanNode) -> Result<Box<dyn TupleStream + 'a>> {
-    Ok(match node {
-        PlanNode::Empty { .. } => Box::new(EmptyStream),
-        PlanNode::Scan { pos, .. }
-        | PlanNode::IndexLookup { pos, .. }
-        | PlanNode::TopNIndex { pos, .. } => Box::new(LeafStream {
-            txn,
-            node,
-            pos: *pos,
-            rows: None,
-        }),
-        PlanNode::NLJoin {
-            outer,
-            inner,
-            filter,
-            ..
-        } => Box::new(NLJoinStream {
-            txn,
-            outer: build_stream(txn, outer)?,
-            inner_node: inner,
-            inner_rows: None,
-            filter,
-            queue: VecDeque::new(),
-        }),
-        PlanNode::HashJoin {
-            outer,
-            inner,
-            inner_col,
-            outer_key,
-            filter,
-            ..
-        } => Box::new(HashJoinStream {
-            txn,
-            outer: build_stream(txn, outer)?,
-            inner_node: inner,
-            inner_col: *inner_col,
-            outer_key: *outer_key,
-            filter,
-            table: None,
-            queue: VecDeque::new(),
-        }),
-        PlanNode::IndexNLJoin {
-            outer,
-            table,
-            inner_col,
-            outer_key,
-            filter,
-            ..
-        } => Box::new(IndexNLJoinStream {
-            txn,
-            outer: build_stream(txn, outer)?,
-            table,
-            inner_col: *inner_col,
-            outer_key: *outer_key,
-            filter,
-            queue: VecDeque::new(),
-        }),
-        PlanNode::Filter { input, predicate } => Box::new(FilterStream {
-            input: build_stream(txn, input)?,
-            predicate,
-        }),
-        PlanNode::Sort { input, keys } => Box::new(SortStream {
-            input: build_stream(txn, input)?,
-            keys,
-            sorted: None,
-        }),
-        PlanNode::Gather {
-            input,
-            morsel_ordered,
-        } => Box::new(GatherStream {
-            txn,
-            input,
-            morsel_ordered: *morsel_ordered,
-            gathered: None,
-        }),
-        other => {
-            return Err(TracError::Execution(format!(
-                "unexpected {} operator in the relational subtree",
-                other.name()
-            )))
-        }
-    })
-}
-
 /// Hash-bucketed duplicate filter over output rows. Candidate rows are
 /// compared against rows already in the output vector by index, so
-/// deduplication never clones a row. Shared by both engines.
+/// deduplication never clones a row.
 #[derive(Default)]
 pub(crate) struct RowDedup {
     buckets: HashMap<u64, Vec<usize>>,
@@ -506,134 +164,10 @@ impl RowDedup {
     }
 }
 
-/// Interprets a physical plan against `txn`'s snapshot.
-///
-/// The plan's relational subtree streams; only the pipeline breakers
-/// the query semantics require ([`PlanNode::Sort`],
-/// [`PlanNode::Aggregate`]) buffer tuples. `DISTINCT` and `LIMIT`
-/// apply on the fly, so a limited scan stops pulling as soon as the
-/// result is full.
-pub fn execute_plan(txn: &ReadTxn, plan: &PhysicalPlan) -> Result<QueryResult> {
-    let columns = plan.columns.clone();
-    // Peel the canonical top-of-plan shapers.
-    let mut node = &plan.root;
-    let mut limit: Option<u64> = None;
-    let mut distinct = false;
-    if let PlanNode::Limit { input, n } = node {
-        limit = Some(*n);
-        node = input;
-    }
-    if let PlanNode::Distinct { input } = node {
-        distinct = true;
-        node = input;
-    }
-    match node {
-        PlanNode::CountStar { table, .. } => {
-            // Fast path: the storage layer's visible-row count is the
-            // answer; no tuple is ever materialized.
-            let n = txn.row_count(table.id)?;
-            Ok(QueryResult {
-                columns,
-                rows: vec![vec![Value::Int(n as i64)]],
-            })
-        }
-        PlanNode::IndexMinMax {
-            table,
-            column,
-            func,
-            ..
-        } => {
-            // Fast path: the extreme visible index entry is the answer.
-            let v = txn.index_extreme(table.id, *column, *func == AggFunc::Max)?;
-            Ok(QueryResult {
-                columns,
-                rows: vec![vec![v.unwrap_or(Value::Null)]],
-            })
-        }
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            projections,
-            having,
-            order_by,
-            limit: group_limit,
-        } => {
-            // Aggregation is a full pipeline breaker: drain the input.
-            let mut stream = build_stream(txn, input)?;
-            let mut tuples: Vec<Tuple> = Vec::new();
-            while let Some(t) = stream.next_tuple()? {
-                tuples.push(t);
-            }
-            if group_by.is_empty() {
-                return finish_global(columns, &tuples, projections, having.as_ref());
-            }
-            // Grouped aggregation: partition tuples by their key vector
-            // in first-seen order, then finish each group.
-            let mut groups: Vec<(Vec<Value>, Vec<Tuple>)> = Vec::new();
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            for t in tuples {
-                let mut key = Vec::with_capacity(group_by.len());
-                for g in group_by {
-                    key.push(eval_expr(g, &t)?);
-                }
-                match index.get(&key) {
-                    Some(&i) => groups[i].1.push(t),
-                    None => {
-                        index.insert(key.clone(), groups.len());
-                        groups.push((key, vec![t]));
-                    }
-                }
-            }
-            finish_groups(
-                columns,
-                groups.into_iter().map(|(_, m)| m).collect(),
-                projections,
-                having.as_ref(),
-                order_by,
-                *group_limit,
-            )
-        }
-        PlanNode::Project { input, projections } => {
-            let mut stream = build_stream(txn, input)?;
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            let mut dedup = RowDedup::default();
-            loop {
-                if limit.is_some_and(|n| rows.len() as u64 >= n) {
-                    break;
-                }
-                let Some(t) = stream.next_tuple()? else {
-                    break;
-                };
-                let mut row = Vec::with_capacity(projections.len());
-                for p in projections {
-                    match p {
-                        Projection::Scalar { expr, .. } => row.push(eval_expr(expr, &t)?),
-                        Projection::Aggregate { name, .. } => {
-                            return Err(TracError::Execution(format!(
-                                "aggregate projection {name} in a non-aggregate query"
-                            )))
-                        }
-                    }
-                }
-                if distinct {
-                    dedup.push(&mut rows, row);
-                } else {
-                    rows.push(row);
-                }
-            }
-            Ok(QueryResult { columns, rows })
-        }
-        other => Err(TracError::Execution(format!(
-            "malformed plan: unexpected top-level {} operator",
-            other.name()
-        ))),
-    }
-}
-
 /// Finishes a global (ungrouped) aggregate over the drained input
 /// tuples: one group of everything, with a HAVING clause able to
-/// suppress the single output row. Shared by both engines so the
-/// HAVING-before-projection error ordering is identical.
+/// suppress the single output row. HAVING is evaluated before any
+/// projection, so its errors surface first.
 pub(crate) fn finish_global(
     columns: Vec<String>,
     tuples: &[Tuple],
@@ -656,7 +190,7 @@ pub(crate) fn finish_global(
 /// Finishes a grouped aggregate given the groups in first-seen order:
 /// HAVING per group, projections for surviving groups (scalars against
 /// the group representative), ORDER BY over representatives, LIMIT on
-/// groups. Shared by both engines.
+/// groups.
 pub(crate) fn finish_groups(
     columns: Vec<String>,
     groups: Vec<Vec<Tuple>>,

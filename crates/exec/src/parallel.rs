@@ -20,19 +20,19 @@
 //!    single-threaded build.
 //! 3. **Fan out**: `threads` scoped workers pull morsel indexes from an
 //!    atomic counter, evaluate the whole operator spine over their
-//!    batch (leaf filter, joins, residual filters — in the same
-//!    outer-major expansion order as the serial streams), and park the
-//!    result in a per-morsel slot.
+//!    morsel as one [`ColumnarBatch`] (leaf filter, joins, residual
+//!    filters — in the same outer-major expansion order as the serial
+//!    columnar engine), and park the result in a per-morsel slot.
 //! 4. **Gather deterministically**: results concatenate in morsel index
 //!    order, which makes parallel output byte-identical to serial
 //!    output for every plan shape (ordered or not).
 //!
-//! One deliberate divergence from the serial operators: serial joins
-//! fetch their inner side lazily on the first outer tuple, while the
-//! parallel region prebuilds inner sides whenever the driving leaf has
-//! at least one morsel (an empty leaf still skips them).
+//! One deliberate divergence from the serial columnar engine: its joins
+//! fetch their inner side lazily on the first non-empty outer batch,
+//! while the parallel region prebuilds inner sides whenever the driving
+//! leaf has at least one morsel (an empty leaf still skips them).
 
-use crate::operators::{fetch_leaf_rows, leaf_pos, passes, tuple_value, Tuple};
+use crate::operators::{fetch_leaf_rows, leaf_pos, Tuple};
 use crate::schedule;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -96,18 +96,7 @@ fn partition_of(key: &Value, nparts: usize) -> usize {
 /// `false` models the completion-order-merge bug (concatenation in slot
 /// deposit order); it exists so both the static certifier (TRAC017) and
 /// the interleaving explorer can be shown to catch that bug.
-///
-/// `columnar` selects the per-morsel engine: the columnar driver runs
-/// each morsel as a [`ColumnarBatch`] through vectorized filters and
-/// batch joins, the scalar driver replays the tuple-at-a-time spine.
-/// Both deposit the same `Vec<Tuple>` per morsel slot, so the merge is
-/// engine-agnostic.
-pub(crate) fn execute_gather(
-    txn: &ReadTxn,
-    input: &PlanNode,
-    ordered: bool,
-    columnar: bool,
-) -> Result<Vec<Tuple>> {
+pub(crate) fn execute_gather(txn: &ReadTxn, input: &PlanNode, ordered: bool) -> Result<Vec<Tuple>> {
     // Walk the spine from the Gather input down to the Exchange,
     // collecting the operators we must replay per morsel.
     let mut spine: Vec<&PlanNode> = Vec::new();
@@ -143,7 +132,7 @@ pub(crate) fn execute_gather(
     let morsels = morselize(txn, leaf, batch)?;
     if morsels.is_empty() {
         // An empty driving leaf produces nothing and — like the lazy
-        // serial streams — never touches inner join sides.
+        // serial joins — never touches inner join sides.
         return Ok(Vec::new());
     }
 
@@ -170,11 +159,7 @@ pub(crate) fn execute_gather(
         let Some(morsel) = morsels.get(i) else {
             return;
         };
-        let out = if columnar {
-            run_morsel_columnar(txn, leaf, morsel, &ops)
-        } else {
-            run_morsel(txn, leaf, morsel, &ops)
-        };
+        let out = run_morsel_columnar(txn, leaf, morsel, &ops);
         if out.is_err() {
             abort.store(true, Ordering::Relaxed);
         }
@@ -372,146 +357,10 @@ fn build_hash_partitions(
     })
 }
 
-/// Evaluates one morsel through the whole spine, producing its ordered
-/// slice of the gathered output.
-fn run_morsel(
-    txn: &ReadTxn,
-    leaf: &PlanNode,
-    morsel: &Morsel,
-    ops: &[SpineOp<'_>],
-) -> Result<Vec<Tuple>> {
-    let (table_id, pos, filter) = match leaf {
-        PlanNode::Scan {
-            table, pos, filter, ..
-        }
-        | PlanNode::IndexLookup {
-            table, pos, filter, ..
-        } => (table.id, *pos, filter),
-        other => {
-            return Err(TracError::Execution(format!(
-                "operator {} cannot drive an Exchange",
-                other.name()
-            )))
-        }
-    };
-    let rows = match morsel {
-        Morsel::SlotRange { lo, hi } => txn.scan_slot_range(table_id, *lo, *hi)?,
-        Morsel::IndexChunk(slots) => txn.rows_for_slots(table_id, slots)?,
-    };
-    let mut batch: Vec<Tuple> = Vec::with_capacity(rows.len());
-    if filter.is_empty() {
-        for r in rows {
-            batch.push(leaf_tuple(pos, r));
-        }
-    } else {
-        let mut scratch: Vec<Row> =
-            vec![std::sync::Arc::from(Vec::new().into_boxed_slice()); pos + 1];
-        for r in rows {
-            scratch[pos] = r.clone();
-            if passes(filter, &scratch) {
-                batch.push(leaf_tuple(pos, r));
-            }
-        }
-    }
-    for op in ops {
-        if batch.is_empty() {
-            break;
-        }
-        batch = apply_op(txn, op, batch)?;
-    }
-    Ok(batch)
-}
-
-/// A single-slot leaf tuple with placeholder rows before `pos`.
-fn leaf_tuple(pos: usize, row: Row) -> Tuple {
-    let mut t: Tuple = vec![std::sync::Arc::from(Vec::new().into_boxed_slice()); pos];
-    t.push(row);
-    t
-}
-
-/// Extends `tuple` with each candidate row, keeping combinations that
-/// pass `filter` (the batch analogue of the serial join expansion).
-fn extend_tuples(
-    tuple: &[Row],
-    candidates: &[Row],
-    filter: &[trac_expr::BoundExpr],
-    out: &mut Vec<Tuple>,
-) {
-    for r in candidates {
-        let mut t = Vec::with_capacity(tuple.len() + 1);
-        t.extend(tuple.iter().cloned());
-        t.push(r.clone());
-        if passes(filter, &t) {
-            out.push(t);
-        }
-    }
-}
-
-/// Applies one spine operator to a whole morsel batch. Because every
-/// operator here is a flat-map in outer order, batch composition yields
-/// exactly the serial streaming order.
-fn apply_op(txn: &ReadTxn, op: &SpineOp<'_>, input: Vec<Tuple>) -> Result<Vec<Tuple>> {
-    Ok(match op {
-        SpineOp::Filter { predicate } => {
-            input.into_iter().filter(|t| passes(predicate, t)).collect()
-        }
-        SpineOp::NL { rows, filter, .. } => {
-            let mut out = Vec::new();
-            for t in &input {
-                extend_tuples(t, rows, filter, &mut out);
-            }
-            out
-        }
-        SpineOp::Hash {
-            parts,
-            outer_key,
-            filter,
-            ..
-        } => {
-            let mut out = Vec::new();
-            for t in &input {
-                let key = tuple_value(t, *outer_key)?;
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(matches) = parts[partition_of(&key, parts.len())].get(&key) {
-                    extend_tuples(t, matches, filter, &mut out);
-                }
-            }
-            out
-        }
-        SpineOp::IndexNL {
-            table,
-            inner_col,
-            outer_key,
-            filter,
-            ..
-        } => {
-            let mut out = Vec::new();
-            for t in &input {
-                let key = tuple_value(t, *outer_key)?;
-                if key.is_null() {
-                    continue;
-                }
-                let rows = txn
-                    .index_probe_in(table.id, *inner_col, std::slice::from_ref(&key))?
-                    .ok_or_else(|| {
-                        TracError::Execution(format!(
-                            "index on {}.col#{} vanished mid-plan",
-                            table.binding, inner_col
-                        ))
-                    })?;
-                extend_tuples(t, &rows, filter, &mut out);
-            }
-            out
-        }
-    })
-}
-
 /// Evaluates one morsel through the spine as a [`ColumnarBatch`]:
-/// vectorized leaf filter, then batch joins in the same outer-major
-/// expansion order as [`run_morsel`], so the deposited tuples are
-/// byte-identical to the scalar driver's.
+/// vectorized leaf filter, then batch joins that expand outer-major,
+/// so the deposited tuples are this morsel's slice of the serial
+/// engine's output, in order.
 fn run_morsel_columnar(
     txn: &ReadTxn,
     leaf: &PlanNode,

@@ -27,11 +27,6 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Morsel size in driving-leaf rows for parallel plans.
     pub batch_size: usize,
-    /// Execute through the columnar (vectorized) engine instead of the
-    /// row-at-a-time reference operators. Both produce byte-identical
-    /// results; the scalar engine is retained as the differential
-    /// reference.
-    pub columnar: bool,
     /// Allow the planner to emit certified fast-path operators
     /// (`CountStar`, `IndexMinMax`, `TopNIndex`, multi-key IN-list
     /// probes). Off ⇒ every query takes the general operator pipeline.
@@ -68,7 +63,6 @@ impl Default for ExecOptions {
             enable_hash_join: true,
             threads: 1,
             batch_size: DEFAULT_BATCH_SIZE,
-            columnar: true,
             fast_paths: true,
             cost_based_join_order: false,
             typed_kernels: true,

@@ -23,16 +23,18 @@ for _ in $(seq 10); do
 done
 
 echo "==> differential suite, single-threaded test runner (ordering flakes)"
-# The parallel-vs-serial differential asserts byte-identical rows; run it
-# once with a serialized test runner so a scheduling-dependent flake
-# cannot hide behind concurrent test execution.
+# Checks the engine against an independent naive evaluator (ORDER BY,
+# DISTINCT and LIMIT included) and the parallel path byte-for-byte
+# against serial; run it once with a serialized test runner so a
+# scheduling-dependent flake cannot hide behind concurrent test execution.
 cargo test -q --test differential -- --test-threads=1
 
 echo "==> interleaving explorer, single-threaded test runner (bounded budget)"
-# The deterministic schedule explorer proves parallel output byte-identical
-# to serial and cache soundness across bounded interleavings at threads
-# {2,4} (fixed seeds + capped exhaustive enumeration, so the job is
-# time-bounded and reproducible on a 1-CPU host).
+# The deterministic schedule explorer proves the shipped columnar morsel
+# driver's output byte-identical to serial, and cache soundness, across
+# bounded interleavings at threads {2,4} (fixed seeds + capped exhaustive
+# enumeration, so the job is time-bounded and reproducible on a 1-CPU
+# host).
 timeout 600 cargo test -q --test interleavings -- --test-threads=1
 
 echo "==> figure1 smoke at --threads 4 (tiny config)"

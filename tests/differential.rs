@@ -1,13 +1,16 @@
-//! Differential test: planner + streaming executor vs a naive reference
+//! Differential test: planner + columnar executor vs a naive reference
 //! evaluator.
 //!
-//! The reference evaluator is the semantics the old monolithic executor
-//! implemented directly: materialize the full cross product of the FROM
-//! list, keep tuples whose predicate evaluates to `TRUE` (evaluation
-//! errors count as "not true"), project, then deduplicate for
-//! `DISTINCT`. Random SPJ/aggregate queries over random instances with
-//! NULLs must produce the identical result multiset through
-//! `plan_select` + `execute_plan`.
+//! The reference evaluator shares no code with the executor: it
+//! materializes the full cross product of the FROM list, keeps tuples
+//! whose predicate evaluates to `TRUE` (evaluation errors count as "not
+//! true"), stable-sorts them by the ORDER BY keys under `Value`'s own
+//! total order, projects, then keeps the first occurrence of each row
+//! for `DISTINCT`. Random SPJ/aggregate queries over random instances
+//! with NULLs must produce, through `plan_select` + the executor, the
+//! reference's rows group by group: each run of equal sort keys as a
+//! multiset, in key order, and under `LIMIT` a prefix whose last group
+//! may be partial (tied rows may come in any order).
 //!
 //! Every generated plan is additionally certified by the translation
 //! validator: the planner must never emit a plan the abstract-domain
@@ -184,8 +187,11 @@ fn query_strategy() -> BoxedStrategy<String> {
     prop_oneof![single_table_query(), join_query()].boxed()
 }
 
-/// The retained naive evaluator: cross product, filter, project, dedup.
-fn reference_eval(txn: &ReadTxn, q: &BoundSelect) -> Vec<Vec<Value>> {
+/// The naive evaluator: cross product, filter, stable sort by the ORDER
+/// BY keys, project, dedup. Returns the output rows split into runs of
+/// equal sort key, in key order (a query without ORDER BY is one run);
+/// LIMIT is left to [`check_against_reference`].
+fn reference_eval(txn: &ReadTxn, q: &BoundSelect) -> Vec<Vec<Vec<Value>>> {
     let mut tuples: Vec<Vec<Row>> = vec![Vec::new()];
     for t in &q.tables {
         let rows = txn.scan(t.id).unwrap();
@@ -212,23 +218,42 @@ fn reference_eval(txn: &ReadTxn, q: &BoundSelect) -> Vec<Vec<Value>> {
             q.projections.as_slice(),
             [Projection::Aggregate { arg: None, .. }]
         ));
-        return vec![vec![Value::Int(i64::try_from(filtered.len()).unwrap())]];
+        return vec![vec![vec![Value::Int(
+            i64::try_from(filtered.len()).unwrap(),
+        )]]];
     }
-    let mut out: Vec<Vec<Value>> = filtered
+    // (sort key, projected row) pairs, stably sorted by key.
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = filtered
         .iter()
         .map(|tuple| {
-            q.projections
+            let key = q
+                .order_by
+                .iter()
+                .map(|(e, _)| eval_expr(e, tuple).unwrap())
+                .collect();
+            let row = q
+                .projections
                 .iter()
                 .map(|p| match p {
                     Projection::Scalar { expr, .. } => eval_expr(expr, tuple).unwrap(),
                     Projection::Aggregate { .. } => unreachable!(),
                 })
-                .collect()
+                .collect();
+            (key, row)
         })
         .collect();
+    let key_order = |a: &[Value], b: &[Value]| {
+        a.iter()
+            .zip(b)
+            .zip(&q.order_by)
+            .map(|((x, y), (_, desc))| if *desc { y.cmp(x) } else { x.cmp(y) })
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    keyed.sort_by(|a, b| key_order(&a.0, &b.0));
     if q.distinct {
         let mut seen: Vec<Vec<Value>> = Vec::new();
-        out.retain(|row| {
+        keyed.retain(|(_, row)| {
             if seen.contains(row) {
                 false
             } else {
@@ -237,7 +262,49 @@ fn reference_eval(txn: &ReadTxn, q: &BoundSelect) -> Vec<Vec<Value>> {
             }
         });
     }
-    out
+    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
+    for (key, row) in keyed {
+        match groups.last_mut() {
+            Some((k, rows)) if key_order(k, &key).is_eq() => rows.push(row),
+            _ => groups.push((key, vec![row])),
+        }
+    }
+    groups.into_iter().map(|(_, rows)| rows).collect()
+}
+
+/// Checks the executor's rows against the reference's key groups: the
+/// rows must walk the groups in order, each group as a multiset, and
+/// under `limit` only the first `limit` rows are due, so the last group
+/// reached may be partial (any of its rows may make the cut).
+fn check_against_reference(
+    got: &[Vec<Value>],
+    groups: &[Vec<Vec<Value>>],
+    limit: Option<u64>,
+) -> std::result::Result<(), String> {
+    let total: usize = groups.iter().map(Vec::len).sum();
+    let due = limit.map_or(total, |n| total.min(usize::try_from(n).unwrap()));
+    if got.len() != due {
+        return Err(format!("{} rows, reference has {due}", got.len()));
+    }
+    let mut rest = got;
+    for (i, group) in groups.iter().enumerate() {
+        let (chunk, tail) = rest.split_at(group.len().min(rest.len()));
+        let mut pool = group.clone();
+        for row in chunk {
+            match pool.iter().position(|r| r == row) {
+                Some(at) => {
+                    pool.swap_remove(at);
+                }
+                None => {
+                    return Err(format!(
+                        "row {row:?} is not in key group {i} of the reference: {group:?}"
+                    ))
+                }
+            }
+        }
+        rest = tail;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -269,34 +336,13 @@ proptest! {
             plan.render()
         );
         let serial = execute_select(&txn, &bound).unwrap().rows;
-        // The naive reference implements no ORDER BY/LIMIT; compare the
-        // full multiset only for un-truncated queries.
-        if bound.limit.is_none() {
-            let mut expected = reference_eval(&txn, &bound);
-            let mut got = serial.clone();
-            expected.sort();
-            got.sort();
-            prop_assert_eq!(
-                expected,
-                got,
-                "reference and default executor disagree for {}",
-                &sql
-            );
+        if let Err(why) =
+            check_against_reference(&serial, &reference_eval(&txn, &bound), bound.limit)
+        {
+            return Err(TestCaseError::fail(format!(
+                "reference and default executor disagree for {sql}: {why}"
+            )));
         }
-        // Engine differential: the retained row-at-a-time scalar engine
-        // is the byte-level reference the columnar default is checked
-        // against — same plan, same rows, same order.
-        let scalar_opts = trac::plan::ExecOptions {
-            columnar: false,
-            ..Default::default()
-        };
-        let scalar = execute_select_with(&txn, &bound, scalar_opts).unwrap().0.rows;
-        prop_assert_eq!(
-            &serial,
-            &scalar,
-            "columnar engine diverges from the scalar reference for {}",
-            &sql
-        );
         // Typed-kernel differential: disabling the lane certificates
         // forces every filter, join, and aggregate through the boxed
         // `Value` reference path; the unboxed `IntVec`/`TextVec` kernels
@@ -706,14 +752,13 @@ proptest! {
     /// Typed-kernel differential over float data the main fixture cannot
     /// express: a nullable FLOAT column carrying NULLs *and* NaN. The
     /// default engine (typed kernels enabled) must be byte-identical to
-    /// the boxed `Value` reference (`typed_kernels: false`), to the
-    /// row-at-a-time scalar engine, and to the general pipeline with the
-    /// certified shortcuts disabled — the last arm exercising the
-    /// TRAC026 gate: `MIN(x)`/`MAX(x)` may take the index walk only when
-    /// the catalog proves the lane NaN-free, so NaN-bearing instances
-    /// must fall back without changing a byte. `Value` equality is the
-    /// IEEE total order, so NaN outputs compare equal when both engines
-    /// produce them.
+    /// the boxed `Value` reference (`typed_kernels: false`) and to the
+    /// general pipeline with the certified shortcuts disabled — the last
+    /// arm exercising the TRAC026 gate: `MIN(x)`/`MAX(x)` may take the
+    /// index walk only when the catalog proves the lane NaN-free, so
+    /// NaN-bearing instances must fall back without changing a byte.
+    /// `Value` equality is the IEEE total order, so NaN outputs compare
+    /// equal when both paths produce them.
     #[test]
     fn typed_kernels_match_boxed_reference_on_float_data(
         rows in proptest::collection::vec((0..4usize, 0..6usize, 0..5usize), 0..10),
@@ -727,10 +772,6 @@ proptest! {
             (
                 trac::plan::ExecOptions { typed_kernels: false, ..Default::default() },
                 "boxed value reference",
-            ),
-            (
-                trac::plan::ExecOptions { columnar: false, ..Default::default() },
-                "scalar engine",
             ),
             (
                 trac::plan::ExecOptions { fast_paths: false, ..Default::default() },

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 use trac::core::Session;
 use trac::exec::schedule::{self, participate, Strategy};
-use trac::exec::{execute_plan, ExecOptions};
+use trac::exec::{execute_plan_with, ExecOptions};
 use trac::expr::bind_select;
 use trac::plan::{plan_select, PlanNode};
 use trac::sql::parse_select;
@@ -87,9 +87,13 @@ fn parallel_session_reports_are_deterministic_under_exploration() {
 fn stock_parallel_scan_is_clean_under_exhaustive_exploration() {
     let t = load_paper_tables().unwrap();
     let txn = t.db.begin_read();
-    let serial = execute_plan(&txn, &bound_plan(&txn, SCAN_SQL, ExecOptions::default()))
-        .unwrap()
-        .rows;
+    let serial = execute_plan_with(
+        &txn,
+        &bound_plan(&txn, SCAN_SQL, ExecOptions::default()),
+        ExecOptions::default(),
+    )
+    .unwrap()
+    .rows;
     for threads in [2usize, 4] {
         let parallel = bound_plan(
             &txn,
@@ -97,7 +101,7 @@ fn stock_parallel_scan_is_clean_under_exhaustive_exploration() {
             ExecOptions::default().with_parallelism(threads, 1),
         );
         let report = schedule::explore(Strategy::Exhaustive { max_schedules: 48 }, |_ctl| {
-            let rows = execute_plan(&txn, &parallel)
+            let rows = execute_plan_with(&txn, &parallel, ExecOptions::default())
                 .map_err(|e| e.to_string())?
                 .rows;
             if rows == serial {
@@ -118,9 +122,13 @@ fn stock_parallel_scan_is_clean_under_exhaustive_exploration() {
 fn explorer_detects_a_completion_order_merge() {
     let t = load_paper_tables().unwrap();
     let txn = t.db.begin_read();
-    let serial = execute_plan(&txn, &bound_plan(&txn, SCAN_SQL, ExecOptions::default()))
-        .unwrap()
-        .rows;
+    let serial = execute_plan_with(
+        &txn,
+        &bound_plan(&txn, SCAN_SQL, ExecOptions::default()),
+        ExecOptions::default(),
+    )
+    .unwrap()
+    .rows;
     let mut buggy = bound_plan(
         &txn,
         SCAN_SQL,
@@ -136,7 +144,9 @@ fn explorer_detects_a_completion_order_merge() {
     }
     strip_merge_order(&mut buggy.root);
     let report = schedule::explore(Strategy::Exhaustive { max_schedules: 200 }, |_ctl| {
-        let rows = execute_plan(&txn, &buggy).map_err(|e| e.to_string())?.rows;
+        let rows = execute_plan_with(&txn, &buggy, ExecOptions::default())
+            .map_err(|e| e.to_string())?
+            .rows;
         if rows == serial {
             Ok(())
         } else {
