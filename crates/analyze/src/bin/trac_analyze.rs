@@ -7,8 +7,8 @@
 //!
 //! Runs the analyzer passes over every sample workload (the paper
 //! fixture, the Section 4.2 fixture, and the Section 5.2 evaluation
-//! queries) plus the crate-level concurrency certification
-//! (`TRAC016`..`TRAC020`) and the crate-level delta-maintenance
+//! queries) plus the crate-level concurrency certification (the
+//! `TRAC020` lock-order audit) and the crate-level delta-maintenance
 //! certification (`TRAC028`..`TRAC030`), and renders any findings in
 //! compiler style, or as a JSON report with `--format json`.
 //! `--concurrency` restricts the run to the concurrency certification
@@ -40,7 +40,7 @@ fn usage() -> ! {
          --explain       list all diagnostic codes (TRAC001..TRAC030) and exit\n\
          --validate      print every sample plan annotated with certified\n\
          \u{20}                dataflow facts, then run the sweep\n\
-         --concurrency   run only the concurrency certification (TRAC016..TRAC020)\n\
+         --concurrency   run only the concurrency certification (TRAC020)\n\
          --maintenance   run only the delta-maintenance certification (TRAC028..TRAC030)\n\
          --typeflow      audit every plan's kernel certificate (TRAC023..TRAC026)\n\
          \u{20}                and run the panic-path audit (TRAC027)\n\

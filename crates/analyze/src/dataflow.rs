@@ -237,31 +237,7 @@ pub fn propagate(q: &BoundSelect, plan: &PhysicalPlan) -> FactMap {
         findings: Vec::new(),
     };
     transfer(q, &plan.root, &mut map);
-    // Parallel-region balance: every Exchange must be dominated by a
-    // Gather (the per-Gather contract checks the converse, that each
-    // Gather dominates exactly one Exchange).
-    let exchanges = count_ops(&plan.root, &|n| matches!(n, PlanNode::Exchange { .. }));
-    let gathers = count_ops(&plan.root, &|n| matches!(n, PlanNode::Gather { .. }));
-    if exchanges != gathers {
-        map.findings.push(Finding::new(
-            OPERATOR_CONTRACT,
-            format!(
-                "plan has {exchanges} Exchange but {gathers} Gather operators — \
-                 every Exchange needs a dominating Gather"
-            ),
-        ));
-    }
     map
-}
-
-/// Number of operators in `node`'s subtree matching `pred`.
-fn count_ops(node: &PlanNode, pred: &impl Fn(&PlanNode) -> bool) -> usize {
-    usize::from(pred(node))
-        + node
-            .children()
-            .iter()
-            .map(|c| count_ops(c, pred))
-            .sum::<usize>()
 }
 
 /// Checks that every column `term` references lies in `slots`.
@@ -771,57 +747,6 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                 ));
             }
             facts.row_bound = Some(facts.row_bound.map_or(*n, |b| b.min(*n)));
-            facts
-        }
-        PlanNode::Exchange {
-            input,
-            threads,
-            batch,
-        } => {
-            // Exchange only redistributes the leaf's rows into morsels;
-            // the tuples it emits are exactly the leaf's, so its facts
-            // pass through unchanged.
-            let facts = transfer(q, input, map);
-            require_leaf(input, "Exchange input", &mut map.findings);
-            if *threads < 2 {
-                map.findings.push(Finding::new(
-                    OPERATOR_CONTRACT,
-                    format!(
-                        "Exchange with {threads} thread(s) — a parallel region \
-                         needs at least 2"
-                    ),
-                ));
-            }
-            if *batch == 0 {
-                map.findings.push(Finding::new(
-                    OPERATOR_CONTRACT,
-                    "Exchange with a zero-row morsel size",
-                ));
-            }
-            facts
-        }
-        PlanNode::Gather { input, .. } => {
-            // Gather merges per-morsel batches in morsel order; the
-            // merged stream enforces exactly what the parallel region
-            // below enforces, so facts pass through unchanged.
-            let facts = transfer(q, input, map);
-            if facts.shaped.is_some() {
-                map.findings.push(Finding::new(
-                    SHAPE_MISMATCH,
-                    "Gather consumes an already-projected input (it must merge \
-                     positional tuples below the shaping stack)",
-                ));
-            }
-            let exchanges = count_ops(input, &|n| matches!(n, PlanNode::Exchange { .. }));
-            if exchanges != 1 {
-                map.findings.push(Finding::new(
-                    OPERATOR_CONTRACT,
-                    format!(
-                        "Gather dominates {exchanges} Exchange operators \
-                         (a parallel region has exactly one driving Exchange)"
-                    ),
-                ));
-            }
             facts
         }
     };

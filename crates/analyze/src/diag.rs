@@ -173,34 +173,6 @@ pub const UNCONFIRMED_REFINEMENT: Code = Code {
     summary: "claimed refined minimum not independently confirmable",
 };
 
-/// Concurrency certifier: an `Exchange` sits somewhere other than
-/// directly above a morsel-partitionable leaf, or an order-sensitive
-/// operator runs inside the parallel region without a dominating
-/// `Gather` merge.
-pub const EXCHANGE_PLACEMENT: Code = Code {
-    id: "TRAC016",
-    severity: Severity::Error,
-    summary: "Exchange placed off a morsel-partitionable leaf or across order-sensitive operators",
-};
-
-/// Concurrency certifier: a parallel region is not closed by a
-/// morsel-order-preserving `Gather` merge, so parallel output is not
-/// provably byte-identical to the serial plan.
-pub const GATHER_DETERMINISM: Code = Code {
-    id: "TRAC017",
-    severity: Severity::Error,
-    summary: "parallel region not closed by a morsel-order-preserving Gather merge",
-};
-
-/// Concurrency certifier: a partitioned hash-join build partitions on a
-/// key pair outside the certified join-key equivalence class (the
-/// TRAC011 facts), so co-partitioning of build and probe is unproven.
-pub const PARTITION_KEY_UNSOUND: Code = Code {
-    id: "TRAC018",
-    severity: Severity::Error,
-    summary: "hash-join partition key outside the certified join-key equivalence class",
-};
-
 /// Concurrency certifier (crate audit): an instrumented lock acquisition
 /// violates the declared storage/exec lock order, so two threads taking
 /// the same pair in opposite orders could deadlock.
@@ -308,8 +280,8 @@ pub const RESCAN_LICENSED: Code = Code {
 };
 
 /// All live codes, for `--explain` listings and the docs table. Ids are
-/// never reused: a retired code (`TRAC019`) leaves a gap.
-pub const ALL_CODES: [Code; 29] = [
+/// never reused: retired codes (`TRAC016`–`TRAC019`) leave a gap.
+pub const ALL_CODES: [Code; 26] = [
     PARTITION_VIOLATION,
     UNSOUND_MINIMUM,
     UNSAT_NONEMPTY,
@@ -325,9 +297,6 @@ pub const ALL_CODES: [Code; 29] = [
     SHAPE_MISMATCH,
     REFINED_MINIMUM,
     UNCONFIRMED_REFINEMENT,
-    EXCHANGE_PLACEMENT,
-    GATHER_DETERMINISM,
-    PARTITION_KEY_UNSOUND,
     LOCK_ORDER,
     FASTPATH_UNSOUND,
     FASTPATH_CERTIFIED,

@@ -29,12 +29,10 @@
 //!   (`TRAC011`, `TRAC012`), shaping operators faithful (`TRAC013`);
 //! * [`passes::refine`] — independently re-derives every refined-minimum
 //!   upgrade the relevance analysis claimed (`TRAC014`, `TRAC015`);
-//! * [`passes::concurrency`] — certifies the morsel-driven parallel twin
-//!   of every lowered plan against its serial plan (Exchange placement
-//!   `TRAC016`, Gather determinism `TRAC017`, partition-key soundness
-//!   `TRAC018`) and audits the declared lock-acquisition order
-//!   dynamically (`TRAC020`; `TRAC019` is retired, subsumed by
-//!   `TRAC028`);
+//! * [`passes::concurrency`] — audits the declared lock-acquisition
+//!   order dynamically (`TRAC020`). Parallelism is a run-time route of
+//!   the executor, not a plan operator, so no parallel plan exists to
+//!   certify (`TRAC016`–`TRAC019` are retired);
 //! * [`passes::fastpath`] — re-derives the side conditions of every
 //!   statistics-driven fast-path operator the lowering emitted
 //!   (`CountStar`, `IndexMinMax`, `TopNIndex`, multi-key IN-list
@@ -77,12 +75,11 @@ pub mod passes;
 
 pub use diag::{
     Code, Diagnostic, Severity, Span, SpanFinder, ALL_CODES, ALL_SOURCES_FALLBACK, BAD_PROJECTION,
-    DEGRADED_GUARANTEE, EXCHANGE_PLACEMENT, FASTPATH_CERTIFIED, FASTPATH_UNSOUND,
-    FLOAT_TOTAL_ORDER, GATHER_DETERMINISM, JOIN_KEY_CONTRACT, KERNEL_CERTIFIED, LOCK_ORDER,
-    MAINTENANCE_UNSOUND, NULLMASK_CERTIFIED, OPERATOR_CONTRACT, PANIC_PATH, PARTITION_KEY_UNSOUND,
-    PARTITION_VIOLATION, REFINED_MINIMUM, RESCAN_LICENSED, RESIDUE_DROPPED, RESIDUE_PHANTOM,
-    SAT_MISMATCH, SHAPE_MISMATCH, STREAM_COVERAGE, TYPE_UNSOUND, UNCONFIRMED_REFINEMENT,
-    UNSAT_NONEMPTY, UNSOUND_MINIMUM,
+    DEGRADED_GUARANTEE, FASTPATH_CERTIFIED, FASTPATH_UNSOUND, FLOAT_TOTAL_ORDER, JOIN_KEY_CONTRACT,
+    KERNEL_CERTIFIED, LOCK_ORDER, MAINTENANCE_UNSOUND, NULLMASK_CERTIFIED, OPERATOR_CONTRACT,
+    PANIC_PATH, PARTITION_VIOLATION, REFINED_MINIMUM, RESCAN_LICENSED, RESIDUE_DROPPED,
+    RESIDUE_PHANTOM, SAT_MISMATCH, SHAPE_MISMATCH, STREAM_COVERAGE, TYPE_UNSOUND,
+    UNCONFIRMED_REFINEMENT, UNSAT_NONEMPTY, UNSOUND_MINIMUM,
 };
 pub use passes::validate::validate_plan;
 pub use passes::PassCtx;
@@ -229,33 +226,7 @@ pub fn analyze_sql(
             .diagnostics
             .extend(passes::typeflow::run(txn, &q, &user_plan, &plan, name));
     }
-    // Also certify the morsel-driven lowering of the same query: the
-    // Exchange/Gather pair must pass dataflow facts through unchanged,
-    // so a sound parallel plan adds no diagnostics to the report.
-    let parallel_plan = trac_plan::plan_select(txn, &q, parallel_cert_options())?;
-    analysis.diagnostics.extend(validate_plan(
-        &q,
-        &parallel_plan,
-        &format!("{name} (parallel)"),
-        None,
-    ));
-    // Determinism proofs for the same twin: Exchange placement, Gather
-    // merge order (including the erasure proof against the serial plan)
-    // and partition-key soundness (TRAC016..TRAC018).
-    analysis.diagnostics.extend(passes::concurrency::run(
-        &q,
-        &user_plan,
-        &parallel_plan,
-        &format!("{name} (parallel)"),
-    ));
     Ok(analysis)
-}
-
-/// Execution options used to lower the parallel twin of every sample
-/// plan for certification (thread count is arbitrary but fixed so
-/// reports stay stable).
-fn parallel_cert_options() -> trac_plan::ExecOptions {
-    trac_plan::ExecOptions::default().with_parallelism(4, trac_plan::DEFAULT_BATCH_SIZE)
 }
 
 /// Renders `plan` as an EXPLAIN tree with each operator annotated with
@@ -297,19 +268,7 @@ fn annotate_one(txn: &ReadTxn, sql: &str) -> Result<String> {
     let stmt = trac_sql::parse_select(sql)?;
     let q = bind_select(txn, &stmt)?;
     let plan = trac_plan::plan_select(txn, &q, trac_plan::ExecOptions::default())?;
-    let parallel = trac_plan::plan_select(txn, &q, parallel_cert_options())?;
-    let mut out = annotated_plan(&q, &plan);
-    // Render the morsel-driven twin when it differs (single-table
-    // constant-false queries stay serial).
-    let par = annotated_plan(&q, &parallel);
-    if par != out {
-        if !out.ends_with('\n') {
-            out.push('\n');
-        }
-        out.push_str("-- parallel (threads=4) --\n");
-        out.push_str(&par);
-    }
-    Ok(out)
+    Ok(annotated_plan(&q, &plan))
 }
 
 /// The worked-example queries of Section 4.1 plus the queries the
@@ -386,78 +345,25 @@ pub fn analyze_samples(cfg: AnalyzerConfig) -> Result<Vec<QueryAnalysis>> {
     Ok(out)
 }
 
-/// The crate-level concurrency certification (diagnostics `TRAC016` to
-/// `TRAC018` and `TRAC020`): re-certifies every sample query's parallel
-/// twin against its serial plan, and checks the instrumented
-/// lock-acquisition graph of a representative workload against the
-/// declared order.
+/// The crate-level concurrency certification (diagnostic `TRAC020`):
+/// checks the instrumented lock-acquisition graph of a representative
+/// workload against the declared order.
 ///
-/// A clean run returns exactly four note-severity diagnostics — one
-/// positive certification per code — so the committed analyzer baseline
-/// records the proof, and any regression flips a note into an error the
-/// CI JSON diff cannot miss.
+/// A clean run returns exactly one note-severity positive
+/// certification, so the committed analyzer baseline records the proof,
+/// and any regression flips the note into an error the CI JSON diff
+/// cannot miss.
 pub fn analyze_concurrency() -> Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    let mut plans = 0usize;
-    let mut sweep = |txn: &ReadTxn, name: &str, sql: &str| -> Result<()> {
-        let stmt = trac_sql::parse_select(sql)?;
-        let q = bind_select(txn, &stmt)?;
-        let serial = trac_plan::plan_select(txn, &q, trac_plan::ExecOptions::default())?;
-        let parallel = trac_plan::plan_select(txn, &q, parallel_cert_options())?;
-        diags.extend(passes::concurrency::run(
-            &q,
-            &serial,
-            &parallel,
-            &format!("{name} (parallel)"),
-        ));
-        plans += 1;
-        Ok(())
-    };
-    let paper = load_paper_tables()?;
-    let txn = paper.db.begin_read();
-    for (name, sql) in PAPER_SAMPLE_QUERIES {
-        sweep(&txn, name, sql)?;
-    }
-    drop(txn);
-    let s42 = load_section_42_tables(&["myScheduler", "mx", "my"])?;
-    let txn = s42.db.begin_read();
-    for (name, sql) in SECTION42_SAMPLE_QUERIES {
-        sweep(&txn, name, sql)?;
-    }
-    drop(txn);
-    let eval = load_eval_db(&EvalConfig::new(EVAL_SAMPLE_ROWS, EVAL_SAMPLE_RATIO))?;
-    let txn = eval.db.begin_read();
-    for (name, sql) in trac_workload::PAPER_QUERIES {
-        sweep(&txn, &format!("eval/{name}"), sql)?;
-    }
-    drop(txn);
-    diags.extend(passes::concurrency::audit_lock_order()?);
-    // Positive certification: one note per clean code, so the committed
-    // baseline records what was proven rather than a silent absence.
-    let certs: [(Code, String); 4] = [
-        (
-            EXCHANGE_PLACEMENT,
-            format!("certified {plans} parallel plans: every Exchange drives a morsel-partitionable position-0 leaf and no order-sensitive operator sits inside a parallel region"),
-        ),
-        (
-            GATHER_DETERMINISM,
-            format!("certified {plans} parallel plans: every region closes with a morsel-order-preserving Gather and erasing Exchange/Gather recovers the serial plan"),
-        ),
-        (
-            PARTITION_KEY_UNSOUND,
-            format!("certified {plans} parallel plans: every partitioned hash join builds and probes inside a certified join-key equivalence class"),
-        ),
-        (
+    let mut diags = passes::concurrency::audit_lock_order()?;
+    if diags.is_empty() {
+        let mut d = Diagnostic::new(
             LOCK_ORDER,
-            "audited the instrumented lock-acquisition graph: every observed edge respects PlanCache < ReportTables < DbData < TxnStamped < MorselSlot < ChangeLog".to_string(),
-        ),
-    ];
-    for (code, message) in certs {
-        if !diags.iter().any(|d| d.code.id == code.id) {
-            let mut d = Diagnostic::new(code, "concurrency certification", message);
-            d.severity = Severity::Note;
-            diags.push(d);
-        }
+            "concurrency certification",
+            "audited the instrumented lock-acquisition graph: every observed edge respects \
+             PlanCache < ReportTables < DbData < TxnStamped < MorselSlot < ChangeLog",
+        );
+        d.severity = Severity::Note;
+        diags.push(d);
     }
     Ok(diags)
 }

@@ -173,8 +173,6 @@ fn transfer(node: &PlanNode, derived: &KernelCert) -> TypeState {
             state
         }
         PlanNode::Sort { input, .. }
-        | PlanNode::Exchange { input, .. }
-        | PlanNode::Gather { input, .. }
         | PlanNode::Distinct { input }
         | PlanNode::Limit { input, .. } => transfer(input, derived),
     }

@@ -1,16 +1,16 @@
-//! Mutation corpus for the translation validator and the concurrency
-//! certifier.
+//! Mutation corpus for the translation validator and the crate audits.
 //!
 //! Each test lowers a real query through the production planner, checks
 //! the unmutated plan certifies cleanly, applies exactly one surgical
 //! mutation to the plan IR, and asserts the validator rejects it with
-//! the expected stable `TRAC009`–`TRAC015` code (or, for parallel-plan
-//! mutations, that the concurrency certifier trips `TRAC016`–`TRAC018`
-//! or `TRAC020`).
+//! the expected stable `TRAC009`–`TRAC015` code (or, for the
+//! fast-path, typeflow and maintenance certifiers and the crate audits,
+//! the `TRAC020`–`TRAC030` code of the pass that owns the mutated
+//! artifact).
 //! Every mutation models a realistic lowering bug: a dropped predicate,
 //! a phantom predicate, a corrupted join key, a retargeted slot, a
-//! mangled shaping operator, a misplaced Exchange, an unordered merge,
-//! a forged lane certificate, an unreviewed panic site.
+//! mangled shaping operator, an inverted lock order, a forged lane
+//! certificate, an unreviewed panic site.
 
 use trac_analyze::passes::{concurrency, fastpath, maintain, panics, typeflow};
 use trac_analyze::validate_plan;
@@ -482,207 +482,6 @@ fn widening_the_in_list_probe_keys_is_caught() {
             };
             keys.push(Value::text("m3"));
         },
-    );
-}
-
-#[test]
-fn parallel_plans_certify_cleanly() {
-    // The Exchange/Gather pair passes facts through unchanged, so every
-    // parallel lowering must certify exactly like its serial twin.
-    let t = load_paper_tables().unwrap();
-    let txn = t.db.begin_read();
-    let queries = [
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        "SELECT A.mach_id FROM Routing R, Activity A \
-         WHERE R.mach_id = 'm1' AND A.value = 'idle' AND R.neighbor = A.mach_id",
-        "SELECT value, COUNT(*) FROM Activity GROUP BY value ORDER BY value",
-    ];
-    for sql in queries {
-        let q = bind(&txn, sql);
-        let p = plan(&txn, &q, ExecOptions::default().with_parallelism(4, 256));
-        assert!(
-            error_codes(&q, &p).is_empty(),
-            "parallel plan must certify: {:?}\n{}",
-            validate_plan(&q, &p, "par", None),
-            p.render()
-        );
-    }
-}
-
-#[test]
-fn stripping_the_gather_is_caught() {
-    // An Exchange with no dominating Gather would emit morsel batches
-    // in nondeterministic completion order.
-    assert_mutation(
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        ExecOptions::default().with_parallelism(4, 256),
-        |root| {
-            let gather = relational_root(root);
-            let PlanNode::Gather { input, .. } = gather else {
-                panic!(
-                    "expected Gather at the relational root, got {}",
-                    gather.name()
-                );
-            };
-            *gather = std::mem::replace(input, PlanNode::Empty { bindings: vec![] });
-        },
-        &["TRAC012"],
-    );
-}
-
-#[test]
-fn gather_without_an_exchange_is_caught() {
-    // The dual bug: a Gather whose region never splits into morsels.
-    assert_mutation(
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        ExecOptions::default(),
-        |root| {
-            let rel = relational_root(root);
-            let old = std::mem::replace(rel, PlanNode::Empty { bindings: vec![] });
-            *rel = PlanNode::Gather {
-                input: Box::new(old),
-                morsel_ordered: true,
-            };
-        },
-        &["TRAC012"],
-    );
-}
-
-#[test]
-fn serial_exchange_is_caught() {
-    // threads < 2 means the planner inserted a parallel region that
-    // cannot actually fan out.
-    assert_mutation(
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        ExecOptions::default().with_parallelism(4, 256),
-        |root| {
-            fn find_exchange(node: &mut PlanNode) -> Option<&mut PlanNode> {
-                if matches!(node, PlanNode::Exchange { .. }) {
-                    return Some(node);
-                }
-                node.children_mut().into_iter().find_map(find_exchange)
-            }
-            let PlanNode::Exchange { threads, .. } = find_exchange(root).expect("parallel plan")
-            else {
-                unreachable!();
-            };
-            *threads = 1;
-        },
-        &["TRAC012"],
-    );
-}
-
-/// Error-severity code ids the concurrency certifier produced for a
-/// (serial, parallel) plan pair.
-fn concurrency_codes(
-    q: &BoundSelect,
-    serial: &PhysicalPlan,
-    p: &PhysicalPlan,
-) -> Vec<&'static str> {
-    concurrency::run(q, serial, p, "mut")
-        .iter()
-        .filter(|d| d.is_error())
-        .map(|d| d.code.id)
-        .collect()
-}
-
-/// Runs one concurrency-mutation scenario: the pristine parallel twin
-/// must certify clean against its serial plan, the mutated twin must
-/// trip `expected` (one of TRAC016..TRAC018).
-fn assert_concurrency_mutation(
-    sql: &str,
-    opts: ExecOptions,
-    mutate: impl FnOnce(&mut PlanNode),
-    expected: &[&str],
-) {
-    let t = load_paper_tables().unwrap();
-    let txn = t.db.begin_read();
-    let q = bind(&txn, sql);
-    let serial = plan(&txn, &q, opts);
-    let mut p = plan(&txn, &q, opts.with_parallelism(4, 256));
-    assert!(
-        concurrency_codes(&q, &serial, &p).is_empty(),
-        "pristine parallel plan must certify: {:?}\n{}",
-        concurrency::run(&q, &serial, &p, "pre"),
-        p.render()
-    );
-    mutate(&mut p.root);
-    let codes = concurrency_codes(&q, &serial, &p);
-    assert!(
-        codes.iter().any(|c| expected.contains(c)),
-        "mutation must trip one of {expected:?}, got {codes:?}\n{}",
-        p.render()
-    );
-}
-
-#[test]
-fn sort_spliced_into_the_parallel_region_is_caught() {
-    // An order-sensitive operator between Gather and Exchange would see
-    // morsel boundaries: each worker would sort its own morsel instead
-    // of the whole stream (TRAC016).
-    assert_concurrency_mutation(
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        ExecOptions::default(),
-        |root| {
-            let PlanNode::Gather { input, .. } = relational_root(root) else {
-                panic!("expected Gather at the relational root");
-            };
-            let old = std::mem::replace(input.as_mut(), PlanNode::Empty { bindings: vec![] });
-            *input.as_mut() = PlanNode::Sort {
-                input: Box::new(old),
-                keys: vec![(BoundExpr::col(0, 0), false)],
-            };
-        },
-        &["TRAC016"],
-    );
-}
-
-#[test]
-fn completion_order_gather_is_caught() {
-    // Flipping the merge to completion order makes parallel output
-    // depend on worker scheduling (TRAC017) — exactly the seeded bug
-    // the interleaving explorer detects dynamically.
-    assert_concurrency_mutation(
-        "SELECT mach_id FROM Activity WHERE value = 'idle'",
-        ExecOptions::default(),
-        |root| {
-            let PlanNode::Gather { morsel_ordered, .. } = relational_root(root) else {
-                panic!("expected Gather at the relational root");
-            };
-            *morsel_ordered = false;
-        },
-        &["TRAC017"],
-    );
-}
-
-#[test]
-fn corrupting_a_parallel_hash_join_partition_key_is_caught() {
-    // Probing the partitioned hash table with R.mach_id although the
-    // build partitions on the R.neighbor equivalence class breaks
-    // co-partitioning (TRAC018).
-    assert_concurrency_mutation(
-        "SELECT A.mach_id FROM Routing R, Activity A \
-         WHERE A.value = 'idle' AND R.neighbor = A.mach_id",
-        ExecOptions {
-            enable_index_scan: false,
-            enable_hash_join: true,
-            ..Default::default()
-        },
-        |root| {
-            fn find_hash_join(node: &mut PlanNode) -> Option<&mut PlanNode> {
-                if matches!(node, PlanNode::HashJoin { .. }) {
-                    return Some(node);
-                }
-                node.children_mut().into_iter().find_map(find_hash_join)
-            }
-            let PlanNode::HashJoin { outer_key, .. } =
-                find_hash_join(root).expect("parallel hash-join plan")
-            else {
-                unreachable!();
-            };
-            outer_key.column = 0; // R.neighbor -> R.mach_id
-        },
-        &["TRAC018"],
     );
 }
 

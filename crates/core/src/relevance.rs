@@ -239,7 +239,8 @@ impl RecencyPlan {
     /// through the general executor with `opts` — the same batched
     /// morsel-driven path the user query takes when `opts.threads > 1`.
     /// A single-relation subquery runs its stored `plan`, which
-    /// [`RecencyPlan::build_with`] lowered under the same `opts`; a
+    /// [`RecencyPlan::build_with`] lowered under the same `opts` (up to
+    /// `threads` and `batch_size`, which never shape a plan); a
     /// multi-relation one lowers its witness and H-side selects per call.
     pub fn execute_with(
         &self,

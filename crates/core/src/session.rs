@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use trac_exec::{ExecOptions, QueryResult};
 use trac_expr::{bind_select, BoundSelect};
+use trac_plan::DEFAULT_BATCH_SIZE;
 use trac_sql::parse_select;
 use trac_storage::lockorder::{self, LockId};
 use trac_storage::{heartbeat, ColumnDef, Database, ReadTxn, TableSchema, HEARTBEAT_TABLE};
@@ -122,18 +123,18 @@ struct CachedPlan {
     maintained: Option<MaintainedReport>,
 }
 
-/// Prepared-plan cache key: the query shape plus the *complete*
-/// execution configuration. A miss lowers every subquery under the
+/// Prepared-plan cache key: the query shape plus every execution knob
+/// that shapes a plan. A miss lowers every subquery under the
 /// session's [`ExecOptions`] ([`RecencyPlan::build_with`]), and
 /// single-relation subqueries run that stored plan on every rescan, so
-/// the knobs shape what runs: threads and morsel size place
-/// Exchange/Gather pairs, the access-path and join toggles pick
-/// operators, `fast_paths` admits storage shortcuts, and `typed_kernels`
-/// decides whether a kernel certificate is attached. Keying on every
-/// field, not only on those lowering reads today, means a plan prepared
-/// under one configuration is never served to another: a session that
-/// flips any knob of [`Session::exec_options`] mid-flight gets a fresh
-/// build, not a configuration mismatch.
+/// the knobs shape what runs: the access-path and join toggles pick
+/// operators, `fast_paths` admits storage shortcuts, and
+/// `typed_kernels` decides whether a kernel certificate is attached.
+/// `threads` and `batch_size` are normalised away: the plan is the same
+/// at every value, and the executor reads them at run time, so a
+/// session that changes only its parallelism keeps its cached plans
+/// (and their maintained state). Any other knob flipped mid-flight
+/// gets a fresh build, not a configuration mismatch.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     sql: String,
@@ -144,7 +145,11 @@ impl PlanKey {
     fn new(sql: &str, opts: ExecOptions) -> PlanKey {
         PlanKey {
             sql: sql.to_string(),
-            opts,
+            opts: ExecOptions {
+                threads: 1,
+                batch_size: DEFAULT_BATCH_SIZE,
+                ..opts
+            },
         }
     }
 }
@@ -167,7 +172,7 @@ pub struct Session {
     /// morsel-driven path.
     pub exec_options: ExecOptions,
     /// Prepared recency plans keyed by [`PlanKey`] (the raw SQL text
-    /// plus the full [`ExecOptions`] they were prepared for),
+    /// plus the plan-shaping [`ExecOptions`] they were prepared for),
     /// invalidated by a [`Self::relevance_config`] change. Heartbeat
     /// writes no longer invalidate entries: plans depend only on schema
     /// and predicates, and data freshness is carried by each entry's
@@ -987,8 +992,11 @@ mod tests {
         assert!(ops.contains_key("IndexLookup"), "{ops:?}");
         let ops = cached_single_relation_ops(&no_index, probe);
         assert!(!ops.contains_key("IndexLookup"), "{ops:?}");
-        let ops = cached_single_relation_ops(&parallel, scan);
-        assert!(ops.contains_key("Exchange"), "{ops:?}");
+        assert_eq!(
+            cached_single_relation_ops(&parallel, scan),
+            cached_single_relation_ops(&serial, scan),
+            "the parallel session caches the serial plan"
+        );
     }
 
     #[test]
@@ -1020,33 +1028,31 @@ mod tests {
             session.plan_cache_stats(),
             PlanCacheStats { hits: 0, misses: 1 }
         );
-        // Same SQL, no intervening write, new execution configuration: the plan
-        // prepared for the serial configuration must not be served.
+        // Same SQL, new thread count and morsel size: neither shapes the
+        // plan, so the plan prepared for the serial configuration serves.
         session.exec_options = ExecOptions::default().with_parallelism(4, 2);
         session.recency_report(sql).unwrap();
         assert_eq!(
             session.plan_cache_stats(),
-            PlanCacheStats { hits: 0, misses: 2 },
-            "threads/batch_size change must miss the cache"
+            PlanCacheStats { hits: 1, misses: 1 },
+            "a threads/batch_size change must hit the cache"
         );
-        // Both configurations now coexist; re-running either hits.
-        session.recency_report(sql).unwrap();
         session.exec_options = ExecOptions::default();
         session.recency_report(sql).unwrap();
         assert_eq!(
             session.plan_cache_stats(),
-            PlanCacheStats { hits: 2, misses: 2 },
-            "each configuration keeps its own cached plan"
+            PlanCacheStats { hits: 2, misses: 1 },
+            "both configurations share one cached plan"
         );
-        assert_eq!(session.plan_cache.lock().unwrap().len(), 2);
+        assert_eq!(session.plan_cache.lock().unwrap().len(), 1);
     }
 
     #[test]
     fn plan_cache_keys_on_every_exec_knob() {
-        // The key must cover the complete ExecOptions set: any knob
-        // changes the lowered subquery twins, so flipping exactly one
-        // knob — with the SQL, data and relevance config fixed — must
-        // miss the prepared-plan cache.
+        // The key must cover every plan-shaping ExecOptions knob (all
+        // but `threads` and `batch_size`): flipping exactly one — with
+        // the SQL, data and relevance config fixed — must miss the
+        // prepared-plan cache.
         let db = paper_db();
         let mut session = Session::new(db);
         let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
@@ -1064,20 +1070,6 @@ mod tests {
                 "enable_hash_join",
                 ExecOptions {
                     enable_hash_join: !base.enable_hash_join,
-                    ..base
-                },
-            ),
-            (
-                "threads",
-                ExecOptions {
-                    threads: base.threads + 3,
-                    ..base
-                },
-            ),
-            (
-                "batch_size",
-                ExecOptions {
-                    batch_size: base.batch_size + 1,
                     ..base
                 },
             ),
@@ -1208,8 +1200,8 @@ mod tests {
         session.recency_report(sql).unwrap();
         assert_eq!(session.maintenance_stats().registrations, 1);
         assert_eq!(session.maintenance_stats().delta_serves, 1);
-        // New exec configuration → new cache entry → new registration.
-        session.exec_options = ExecOptions::default().with_parallelism(4, 2);
+        // New plan-shaping knob → new cache entry → new registration.
+        session.exec_options.enable_index_scan = false;
         session.recency_report(sql).unwrap();
         assert_eq!(session.maintenance_stats().registrations, 2);
         // Config change rebuilds the entry and drops its state with it.

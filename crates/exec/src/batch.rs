@@ -27,14 +27,15 @@
 //!   HAVING before any projection.
 
 use crate::operators::{
-    finish_global, finish_groups, leaf_parts, leaf_pos, order_cmp, RowDedup, Tuple,
+    fetch_leaf_rows, finish_global, finish_groups, leaf_parts, leaf_pos, order_cmp, RowDedup, Tuple,
 };
+use crate::parallel::{self, MorselRoute};
 use crate::result::QueryResult;
 use std::collections::HashMap;
 use trac_expr::{
     eval_expr, eval_vec, AggFunc, BoundExpr, ColRef, ColumnarBatch, KernelCert, Projection,
 };
-use trac_plan::{PhysicalPlan, PlanNode};
+use trac_plan::{ExecOptions, PhysicalPlan, PlanNode};
 use trac_storage::{ReadTxn, Row};
 use trac_types::{DataType, Result, TracError, Value};
 
@@ -80,25 +81,9 @@ impl BatchSource for LeafSource<'_> {
             return Ok(None);
         }
         let mut batch = ColumnarBatch::from_rows(*pos + 1, *pos, chunk);
-        batch.apply_filter_typed(filter, self.cert);
+        batch.apply_filter(filter, self.cert);
         Ok(Some(batch))
     }
-}
-
-/// Fetches a join's inner leaf with its residual filter applied through
-/// the vectorized evaluator, returning the surviving rows.
-fn fetch_inner_rows(txn: &ReadTxn, node: &PlanNode, cert: &KernelCert) -> Result<Vec<Row>> {
-    let (pos, filter, raw) = leaf_parts(txn, node)?;
-    if filter.is_empty() {
-        return Ok(raw);
-    }
-    let mut batch = ColumnarBatch::from_rows(pos + 1, pos, raw);
-    batch.apply_filter_typed(filter, cert);
-    Ok(batch
-        .to_tuples()
-        .into_iter()
-        .map(|mut t| t.swap_remove(pos))
-        .collect())
 }
 
 /// Nested-loop join: every inner row against every live outer lane.
@@ -122,7 +107,7 @@ impl BatchSource for NLJoinSource<'_> {
                 continue;
             }
             if self.inner_rows.is_none() {
-                self.inner_rows = Some(fetch_inner_rows(self.txn, self.inner_node, self.cert)?);
+                self.inner_rows = Some(fetch_leaf_rows(self.txn, self.inner_node, self.cert)?);
             }
             let rows = self.inner_rows.as_deref().unwrap_or_default();
             // Every live lane matches the whole inner row set; hand the
@@ -130,7 +115,7 @@ impl BatchSource for NLJoinSource<'_> {
             // once, into the output, never per outer lane.
             let matches: Vec<&[Row]> = vec![rows; batch.len()];
             let mut joined = batch.join_extend_ref(self.inner_pos, &matches);
-            joined.apply_filter_typed(self.filter, self.cert);
+            joined.apply_filter(self.filter, self.cert);
             return Ok(Some(joined));
         }
     }
@@ -280,7 +265,7 @@ impl BatchSource for HashJoinSource<'_> {
                 continue;
             }
             if self.build.is_none() {
-                let rows = fetch_inner_rows(self.txn, self.inner_node, self.cert)?;
+                let rows = fetch_leaf_rows(self.txn, self.inner_node, self.cert)?;
                 self.build = Some(self.build_side(rows));
             }
             let Some(build) = self.build.as_ref() else {
@@ -288,7 +273,7 @@ impl BatchSource for HashJoinSource<'_> {
             };
             let matches = self.probe(build, &batch)?;
             let mut joined = batch.join_extend_indexed(self.inner_pos, &build.rows, &matches);
-            joined.apply_filter_typed(self.filter, self.cert);
+            joined.apply_filter(self.filter, self.cert);
             return Ok(Some(joined));
         }
     }
@@ -335,7 +320,7 @@ impl BatchSource for IndexNLJoinSource<'_> {
                 matches.push(rows);
             }
             let mut joined = batch.join_extend(self.pos, &matches);
-            joined.apply_filter_typed(self.filter, self.cert);
+            joined.apply_filter(self.filter, self.cert);
             return Ok(Some(joined));
         }
     }
@@ -353,7 +338,7 @@ impl BatchSource for FilterSource<'_> {
         let Some(mut batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        batch.apply_filter_typed(self.predicate, self.cert);
+        batch.apply_filter(self.predicate, self.cert);
         Ok(Some(batch))
     }
 }
@@ -392,30 +377,64 @@ impl BatchSource for SortSource<'_> {
     }
 }
 
-/// Top of a parallel region: runs the morsel-driven worker pool on the
-/// first pull, then replays the gathered tuples as one batch.
-struct GatherSource<'a> {
+/// The morsel route: runs the worker pool over the whole relational
+/// root on the first pull, then replays the merged tuples as one batch.
+struct MorselSource<'a> {
     txn: &'a ReadTxn,
-    input: &'a PlanNode,
-    morsel_ordered: bool,
+    route: MorselRoute<'a>,
+    opts: ExecOptions,
+    cert: &'a KernelCert,
     done: bool,
 }
 
-impl BatchSource for GatherSource<'_> {
+impl BatchSource for MorselSource<'_> {
     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         if self.done {
             return Ok(None);
         }
         self.done = true;
-        let tuples = crate::parallel::execute_gather(self.txn, self.input, self.morsel_ordered)?;
+        let tuples = parallel::execute_morsels(self.txn, &self.route, self.opts, self.cert, true)?;
         Ok(Some(ColumnarBatch::from_tuples(0, &tuples)))
     }
 }
 
-/// Builds the batch-source tree for the relational part of a plan.
-/// `cert` is the plan's typed-kernel certificate (empty when typed
-/// kernels are disabled): every filter application and the hash-join
-/// key path consult it before choosing an unboxed kernel.
+/// Builds the source for a plan's relational root (the input of
+/// `Aggregate`, or of `Sort`/`Project`). With `opts.threads > 1`, a
+/// root of the shape [`parallel::morsel_route`] accepts runs on the
+/// morsel route; every other root, and every root at one thread, runs
+/// through the serial source tree.
+fn root_source<'a>(
+    txn: &'a ReadTxn,
+    node: &'a PlanNode,
+    opts: ExecOptions,
+    cert: &'a KernelCert,
+) -> Result<Box<dyn BatchSource + 'a>> {
+    if let PlanNode::Sort { input, keys } = node {
+        return Ok(Box::new(SortSource {
+            input: root_source(txn, input, opts, cert)?,
+            keys,
+            done: false,
+        }));
+    }
+    if opts.threads > 1 {
+        if let Some(route) = parallel::morsel_route(node) {
+            return Ok(Box::new(MorselSource {
+                txn,
+                route,
+                opts,
+                cert,
+                done: false,
+            }));
+        }
+    }
+    build_source(txn, node, opts.batch_size.max(1), cert)
+}
+
+/// Builds the serial batch-source tree for the filter/join chain below
+/// a plan's relational root. `cert` is the plan's typed-kernel
+/// certificate (empty when typed kernels are disabled): every filter
+/// application and the hash-join key path consult it before choosing
+/// an unboxed kernel.
 fn build_source<'a>(
     txn: &'a ReadTxn,
     node: &'a PlanNode,
@@ -487,20 +506,6 @@ fn build_source<'a>(
             input: build_source(txn, input, batch_size, cert)?,
             predicate,
             cert,
-        }),
-        PlanNode::Sort { input, keys } => Box::new(SortSource {
-            input: build_source(txn, input, batch_size, cert)?,
-            keys,
-            done: false,
-        }),
-        PlanNode::Gather {
-            input,
-            morsel_ordered,
-        } => Box::new(GatherSource {
-            txn,
-            input,
-            morsel_ordered: *morsel_ordered,
-            done: false,
         }),
         other => {
             return Err(TracError::Execution(format!(
@@ -679,11 +684,13 @@ fn project_tuple_scalar(projections: &[Projection], tuple: &[Row]) -> Result<Vec
 }
 
 /// Interprets a physical plan against `txn`'s snapshot through the
-/// columnar engine.
+/// columnar engine, `opts.batch_size` rows per leaf batch, on the
+/// morsel route when `opts.threads > 1` and the relational root admits
+/// it.
 pub(crate) fn execute_plan_columnar(
     txn: &ReadTxn,
     plan: &PhysicalPlan,
-    batch_size: usize,
+    opts: ExecOptions,
 ) -> Result<QueryResult> {
     let columns = plan.columns.clone();
     // Peel the canonical top-of-plan shapers.
@@ -730,7 +737,7 @@ pub(crate) fn execute_plan_columnar(
             limit: group_limit,
         } => {
             // Aggregation is a full pipeline breaker: drain the input.
-            let mut src = build_source(txn, input, batch_size, &plan.cert)?;
+            let mut src = root_source(txn, input, opts, &plan.cert)?;
             if group_by.is_empty() {
                 // Certified global aggregate: fold each batch through
                 // the unboxed lane kernels without materializing
@@ -792,7 +799,7 @@ pub(crate) fn execute_plan_columnar(
             )
         }
         PlanNode::Project { input, projections } => {
-            let mut src = build_source(txn, input, batch_size, &plan.cert)?;
+            let mut src = root_source(txn, input, opts, &plan.cert)?;
             let mut rows: Vec<Vec<Value>> = Vec::new();
             let mut dedup = RowDedup::default();
             let full = |n_rows: usize| limit.is_some_and(|n| n_rows as u64 >= n);

@@ -125,13 +125,16 @@ pub fn execute_select_with(
 }
 
 /// Executes a physical plan through the columnar engine, `opts.batch_size`
-/// rows per leaf batch.
+/// rows per leaf batch. With `opts.threads > 1` the engine drives a
+/// FROM-order filter/join chain over a `Scan` or `IndexLookup` through
+/// its morsel-parallel route; the plan itself is the same at every
+/// thread count.
 pub fn execute_plan_with(
     txn: &ReadTxn,
     plan: &PhysicalPlan,
     opts: ExecOptions,
 ) -> Result<QueryResult> {
-    crate::batch::execute_plan_columnar(txn, plan, opts.batch_size.max(1))
+    crate::batch::execute_plan_columnar(txn, plan, opts)
 }
 
 /// Plans a bound `SELECT` without executing it: the EXPLAIN path

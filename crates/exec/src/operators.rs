@@ -11,7 +11,10 @@
 use crate::result::QueryResult;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use trac_expr::{bound::BoundHaving, eval_expr, eval_predicate, AggFunc, Projection, Truth};
+use trac_expr::{
+    bound::BoundHaving, eval_expr, eval_predicate, AggFunc, ColumnarBatch, KernelCert, Projection,
+    Truth,
+};
 use trac_plan::PlanNode;
 use trac_storage::{ReadTxn, Row};
 use trac_types::{Result, TracError, Value};
@@ -35,9 +38,8 @@ pub(crate) fn passes(filter: &[trac_expr::BoundExpr], tuple: &[Row]) -> bool {
 const NO_FILTER: &[trac_expr::BoundExpr] = &[];
 
 /// Fetches the raw rows of a leaf plus the residual filter still to be
-/// applied to them. The columnar engine filters them as whole batches
-/// through the vectorized evaluator; the parallel region's join
-/// prebuild filters them row-at-a-time ([`fetch_leaf_rows`]).
+/// applied to them, which the caller applies to whole batches through
+/// the vectorized evaluator.
 ///
 /// [`PlanNode::TopNIndex`] must filter *during* its ordered index walk
 /// (the early stop depends on it), so its rows come back with an empty
@@ -122,24 +124,26 @@ fn fetch_top_n(
     Ok(out)
 }
 
-/// Fetches the filtered rows of a leaf ([`PlanNode::Scan`],
-/// [`PlanNode::IndexLookup`] or [`PlanNode::TopNIndex`]) in one batch.
-/// The parallel region prebuilds its join inner sides with this.
-pub(crate) fn fetch_leaf_rows(txn: &ReadTxn, node: &PlanNode) -> Result<Vec<Row>> {
+/// Fetches a leaf's rows with its residual filter applied through the
+/// vectorized evaluator under the plan's kernel certificate `cert`.
+/// Join inner sides, serial and on the morsel route, are fetched with
+/// this.
+pub(crate) fn fetch_leaf_rows(
+    txn: &ReadTxn,
+    node: &PlanNode,
+    cert: &KernelCert,
+) -> Result<Vec<Row>> {
     let (pos, filter, raw) = leaf_parts(txn, node)?;
     if filter.is_empty() {
         return Ok(raw);
     }
-    // Evaluate single-table conjuncts with the row in its own slot.
-    let mut scratch: Vec<Row> = vec![std::sync::Arc::from(Vec::new().into_boxed_slice()); pos + 1];
-    let mut out = Vec::with_capacity(raw.len());
-    for r in raw {
-        scratch[pos] = r.clone();
-        if passes(filter, &scratch) {
-            out.push(r);
-        }
-    }
-    Ok(out)
+    let mut batch = ColumnarBatch::from_rows(pos + 1, pos, raw);
+    batch.apply_filter(filter, cert);
+    Ok(batch
+        .to_tuples()
+        .into_iter()
+        .map(|mut t| t.swap_remove(pos))
+        .collect())
 }
 
 /// Hash-bucketed duplicate filter over output rows. Candidate rows are

@@ -1,9 +1,15 @@
-//! Morsel-driven parallel execution of an `Exchange .. Gather` region.
+//! Morsel-driven parallel execution: the executor's route for a
+//! plan's relational root when [`ExecOptions::threads`] > 1.
 //!
-//! The planner brackets the relational tree of a parallel plan with
-//! [`PlanNode::Exchange`] (directly above the driving leaf) and
-//! [`PlanNode::Gather`] (directly above the last join/filter). This
-//! module interprets that region with a worker pool:
+//! The plan carries no parallel operators; it is the same at every
+//! thread count. [`morsel_route`] matches the relational root (the input
+//! of `Aggregate`, or of `Sort`/`Project`) against the one shape this
+//! module splits: a chain of `Filter`, `NLJoin`, `HashJoin` and
+//! `IndexNLJoin` over a `Scan` or `IndexLookup` at FROM position 0,
+//! joining positions 1, 2, … in order. Every other root runs serially:
+//! a cost-reordered join, a fast-path leaf (`CountStar`, `IndexMinMax`,
+//! `TopNIndex`) and a statically empty plan among them. A matched root
+//! runs on a worker pool:
 //!
 //! 1. **Morselize** the driving leaf. A `Scan` splits the physical
 //!    version-slot space into fixed-size ranges
@@ -22,14 +28,15 @@
 //!    atomic counter, evaluate the whole operator spine over their
 //!    morsel as one [`ColumnarBatch`] (leaf filter, joins, residual
 //!    filters — in the same outer-major expansion order as the serial
-//!    columnar engine), and park the result in a per-morsel slot.
-//! 4. **Gather deterministically**: results concatenate in morsel index
+//!    columnar engine, under the same kernel certificate), and park the
+//!    result in a per-morsel slot.
+//! 4. **Merge deterministically**: results concatenate in morsel index
 //!    order, which makes parallel output byte-identical to serial
 //!    output for every plan shape (ordered or not).
 //!
 //! One deliberate divergence from the serial columnar engine: its joins
 //! fetch their inner side lazily on the first non-empty outer batch,
-//! while the parallel region prebuilds inner sides whenever the driving
+//! while the morsel route prebuilds inner sides whenever the driving
 //! leaf has at least one morsel (an empty leaf still skips them).
 
 use crate::operators::{fetch_leaf_rows, leaf_pos, Tuple};
@@ -39,11 +46,18 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use trac_expr::ColumnarBatch;
-use trac_plan::PlanNode;
+use trac_expr::{ColumnarBatch, KernelCert};
+use trac_plan::{ExecOptions, PlanNode};
 use trac_storage::lockorder::{self, LockId};
 use trac_storage::{ReadTxn, Row, RowSlot};
 use trac_types::{Result, TracError, Value};
+
+/// A relational root the morsel route drives: its driving leaf and the
+/// operators above it, bottom-up.
+pub(crate) struct MorselRoute<'a> {
+    leaf: &'a PlanNode,
+    spine: Vec<&'a PlanNode>,
+}
 
 /// One unit of leaf work handed to a worker.
 enum Morsel {
@@ -89,19 +103,15 @@ fn partition_of(key: &Value, nparts: usize) -> usize {
     (h.finish() % nparts as u64) as usize
 }
 
-/// Executes the subtree under a [`PlanNode::Gather`] and returns the
-/// gathered tuples. `ordered` selects the merge rule: `true` — the only
-/// value the planner ever emits — concatenates per-morsel batches in
-/// morsel index order, making parallel output byte-identical to serial.
-/// `false` models the completion-order-merge bug (concatenation in slot
-/// deposit order); it exists so both the static certifier (TRAC017) and
-/// the interleaving explorer can be shown to catch that bug.
-pub(crate) fn execute_gather(txn: &ReadTxn, input: &PlanNode, ordered: bool) -> Result<Vec<Tuple>> {
-    // Walk the spine from the Gather input down to the Exchange,
-    // collecting the operators we must replay per morsel.
+/// Matches a relational root against the shape the morsel route
+/// drives, returning its leaf and spine, or `None` when the root must
+/// run serially. The joins must add FROM positions 1, 2, … in order:
+/// the route assumes the FROM-order driving leaf, so a cost-reordered
+/// plan stays serial.
+pub(crate) fn morsel_route(root: &PlanNode) -> Option<MorselRoute<'_>> {
     let mut spine: Vec<&PlanNode> = Vec::new();
-    let mut cur = input;
-    let (leaf, threads, batch) = loop {
+    let mut cur = root;
+    let leaf = loop {
         match cur {
             PlanNode::Filter { input, .. } => {
                 spine.push(cur);
@@ -113,33 +123,56 @@ pub(crate) fn execute_gather(txn: &ReadTxn, input: &PlanNode, ordered: bool) -> 
                 spine.push(cur);
                 cur = outer;
             }
-            PlanNode::Exchange {
-                input,
-                threads,
-                batch,
-            } => break (input.as_ref(), (*threads).max(1), (*batch).max(1)),
-            other => {
-                return Err(TracError::Execution(format!(
-                    "unexpected {} operator between Gather and Exchange",
-                    other.name()
-                )))
-            }
+            PlanNode::Scan { pos: 0, .. } | PlanNode::IndexLookup { pos: 0, .. } => break cur,
+            _ => return None,
         }
     };
-    // Apply bottom-up: the operator nearest the Exchange runs first.
+    // Apply bottom-up: the operator nearest the leaf runs first.
     spine.reverse();
+    let mut next = 1;
+    for op in &spine {
+        let pos = match op {
+            PlanNode::NLJoin { inner, .. } | PlanNode::HashJoin { inner, .. } => {
+                leaf_pos(inner).ok()?
+            }
+            PlanNode::IndexNLJoin { pos, .. } => *pos,
+            _ => continue,
+        };
+        if pos != next {
+            return None;
+        }
+        next += 1;
+    }
+    Some(MorselRoute { leaf, spine })
+}
 
-    let morsels = morselize(txn, leaf, batch)?;
+/// Runs a relational root on the morsel route and returns the merged
+/// tuples. `ordered` selects the merge rule: `true` — the only value
+/// the executor passes — concatenates per-morsel batches in morsel
+/// index order, making parallel output byte-identical to serial.
+/// `false` models the completion-order-merge bug (concatenation in slot
+/// deposit order); it exists so the interleaving explorer can be shown
+/// to catch that bug.
+pub(crate) fn execute_morsels(
+    txn: &ReadTxn,
+    route: &MorselRoute<'_>,
+    opts: ExecOptions,
+    cert: &KernelCert,
+    ordered: bool,
+) -> Result<Vec<Tuple>> {
+    let threads = opts.threads.max(1);
+    let leaf = route.leaf;
+    let morsels = morselize(txn, leaf, opts.batch_size.max(1))?;
     if morsels.is_empty() {
         // An empty driving leaf produces nothing and — like the lazy
         // serial joins — never touches inner join sides.
         return Ok(Vec::new());
     }
 
-    let ops = prebuild_spine(txn, &spine, threads)?;
+    let ops = prebuild_spine(txn, &route.spine, threads, cert)?;
 
     // Worker pool: morsel indexes are claimed from a shared counter and
-    // results parked per-index so the gather can run in morsel order.
+    // results parked per-index so the merge can run in morsel order.
     // The two `yield_point`s bracket the morsel handoff — claim and
     // deposit — and no-op outside an interleaving exploration.
     let next = AtomicUsize::new(0);
@@ -159,7 +192,7 @@ pub(crate) fn execute_gather(txn: &ReadTxn, input: &PlanNode, ordered: bool) -> 
         let Some(morsel) = morsels.get(i) else {
             return;
         };
-        let out = run_morsel_columnar(txn, leaf, morsel, &ops);
+        let out = run_morsel_columnar(txn, leaf, morsel, &ops, cert);
         if out.is_err() {
             abort.store(true, Ordering::Relaxed);
         }
@@ -254,24 +287,25 @@ fn morselize(txn: &ReadTxn, leaf: &PlanNode, batch: usize) -> Result<Vec<Morsel>
             Ok(chunks.into_iter().map(Morsel::IndexChunk).collect())
         }
         other => Err(TracError::Execution(format!(
-            "operator {} cannot drive an Exchange",
+            "operator {} cannot drive the morsel route",
             other.name()
         ))),
     }
 }
 
-/// Builds the shared per-operator state for the parallel region.
+/// Builds the shared per-operator state for the morsel route.
 fn prebuild_spine<'a>(
     txn: &ReadTxn,
     spine: &[&'a PlanNode],
     threads: usize,
+    cert: &KernelCert,
 ) -> Result<Vec<SpineOp<'a>>> {
     let mut ops = Vec::with_capacity(spine.len());
     for node in spine {
         ops.push(match node {
             PlanNode::Filter { predicate, .. } => SpineOp::Filter { predicate },
             PlanNode::NLJoin { inner, filter, .. } => SpineOp::NL {
-                rows: fetch_leaf_rows(txn, inner)?,
+                rows: fetch_leaf_rows(txn, inner, cert)?,
                 pos: leaf_pos(inner)?,
                 filter,
             },
@@ -282,7 +316,11 @@ fn prebuild_spine<'a>(
                 filter,
                 ..
             } => SpineOp::Hash {
-                parts: build_hash_partitions(fetch_leaf_rows(txn, inner)?, *inner_col, threads),
+                parts: build_hash_partitions(
+                    fetch_leaf_rows(txn, inner, cert)?,
+                    *inner_col,
+                    threads,
+                ),
                 pos: leaf_pos(inner)?,
                 outer_key: *outer_key,
                 filter,
@@ -303,7 +341,7 @@ fn prebuild_spine<'a>(
             },
             other => {
                 return Err(TracError::Execution(format!(
-                    "unexpected {} operator between Gather and Exchange",
+                    "unexpected {} operator on the morsel route",
                     other.name()
                 )))
             }
@@ -366,6 +404,7 @@ fn run_morsel_columnar(
     leaf: &PlanNode,
     morsel: &Morsel,
     ops: &[SpineOp<'_>],
+    cert: &KernelCert,
 ) -> Result<Vec<Tuple>> {
     let (table_id, pos, filter) = match leaf {
         PlanNode::Scan {
@@ -376,7 +415,7 @@ fn run_morsel_columnar(
         } => (table.id, *pos, filter),
         other => {
             return Err(TracError::Execution(format!(
-                "operator {} cannot drive an Exchange",
+                "operator {} cannot drive the morsel route",
                 other.name()
             )))
         }
@@ -386,12 +425,12 @@ fn run_morsel_columnar(
         Morsel::IndexChunk(slots) => txn.rows_for_slots(table_id, slots)?,
     };
     let mut batch = ColumnarBatch::from_rows(pos + 1, pos, rows);
-    batch.apply_filter(filter);
+    batch.apply_filter(filter, cert);
     for op in ops {
         if batch.is_empty() {
             break;
         }
-        batch = apply_op_columnar(txn, op, batch)?;
+        batch = apply_op_columnar(txn, op, batch, cert)?;
     }
     Ok(batch.to_tuples())
 }
@@ -403,10 +442,11 @@ fn apply_op_columnar(
     txn: &ReadTxn,
     op: &SpineOp<'_>,
     mut batch: ColumnarBatch,
+    cert: &KernelCert,
 ) -> Result<ColumnarBatch> {
     Ok(match op {
         SpineOp::Filter { predicate } => {
-            batch.apply_filter(predicate);
+            batch.apply_filter(predicate, cert);
             batch
         }
         SpineOp::NL { rows, pos, filter } => {
@@ -414,7 +454,7 @@ fn apply_op_columnar(
             // rows are cloned once each, at gather time.
             let matches: Vec<&[Row]> = vec![rows.as_slice(); batch.len()];
             let mut joined = batch.join_extend_ref(*pos, &matches);
-            joined.apply_filter(filter);
+            joined.apply_filter(filter, cert);
             joined
         }
         SpineOp::Hash {
@@ -440,7 +480,7 @@ fn apply_op_columnar(
                 })
                 .collect();
             let mut joined = batch.join_extend_ref(*pos, &matches);
-            joined.apply_filter(filter);
+            joined.apply_filter(filter, cert);
             joined
         }
         SpineOp::IndexNL {
@@ -468,8 +508,196 @@ fn apply_op_columnar(
                 matches.push(rows);
             }
             let mut joined = batch.join_extend(*pos, &matches);
-            joined.apply_filter(filter);
+            joined.apply_filter(filter, cert);
             joined
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::execute_plan_with;
+    use crate::schedule::{explore, Strategy};
+    use trac_expr::bind_select;
+    use trac_plan::{plan_select, PhysicalPlan};
+    use trac_sql::parse_select;
+    use trac_storage::{ColumnDef, Database, TableSchema};
+    use trac_types::DataType;
+
+    /// Three `activity` rows and two `routing` rows, both indexed on
+    /// `mach_id`: at one row per morsel every driving leaf splits.
+    fn fixture() -> Result<Database> {
+        let db = Database::new();
+        let mut ids = Vec::new();
+        for (name, other) in [("activity", "value"), ("routing", "neighbor")] {
+            ids.push(db.create_table(TableSchema::new(
+                name,
+                vec![
+                    ColumnDef::new("mach_id", DataType::Text),
+                    ColumnDef::new(other, DataType::Text),
+                ],
+                Some("mach_id"),
+            )?)?);
+            db.create_index(name, "mach_id")?;
+        }
+        let (a, r) = (ids[0], ids[1]);
+        db.with_write(|w| {
+            for (m, v) in [("m1", "idle"), ("m2", "busy"), ("m3", "idle")] {
+                w.insert(a, vec![Value::text(m), Value::text(v)])?;
+            }
+            for (m, n) in [("m1", "m3"), ("m2", "m3")] {
+                w.insert(r, vec![Value::text(m), Value::text(n)])?;
+            }
+            Ok(())
+        })?;
+        Ok(db)
+    }
+
+    fn lower(txn: &ReadTxn, sql: &str, opts: ExecOptions) -> Result<PhysicalPlan> {
+        let q = bind_select(txn, &parse_select(sql)?)?;
+        plan_select(txn, &q, opts)
+    }
+
+    /// The route decision at four threads: a FROM-order chain over a
+    /// `Scan` or `IndexLookup` runs on the worker pool (the exhaustive
+    /// explorer finds more than one schedule), every other shape runs
+    /// serially (exactly one schedule) — and both give the serial rows.
+    #[test]
+    fn morsel_route_is_taken_exactly_by_from_order_chains() -> Result<()> {
+        let db = fixture()?;
+        let txn = db.begin_read();
+        let base = ExecOptions::default();
+        let no_index = ExecOptions {
+            enable_index_scan: false,
+            ..base
+        };
+        let reordering = ExecOptions {
+            cost_based_join_order: true,
+            ..base
+        };
+        let cases = [
+            (
+                "SELECT mach_id FROM activity WHERE value = 'idle'",
+                base,
+                "Scan",
+                true,
+            ),
+            (
+                "SELECT value FROM activity WHERE mach_id IN ('m1', 'm3')",
+                base,
+                "IndexLookup",
+                true,
+            ),
+            (
+                "SELECT A.value FROM routing R, activity A WHERE R.neighbor = A.mach_id",
+                no_index,
+                "HashJoin",
+                true,
+            ),
+            ("SELECT COUNT(*) FROM activity", base, "CountStar", false),
+            (
+                "SELECT MIN(mach_id) FROM activity",
+                base,
+                "IndexMinMax",
+                false,
+            ),
+            (
+                "SELECT mach_id FROM activity ORDER BY mach_id DESC LIMIT 2",
+                base,
+                "TopNIndex",
+                false,
+            ),
+            (
+                "SELECT mach_id FROM activity WHERE 1 = 2",
+                base,
+                "Empty",
+                false,
+            ),
+            (
+                "SELECT A.value FROM activity A, routing R WHERE A.mach_id = R.mach_id",
+                reordering,
+                "IndexNLJoin",
+                false,
+            ),
+            // Reordered behind a FROM-position-0 leaf: joins 2 before 1.
+            (
+                "SELECT A.value FROM routing R, activity A, routing S \
+                 WHERE R.mach_id = S.mach_id AND S.neighbor = A.mach_id",
+                reordering,
+                "IndexNLJoin",
+                false,
+            ),
+        ];
+        for (sql, opts, op, branches) in cases {
+            let plan = lower(&txn, sql, opts)?;
+            assert!(plan.operator_counts().contains_key(op), "{sql}: no {op}");
+            if opts.cost_based_join_order {
+                let bindings = |p: &PhysicalPlan| -> Vec<String> {
+                    p.table_steps().into_iter().map(|(b, _)| b).collect()
+                };
+                let from_order = lower(&txn, sql, base)?;
+                assert_ne!(bindings(&plan), bindings(&from_order), "{sql} must reorder");
+            }
+            let serial = execute_plan_with(&txn, &plan, opts)?.rows;
+            let parallel = opts.with_parallelism(4, 1);
+            let report = explore(Strategy::Exhaustive { max_schedules: 48 }, |_ctl| {
+                let rows = execute_plan_with(&txn, &plan, parallel)
+                    .map_err(|e| e.to_string())?
+                    .rows;
+                if rows == serial {
+                    Ok(())
+                } else {
+                    Err(format!("{sql}: rows diverged from serial"))
+                }
+            });
+            assert!(report.is_clean(), "{:?}", report.failure);
+            assert_eq!(report.schedules > 1, branches, "{sql}: route decision");
+        }
+        Ok(())
+    }
+
+    /// Seeded determinism bug: merging in completion order (`ordered =
+    /// false`) instead of morsel order must be *detected* by the
+    /// explorer — some interleaving reorders the output.
+    #[test]
+    fn explorer_detects_a_completion_order_merge() -> Result<()> {
+        let db = fixture()?;
+        let txn = db.begin_read();
+        let plan = lower(
+            &txn,
+            "SELECT mach_id, value FROM activity",
+            ExecOptions::default(),
+        )?;
+        let serial = execute_plan_with(&txn, &plan, ExecOptions::default())?.rows;
+        let PlanNode::Project { input, .. } = &plan.root else {
+            return Err(TracError::Execution("expected a Project root".into()));
+        };
+        let route = morsel_route(input)
+            .ok_or_else(|| TracError::Execution("a scan must take the morsel route".into()))?;
+        let opts = ExecOptions::default().with_parallelism(2, 1);
+        let report = explore(Strategy::Exhaustive { max_schedules: 200 }, |_ctl| {
+            let rows: Vec<Vec<Value>> = execute_morsels(&txn, &route, opts, &plan.cert, false)
+                .map_err(|e| e.to_string())?
+                .iter()
+                .map(|t| t[0].to_vec())
+                .collect();
+            if rows == serial {
+                Ok(())
+            } else {
+                Err("completion-order merge produced schedule-dependent rows".into())
+            }
+        });
+        let failure = report.failure.ok_or_else(|| {
+            TracError::Execution(
+                "the explorer must find an interleaving that reorders the merge".into(),
+            )
+        })?;
+        assert!(failure.message.contains("schedule-dependent"));
+        assert!(
+            !failure.choices.is_empty(),
+            "the failing schedule must be replayable from its decision trace"
+        );
+        Ok(())
+    }
 }

@@ -1,8 +1,9 @@
 //! Deterministic interleaving explorer for the parallel executor.
 //!
-//! The morsel-driven worker pool (`crate::parallel`) is certified
-//! *statically* by the `trac-analyze` concurrency pass (TRAC016–020).
-//! This module is the *dynamic* half of that certificate: a seeded,
+//! The morsel-driven worker pool (`crate::parallel`) merges per-morsel
+//! results in morsel order, and its lock order is audited statically
+//! by the `trac-analyze` concurrency pass (TRAC020). This module
+//! proves the determinism claim dynamically: a seeded,
 //! deterministic schedule controller that serializes a multi-threaded
 //! execution onto one runnable thread at a time and explores many
 //! distinct interleavings of the instrumented *yield points* — morsel

@@ -564,29 +564,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// Applies conjunctive filters by shrinking the selection vector: a
-    /// lane survives iff every conjunct evaluates to `TRUE` on it
-    /// (errors count as "not true", the historic filter contract). In
-    /// debug builds every mask is cross-checked against the scalar
-    /// evaluator lane by lane.
-    pub fn apply_filter(&mut self, conjuncts: &[BoundExpr]) {
-        for c in conjuncts {
-            if self.sel.is_empty() {
-                return;
-            }
-            let mask = self.filter_mask(c);
-            #[cfg(debug_assertions)]
-            for (i, &l) in self.sel.iter().enumerate() {
-                let scalar = matches!(eval_predicate(c, &self.lane_tuple(l)), Ok(Truth::True));
-                debug_assert_eq!(
-                    mask[i], scalar,
-                    "vectorized filter diverged from scalar eval on lane {l}"
-                );
-            }
-            self.retain_lanes(&mask);
-        }
-    }
-
     /// Extracts the column `c` refers to as an unboxed integer lane.
     /// Errs when any live lane violates the certificate (`non_null`
     /// promised but NULL found, or a non-integer value) — callers treat
@@ -691,13 +668,16 @@ impl ColumnarBatch {
         Ok(self.sel.iter().map(move |&l| &col[l as usize][c.column]))
     }
 
-    /// [`ColumnarBatch::apply_filter`] with typed-kernel dispatch: a
+    /// Applies conjunctive filters by shrinking the selection vector: a
+    /// lane survives iff every conjunct evaluates to `TRUE` on it
+    /// (errors count as "not true", the historic filter contract). A
     /// conjunct of the shape `column op literal` (or `column IN (…)`)
-    /// whose lane carries a certificate runs through the unboxed kernel
-    /// for the certified type; everything else takes the boxed mask.
-    /// Identical pass/fail semantics either way — debug builds
-    /// cross-check every mask against the scalar evaluator.
-    pub fn apply_filter_typed(&mut self, conjuncts: &[BoundExpr], cert: &KernelCert) {
+    /// whose lane `cert` certifies runs through the unboxed kernel for
+    /// the certified type; everything else takes the boxed mask, so an
+    /// empty certificate is the boxed reference. Identical pass/fail
+    /// semantics either way — debug builds cross-check every mask
+    /// against the scalar evaluator lane by lane.
+    pub fn apply_filter(&mut self, conjuncts: &[BoundExpr], cert: &KernelCert) {
         for c in conjuncts {
             if self.sel.is_empty() {
                 return;
@@ -710,7 +690,7 @@ impl ColumnarBatch {
                 let scalar = matches!(eval_predicate(c, &self.lane_tuple(l)), Ok(Truth::True));
                 debug_assert_eq!(
                     mask[i], scalar,
-                    "typed filter diverged from scalar eval on lane {l}"
+                    "vectorized filter diverged from scalar eval on lane {l}"
                 );
             }
             self.retain_lanes(&mask);
@@ -950,7 +930,7 @@ mod tests {
     fn filter_shrinks_selection_only() {
         let mut b = batch();
         let p = E::binary(BinaryOp::Lt, E::col(0, 0), E::lit(4i64));
-        b.apply_filter(std::slice::from_ref(&p));
+        b.apply_filter(std::slice::from_ref(&p), &KernelCert::default());
         // NULL lane is unknown (dropped), 4 fails, 1 and 2 survive.
         assert_eq!(b.len(), 2);
         let col = b
@@ -981,7 +961,7 @@ mod tests {
             E::binary(BinaryOp::Add, E::col(0, 0), E::col(0, 0)),
             E::lit(2i64),
         );
-        b.apply_filter(std::slice::from_ref(&p));
+        b.apply_filter(std::slice::from_ref(&p), &KernelCert::default());
         assert_eq!(b.len(), 1);
         assert_eq!(
             b.column(ColRef {
@@ -1038,8 +1018,8 @@ mod tests {
         for p in &preds {
             let mut typed = batch();
             let mut boxed = batch();
-            typed.apply_filter_typed(std::slice::from_ref(p), &cert);
-            boxed.apply_filter(std::slice::from_ref(p));
+            typed.apply_filter(std::slice::from_ref(p), &cert);
+            boxed.apply_filter(std::slice::from_ref(p), &KernelCert::default());
             assert_eq!(typed.sel, boxed.sel, "pred {p:?}");
             // The shapes above must actually hit the typed kernels.
             assert!(batch().typed_mask(p, &cert).is_some(), "pred {p:?}");

@@ -13,19 +13,23 @@ use trac_types::Value;
 
 /// Execution tuning knobs, mostly for the ablation benchmarks.
 ///
-/// Derives `Eq`/`Hash` because every knob changes the lowered artifact,
-/// so prepared-plan caches must key on the complete set.
+/// Derives `Eq`/`Hash` so prepared-plan caches can key on it. Every
+/// field but `threads` and `batch_size` changes the lowered artifact;
+/// those two are read only at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecOptions {
     /// Allow index probes (off ⇒ everything is a sequential scan).
     pub enable_index_scan: bool,
     /// Allow hash joins (off ⇒ nested loops only).
     pub enable_hash_join: bool,
-    /// Worker threads for morsel-driven execution. `1` keeps plans and
-    /// execution strictly serial (no Exchange/Gather operators are
-    /// inserted); `> 1` parallelizes the relational tree.
+    /// Worker threads for morsel-driven execution, read only by the
+    /// executor: the plan is the same at every value. `1` runs every
+    /// plan serially; `> 1` lets the executor drive a FROM-order
+    /// filter/join chain over a `Scan` or `IndexLookup` through its
+    /// morsel-parallel route.
     pub threads: usize,
-    /// Morsel size in driving-leaf rows for parallel plans.
+    /// Rows per leaf batch, and per morsel on the parallel route. Read
+    /// only by the executor.
     pub batch_size: usize,
     /// Allow the planner to emit certified fast-path operators
     /// (`CountStar`, `IndexMinMax`, `TopNIndex`, multi-key IN-list

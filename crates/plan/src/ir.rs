@@ -207,35 +207,6 @@ pub enum PlanNode {
         /// LIMIT applied to groups.
         limit: Option<u64>,
     },
-    /// Splits its input leaf into fixed-size morsels handed out to a
-    /// pool of worker threads. Always sits directly above the driving
-    /// leaf of the relational tree (the FROM-position-0 access) and is
-    /// always dominated by a matching [`PlanNode::Gather`].
-    Exchange {
-        /// The driving leaf whose rows are split into morsels; always a
-        /// [`PlanNode::Scan`] or [`PlanNode::IndexLookup`].
-        input: Box<PlanNode>,
-        /// Worker threads consuming morsels (> 1, or the planner would
-        /// not have inserted the operator).
-        threads: usize,
-        /// Morsel size in driving-leaf rows.
-        batch: usize,
-    },
-    /// Collects per-morsel result batches from the workers spawned by
-    /// the [`PlanNode::Exchange`] below and concatenates them in morsel
-    /// index order, so the output tuple order is byte-identical to the
-    /// serial plan's.
-    Gather {
-        /// Root of the parallel region (joins/filters over the
-        /// exchange-driven leaf).
-        input: Box<PlanNode>,
-        /// True when the merge concatenates per-morsel batches in morsel
-        /// index order (the only deterministic merge). The planner always
-        /// sets this; `false` models the completion-order-merge bug the
-        /// concurrency certifier (TRAC017) and the interleaving explorer
-        /// must both catch.
-        morsel_ordered: bool,
-    },
     /// Removes duplicate output rows (first occurrence wins).
     Distinct {
         /// Input operator.
@@ -264,8 +235,6 @@ impl PlanNode {
             PlanNode::CountStar { .. } => "CountStar",
             PlanNode::IndexMinMax { .. } => "IndexMinMax",
             PlanNode::TopNIndex { .. } => "TopNIndex",
-            PlanNode::Exchange { .. } => "Exchange",
-            PlanNode::Gather { .. } => "Gather",
             PlanNode::Filter { .. } => "Filter",
             PlanNode::Sort { .. } => "Sort",
             PlanNode::Project { .. } => "Project",
@@ -288,9 +257,7 @@ impl PlanNode {
                 vec![outer, inner]
             }
             PlanNode::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNode::Exchange { input, .. }
-            | PlanNode::Gather { input, .. }
-            | PlanNode::Filter { input, .. }
+            PlanNode::Filter { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Project { input, .. }
             | PlanNode::Aggregate { input, .. }
@@ -313,9 +280,7 @@ impl PlanNode {
                 vec![outer, inner]
             }
             PlanNode::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNode::Exchange { input, .. }
-            | PlanNode::Gather { input, .. }
-            | PlanNode::Filter { input, .. }
+            PlanNode::Filter { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Project { input, .. }
             | PlanNode::Aggregate { input, .. }
@@ -447,15 +412,6 @@ impl PlanNode {
                 if *desc { " desc" } else { "" },
                 filter_note(filter),
             ),
-            PlanNode::Exchange { threads, batch, .. } => {
-                format!("Exchange (threads={threads}, morsel={batch} rows)")
-            }
-            PlanNode::Gather { morsel_ordered, .. } => if *morsel_ordered {
-                "Gather (morsel-ordered merge)"
-            } else {
-                "Gather (completion-order merge — NONDETERMINISTIC)"
-            }
-            .to_string(),
             PlanNode::Filter { predicate, .. } => {
                 format!("Filter ({} conjuncts)", predicate.len())
             }
@@ -518,9 +474,6 @@ impl PlanNode {
             | PlanNode::CountStar { est_rows, .. }
             | PlanNode::IndexMinMax { est_rows, .. }
             | PlanNode::TopNIndex { est_rows, .. } => Some(*est_rows),
-            // Parallel decoration is row-preserving: the estimate of the
-            // region below passes through unchanged.
-            PlanNode::Exchange { input, .. } | PlanNode::Gather { input, .. } => input.est_rows(),
             _ => None,
         }
     }
@@ -538,7 +491,6 @@ impl PlanNode {
             | PlanNode::CountStar { cost, .. }
             | PlanNode::IndexMinMax { cost, .. }
             | PlanNode::TopNIndex { cost, .. } => Some(*cost),
-            PlanNode::Exchange { input, .. } | PlanNode::Gather { input, .. } => input.est_cost(),
             _ => None,
         }
     }
@@ -735,9 +687,7 @@ fn collect_steps(node: &PlanNode, out: &mut Vec<(String, String)>) {
                 format!("TopNIndex(col#{column}) fast path"),
             ));
         }
-        PlanNode::Exchange { input, .. }
-        | PlanNode::Gather { input, .. }
-        | PlanNode::Filter { input, .. }
+        PlanNode::Filter { input, .. }
         | PlanNode::Sort { input, .. }
         | PlanNode::Project { input, .. }
         | PlanNode::Aggregate { input, .. }

@@ -18,12 +18,6 @@
 //!   [`PlanNode::Project`], [`PlanNode::Distinct`],
 //!   [`PlanNode::Limit`] and [`PlanNode::Aggregate`] post-process the
 //!   joined tuple stream into the final result;
-//! * **Parallelism** — [`PlanNode::Exchange`] splits the driving leaf
-//!   into morsels for a worker pool and [`PlanNode::Gather`] merges the
-//!   per-morsel outputs back in morsel order. The pair is inserted only
-//!   when [`ExecOptions::threads`] > 1, so serial plans are
-//!   byte-identical to previous releases.
-//!
 //! * **Fast paths** — [`PlanNode::CountStar`],
 //!   [`PlanNode::IndexMinMax`] and [`PlanNode::TopNIndex`] answer
 //!   narrow single-table query shapes straight from the storage layer;
@@ -36,6 +30,11 @@
 //! annotations — they never influence correctness: however wrong the
 //! statistics are, every plan the lowering can emit computes the same
 //! result.
+//!
+//! Parallelism is not part of the IR: a plan is the same at every
+//! [`ExecOptions::threads`] and [`ExecOptions::batch_size`], and the
+//! executor decides at run time whether to drive it through its
+//! morsel-parallel route.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

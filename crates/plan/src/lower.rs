@@ -323,7 +323,8 @@ fn greedy_order(
 
 /// Lowers a bound `SELECT` into a physical plan against `txn`'s
 /// snapshot. The plan is deterministic given the query, the options and
-/// the catalog (which indexes exist); row-count and cost estimates
+/// the catalog (which indexes exist), and does not depend on
+/// `opts.threads` or `opts.batch_size`; row-count and cost estimates
 /// additionally reflect the catalog's write-time statistics.
 pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<PhysicalPlan> {
     // 1. Split the predicate into top-level conjuncts.
@@ -357,7 +358,7 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
         KernelCert::default()
     };
     // 3. Fast paths: single-table shapes with a certified shortcut skip
-    // the general pipeline (and its parallel decoration) entirely.
+    // the general pipeline entirely.
     if opts.fast_paths && !trivially_empty {
         if let Some(first) = costs.first() {
             if let Some(mut plan) = try_fast_path(txn, q, &remaining, first, opts) {
@@ -367,10 +368,10 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
         }
     }
     // 4. Join order: FROM order by default; greedy by estimated
-    // intermediate size when the cost-based knob is on. Reordered plans
-    // stay serial — the morsel pipeline assumes the FROM-order driving
-    // leaf — and are flagged for the columnar engine, whose joins write
-    // each table's rows at that table's own tuple slot.
+    // intermediate size when the cost-based knob is on. The executor
+    // runs reordered plans serially (its morsel route needs the
+    // FROM-order driving leaf); its joins write each table's rows at
+    // that table's own tuple slot.
     let table_conjuncts: Vec<Vec<BoundExpr>> = (0..q.tables.len())
         .map(|pos| {
             remaining
@@ -386,13 +387,6 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
     } else {
         (0..q.tables.len()).collect()
     };
-    let reordered = order.iter().enumerate().any(|(i, &pos)| i != pos);
-    // Parallel lowering: with `threads > 1` the driving leaf is wrapped
-    // in an Exchange (morsel distribution) and the finished relational
-    // tree in a Gather (morsel-ordered merge), keeping results
-    // byte-identical to the serial plan. Statically-empty plans have
-    // nothing to parallelize.
-    let parallel = opts.threads > 1 && !q.tables.is_empty() && !trivially_empty && !reordered;
     let mut pending: Vec<Option<BoundExpr>> = remaining.into_iter().map(Some).collect();
     let mut root = if trivially_empty {
         PlanNode::Empty {
@@ -425,15 +419,8 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
             let Some(outer) = tree else {
                 // First table: the leaf is the tree. `applicable` here is
                 // exactly the single-table conjuncts, already in the leaf.
-                let mut leaf = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
+                let leaf = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
                 tree_cost = leaf.est_cost().unwrap_or(1);
-                if parallel {
-                    leaf = PlanNode::Exchange {
-                        input: Box::new(leaf),
-                        threads: opts.threads,
-                        batch: opts.batch_size.max(1),
-                    };
-                }
                 tree = Some(leaf);
                 continue;
             };
@@ -507,12 +494,6 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
         root = PlanNode::Filter {
             input: Box::new(root),
             predicate: leftover,
-        };
-    }
-    if parallel {
-        root = PlanNode::Gather {
-            input: Box::new(root),
-            morsel_ordered: true,
         };
     }
     // 7. Shape the output: aggregation absorbs HAVING/ORDER BY/LIMIT
@@ -703,70 +684,6 @@ mod tests {
         let rendered = p.render();
         assert!(rendered.starts_with("Limit (3)"), "{rendered}");
         assert!(rendered.contains("est 2 rows"), "{rendered}");
-    }
-
-    #[test]
-    fn parallel_lowering_wraps_exchange_and_gather() {
-        let db = setup();
-        let sql = "SELECT value FROM activity WHERE mach_id = 'm1'";
-        let p = plan(&db, sql, ExecOptions::default().with_parallelism(4, 256));
-        let PlanNode::Project { input, .. } = &p.root else {
-            panic!("expected Project root: {:?}", p.root);
-        };
-        let PlanNode::Gather {
-            input,
-            morsel_ordered: true,
-        } = input.as_ref()
-        else {
-            panic!("expected morsel-ordered Gather below Project: {input:?}");
-        };
-        let PlanNode::Exchange {
-            input,
-            threads: 4,
-            batch: 256,
-        } = input.as_ref()
-        else {
-            panic!("expected Exchange(threads=4, batch=256): {input:?}");
-        };
-        assert!(matches!(input.as_ref(), PlanNode::IndexLookup { .. }));
-        // Serial options keep serial plan shapes byte-identical.
-        let p = plan(&db, sql, ExecOptions::default());
-        assert!(!p.operator_counts().contains_key("Gather"));
-        assert!(!p.operator_counts().contains_key("Exchange"));
-    }
-
-    #[test]
-    fn parallel_join_keeps_inner_leaves_outside_exchange() {
-        let db = setup();
-        let p = plan(
-            &db,
-            "SELECT A.mach_id FROM Routing R, Activity A WHERE R.neighbor = A.mach_id",
-            ExecOptions::default().with_parallelism(2, 128),
-        );
-        let PlanNode::Project { input, .. } = &p.root else {
-            panic!("expected Project root");
-        };
-        let PlanNode::Gather { input, .. } = input.as_ref() else {
-            panic!("expected Gather below Project: {input:?}");
-        };
-        // The join sits inside the parallel region; only the driving
-        // leaf is exchange-wrapped.
-        let PlanNode::IndexNLJoin { outer, .. } = input.as_ref() else {
-            panic!("expected IndexNLJoin region root: {input:?}");
-        };
-        assert!(matches!(outer.as_ref(), PlanNode::Exchange { .. }));
-    }
-
-    #[test]
-    fn constant_false_parallel_plan_stays_empty() {
-        let db = setup();
-        let p = plan(
-            &db,
-            "SELECT mach_id FROM activity WHERE 1 = 2",
-            ExecOptions::default().with_parallelism(8, 64),
-        );
-        assert!(!p.operator_counts().contains_key("Gather"));
-        assert_eq!(p.operator_counts()["Empty"], 1);
     }
 
     #[test]
@@ -977,9 +894,6 @@ mod tests {
         };
         let p = plan(&db, sql, opts);
         assert_eq!(p.table_steps()[0].0, "R", "{:?}", p.table_steps());
-        // Reordered plans never get parallel decoration.
-        let p = plan(&db, sql, opts.with_parallelism(4, 64));
-        assert!(!p.operator_counts().contains_key("Gather"));
     }
 
     #[test]

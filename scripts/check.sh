@@ -38,8 +38,9 @@ echo "==> interleaving explorer, single-threaded test runner (bounded budget)"
 timeout 600 cargo test -q --test interleavings -- --test-threads=1
 
 echo "==> figure1 smoke at --threads 4 (tiny config)"
-# Exercises the morsel-driven parallel path end to end (Exchange/Gather
-# lowering, plan certification, JSON emission) at a scale CI can afford.
+# Exercises the morsel-driven parallel route end to end (the executor's
+# route decision, plan certification, JSON emission) at a scale CI can
+# afford.
 BENCH_SMOKE_DIR="$(mktemp -d)"
 cargo run --release -q -p trac-bench --bin figure1 -- \
   --total-rows 2000 --max-sources 100 --runs 2 --warmup 1 \

@@ -21,9 +21,10 @@
 //! serial `threads = 1` result being the baseline) with a morsel size
 //! small enough to split even these tiny tables. The parallel rows must
 //! be **byte-identical** to the serial rows — not merely multiset-equal
-//! — because `Gather` merges morsel outputs in morsel-index order; this
-//! covers ordered plans (where byte-identity is semantically required)
-//! and exceeds the multiset requirement for unordered ones.
+//! — because the morsel route merges morsel outputs in morsel-index
+//! order; this covers ordered plans (where byte-identity is
+//! semantically required) and exceeds the multiset requirement for
+//! unordered ones.
 //!
 //! Two typed-kernel arms close the loop on the lane certificates: the
 //! main workload re-runs with `typed_kernels: false` (the boxed `Value`

@@ -38,31 +38,31 @@ const FASTPATH_QUERIES: [(&str, &str); 4] = [
 ];
 
 /// `name:` header followed by the indented EXPLAIN tree.
-fn explain_block(db: &Database, name: &str, sql: &str) -> String {
+fn explain_block(db: &Database, name: &str, sql: &str, opts: ExecOptions) -> String {
     let txn = db.begin_read();
     let stmt = parse_select(sql).expect(name);
     let bound = bind_select(&txn, &stmt).expect(name);
-    let plan = plan_select(&txn, &bound, ExecOptions::default()).expect(name);
+    let plan = plan_select(&txn, &bound, opts).expect(name);
     format!("{name}:\n{}", plan.render())
 }
 
-fn actual_snapshot() -> String {
+fn actual_snapshot(opts: ExecOptions) -> String {
     let mut blocks = Vec::new();
     let paper = load_paper_tables().expect("paper tables");
     for (name, sql) in PAPER_SAMPLE_QUERIES {
-        blocks.push(explain_block(&paper.db, name, sql));
+        blocks.push(explain_block(&paper.db, name, sql, opts));
     }
     for (name, sql) in FASTPATH_QUERIES {
-        blocks.push(explain_block(&paper.db, name, sql));
+        blocks.push(explain_block(&paper.db, name, sql, opts));
     }
     let s42 = load_section_42_tables(&["myScheduler", "mx", "my"]).expect("section 4.2 tables");
     for (name, sql) in SECTION42_SAMPLE_QUERIES {
-        blocks.push(explain_block(&s42.db, name, sql));
+        blocks.push(explain_block(&s42.db, name, sql, opts));
     }
     // Same fixture scale as the analyzer sweep and workload snapshot.
     let eval = load_eval_db(&EvalConfig::new(200, 20)).expect("eval db");
     for (name, sql) in PAPER_QUERIES {
-        blocks.push(explain_block(&eval.db, &format!("eval/{name}"), sql));
+        blocks.push(explain_block(&eval.db, &format!("eval/{name}"), sql, opts));
     }
     blocks.join("\n")
 }
@@ -123,13 +123,20 @@ Aggregate (0 keys, 1 projections)
   IndexNLJoin A (col#0) filter: 2 conjuncts (est 200 rows, cost 220) [typed:text,text,timestamp]
     Scan R [SeqScan] filter: 1 conjuncts (est 10 rows, cost 10) [typed:text,text,timestamp]";
 
+/// The plan is the same at every thread count and morsel size: the
+/// executor, not the lowering, decides whether to run it in parallel.
 #[test]
 fn explain_snapshot_is_stable() {
-    let actual = actual_snapshot();
-    if actual != EXPECTED {
-        println!("=== ACTUAL ===\n{actual}\n=== END ===");
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions::default().with_parallelism(8, 16),
+    ] {
+        let actual = actual_snapshot(opts);
+        if actual != EXPECTED {
+            println!("=== ACTUAL ({opts:?}) ===\n{actual}\n=== END ===");
+        }
+        assert_eq!(actual, EXPECTED);
     }
-    assert_eq!(actual, EXPECTED);
 }
 
 /// Beyond the snapshot bytes: the acceptance-level claims, asserted
@@ -145,7 +152,7 @@ fn fast_paths_fire_and_annotations_are_present() {
     ];
     for ((name, sql), (mname, marker)) in FASTPATH_QUERIES.iter().zip(markers) {
         assert_eq!(*name, mname);
-        let block = explain_block(&paper.db, name, sql);
+        let block = explain_block(&paper.db, name, sql, ExecOptions::default());
         assert!(
             block.contains(marker),
             "{name} must show {marker}:\n{block}"
@@ -157,7 +164,7 @@ fn fast_paths_fire_and_annotations_are_present() {
     }
     // The workload itself exercises a fast path too: paper/Q1's IN-list.
     let (name, sql) = PAPER_SAMPLE_QUERIES[0];
-    let block = explain_block(&paper.db, name, sql);
+    let block = explain_block(&paper.db, name, sql, ExecOptions::default());
     assert!(
         block.contains("[fast-path: in-list probe]"),
         "{name} must probe its IN-list through the index:\n{block}"

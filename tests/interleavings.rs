@@ -1,15 +1,18 @@
 //! Dynamic determinism certification: the interleaving explorer run
 //! against the real storage/exec/core stack.
 //!
-//! The `trac-analyze` concurrency pass proves TRAC016–TRAC020
-//! statically; these tests re-prove the two dynamic claims by
-//! exhaustively or randomly exploring bounded interleavings of the
-//! morsel-driven worker pool on a single core:
+//! Parallelism is a run-time route of the executor: the plan is the
+//! same at every thread count, and `ExecOptions::threads` decides
+//! whether the morsel-driven worker pool runs it. These tests prove the
+//! two dynamic claims by exhaustively or randomly exploring bounded
+//! interleavings of that pool on a single core:
 //!
 //! * **determinism** — parallel output is byte-identical to serial
-//!   under *every* explored schedule at `threads ∈ {2, 4}`, and the
-//!   explorer *does* detect the seeded dual bug (a Gather merging in
-//!   completion order instead of morsel order);
+//!   under *every* explored schedule at `threads ∈ {2, 4}` (the
+//!   explorer's power to detect the seeded dual bug, a merge in
+//!   completion order instead of morsel order, is shown by the
+//!   `trac-exec` unit test `explorer_detects_a_completion_order_merge`,
+//!   which drives the private morsel driver directly);
 //! * **report freshness** — the prepared-plan cache is *not*
 //!   invalidated by heartbeat traffic (PR 8): entries persist across
 //!   writes and carry delta-maintained report state instead. No
@@ -25,7 +28,7 @@ use trac::core::Session;
 use trac::exec::schedule::{self, participate, Strategy};
 use trac::exec::{execute_plan_with, ExecOptions};
 use trac::expr::bind_select;
-use trac::plan::{plan_select, PlanNode};
+use trac::plan::plan_select;
 use trac::sql::parse_select;
 use trac::storage::ReadTxn;
 use trac::types::{SourceId, Timestamp};
@@ -95,72 +98,21 @@ fn stock_parallel_scan_is_clean_under_exhaustive_exploration() {
     .unwrap()
     .rows;
     for threads in [2usize, 4] {
-        let parallel = bound_plan(
-            &txn,
-            SCAN_SQL,
-            ExecOptions::default().with_parallelism(threads, 1),
-        );
+        let opts = ExecOptions::default().with_parallelism(threads, 1);
+        let parallel = bound_plan(&txn, SCAN_SQL, opts);
         let report = schedule::explore(Strategy::Exhaustive { max_schedules: 48 }, |_ctl| {
-            let rows = execute_plan_with(&txn, &parallel, ExecOptions::default())
+            let rows = execute_plan_with(&txn, &parallel, opts)
                 .map_err(|e| e.to_string())?
                 .rows;
             if rows == serial {
                 Ok(())
             } else {
-                Err(format!("threads={threads}: morsel-ordered Gather diverged"))
+                Err(format!("threads={threads}: morsel-ordered merge diverged"))
             }
         });
         assert!(report.is_clean(), "threads={threads}: {:?}", report.failure);
         assert!(report.schedules >= 2, "exploration must actually branch");
     }
-}
-
-/// Seeded determinism bug: flipping the Gather to completion-order
-/// merging (exactly mutation `TRAC017` of the static corpus) must be
-/// *detected* by the explorer — some interleaving reorders the output.
-#[test]
-fn explorer_detects_a_completion_order_merge() {
-    let t = load_paper_tables().unwrap();
-    let txn = t.db.begin_read();
-    let serial = execute_plan_with(
-        &txn,
-        &bound_plan(&txn, SCAN_SQL, ExecOptions::default()),
-        ExecOptions::default(),
-    )
-    .unwrap()
-    .rows;
-    let mut buggy = bound_plan(
-        &txn,
-        SCAN_SQL,
-        ExecOptions::default().with_parallelism(2, 1),
-    );
-    fn strip_merge_order(node: &mut PlanNode) {
-        if let PlanNode::Gather { morsel_ordered, .. } = node {
-            *morsel_ordered = false;
-        }
-        for child in node.children_mut() {
-            strip_merge_order(child);
-        }
-    }
-    strip_merge_order(&mut buggy.root);
-    let report = schedule::explore(Strategy::Exhaustive { max_schedules: 200 }, |_ctl| {
-        let rows = execute_plan_with(&txn, &buggy, ExecOptions::default())
-            .map_err(|e| e.to_string())?
-            .rows;
-        if rows == serial {
-            Ok(())
-        } else {
-            Err("completion-order merge produced schedule-dependent rows".into())
-        }
-    });
-    let failure = report
-        .failure
-        .expect("the explorer must find an interleaving that reorders the merge");
-    assert!(failure.message.contains("schedule-dependent"));
-    assert!(
-        !failure.choices.is_empty(),
-        "the failing schedule must be replayable from its decision trace"
-    );
 }
 
 /// Looks up one source's reported recency (normal or exceptional side).

@@ -73,8 +73,8 @@ fn workload_queries_are_byte_identical_to_pre_refactor_snapshot() {
     );
 }
 
-/// The morsel-driven parallel path must reproduce the identical
-/// snapshot: `Gather`'s deterministic morsel-order merge makes parallel
+/// The morsel-driven parallel route must reproduce the identical
+/// snapshot: its deterministic morsel-order merge makes parallel
 /// execution byte-identical to serial, even at 8 workers over these
 /// small fixtures (every query then runs with more workers than
 /// morsels, exercising the worker-clamping path too).
