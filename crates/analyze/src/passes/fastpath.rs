@@ -270,7 +270,7 @@ fn check_single_unfiltered_aggregate(
         )),
     }
     for c in where_conjuncts(q) {
-        if c.references().is_empty() && eval_predicate(&c, &[]) == Ok(Truth::True) {
+        if c.references().is_empty() && eval_predicate(c, &[]) == Ok(Truth::True) {
             continue; // A constant-true conjunct filters nothing.
         }
         out.push(unsound(
@@ -365,10 +365,10 @@ fn check_top_n(
     // needs enforcing: the early stop counts *surviving* rows, so a
     // conjunct enforced anywhere later would make it stop too early.
     for c in where_conjuncts(q) {
-        if c.references().is_empty() && eval_predicate(&c, &[]) == Ok(Truth::True) {
+        if c.references().is_empty() && eval_predicate(c, &[]) == Ok(Truth::True) {
             continue;
         }
-        if !filter.contains(&c) {
+        if !filter.contains(c) {
             out.push(unsound(
                 context,
                 "TopNIndex does not enforce every WHERE conjunct during the walk",
@@ -398,7 +398,7 @@ fn check_top_n(
 }
 
 /// The bound WHERE clause as a conjunct list (empty when absent).
-fn where_conjuncts(q: &BoundSelect) -> Vec<BoundExpr> {
+fn where_conjuncts(q: &BoundSelect) -> Vec<&BoundExpr> {
     let mut conjuncts = Vec::new();
     if let Some(p) = &q.predicate {
         split_and(p, &mut conjuncts);

@@ -95,19 +95,19 @@ fn check_residue(
     let mut empty_justified = false;
     for c in conjuncts {
         if c.references().is_empty() {
-            match eval_predicate(&c, &[]) {
+            match eval_predicate(c, &[]) {
                 Ok(Truth::True) => {}
                 Ok(_) => empty_justified = true,
                 // The planner cannot lower an erroring constant either;
                 // keep it required so the mismatch surfaces.
                 Err(_) => {
-                    if !required.contains(&c) {
-                        required.push(c);
+                    if !required.contains(c) {
+                        required.push(c.clone());
                     }
                 }
             }
-        } else if !required.contains(&c) {
-            required.push(c);
+        } else if !required.contains(c) {
+            required.push(c.clone());
         }
     }
     if facts.empty {

@@ -450,7 +450,7 @@ fn top_n_walk_over_a_probe_preferring_filter_is_caught() {
                 column: 1,
                 desc: false,
                 n: 1,
-                filter,
+                filter: filter.into_iter().cloned().collect(),
                 est_rows: 1,
                 cost: 1,
             }),

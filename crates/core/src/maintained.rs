@@ -641,8 +641,8 @@ impl SubFold {
             trac_plan::split_and(p, &mut conjuncts);
         }
         let mut h_terms: Vec<BoundExpr> = Vec::new();
-        let mut cross_terms: Vec<BoundExpr> = Vec::new();
-        let mut other_terms: Vec<BoundExpr> = Vec::new();
+        let mut cross_terms: Vec<&BoundExpr> = Vec::new();
+        let mut other_terms: Vec<&BoundExpr> = Vec::new();
         for t in conjuncts {
             let tables = t.tables();
             if tables.is_empty() {
@@ -650,7 +650,7 @@ impl SubFold {
             } else if !tables.contains(&0) {
                 other_terms.push(t);
             } else if tables.len() == 1 {
-                h_terms.push(t);
+                h_terms.push(t.clone());
             } else {
                 cross_terms.push(t);
             }
@@ -665,7 +665,7 @@ impl SubFold {
             MaintenanceLicense::SidEquality { .. } => {
                 let witness_cols: Vec<usize> = cross_terms
                     .iter()
-                    .flat_map(BoundExpr::references)
+                    .flat_map(|t| t.references())
                     .filter(|c| c.table != 0)
                     .map(|c| c.column)
                     .collect::<BTreeSet<_>>()

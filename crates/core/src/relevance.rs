@@ -20,9 +20,10 @@
 //! 5. execute every subquery and union the source sets (Corollaries 1 & 4).
 
 use crate::semijoin;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use trac_expr::{
     classify_conjunct, conjunct_satisfiable, to_dnf, unbind::UnbindCtx, unbind_expr, BoundExpr,
     BoundSelect, BoundTable, ColRef, Conjunct, Projection, Sat3,
@@ -157,7 +158,7 @@ impl RecencyPlan {
         opts: trac_plan::ExecOptions,
     ) -> Result<RecencyPlan> {
         let hb_id = txn.table_id(HEARTBEAT_TABLE)?;
-        let hb_schema = txn.schema(hb_id)?;
+        let hb_schema = Arc::new(txn.schema(hb_id)?);
         // Treat a missing predicate as a single empty conjunct: every
         // potential tuple satisfies it.
         let dnf = match &q.predicate {
@@ -302,7 +303,7 @@ fn build_subquery(
     d_idx: usize,
     rel: usize,
     hb_id: trac_storage::TableId,
-    hb_schema: &trac_storage::TableSchema,
+    hb_schema: &Arc<trac_storage::TableSchema>,
     hb_binding: &str,
 ) -> Result<RecencySubquery> {
     let via_relation = q.tables[rel].binding.clone();
@@ -326,10 +327,11 @@ fn build_subquery(
     // them.) The constraint terms sharpen the satisfiability pruning; a
     // mixed-column constraint degrades the minimality label exactly as a
     // mixed user predicate would, which is the sound reading.
-    let mut terms: Vec<BoundExpr> = disjunct.clone();
+    // The disjunct is copied only when a constraint joins it.
+    let mut terms = Cow::Borrowed(disjunct.as_slice());
     for check in &q.tables[rel].schema.checks {
         if let Some(bc) = check.as_any().downcast_ref::<trac_expr::BoundCheck>() {
-            terms.push(bc.expr().map_columns(&|c| ColRef {
+            terms.to_mut().push(bc.expr().map_columns(&|c| ColRef {
                 table: rel,
                 column: c.column,
             }));
@@ -378,7 +380,7 @@ fn build_subquery(
     // relation of Q in order. Map old table positions to new ones.
     let mut new_tables = vec![BoundTable {
         id: hb_id,
-        schema: hb_schema.clone(),
+        schema: Arc::clone(hb_schema),
         binding: hb_binding.to_string(),
     }];
     let mut remap = vec![usize::MAX; q.tables.len()];
@@ -446,7 +448,7 @@ fn render_sql(q: &BoundSelect) -> Result<String> {
     let tables: Vec<(&str, &trac_storage::TableSchema)> = q
         .tables
         .iter()
-        .map(|t| (t.binding.as_str(), &t.schema))
+        .map(|t| (t.binding.as_str(), &*t.schema))
         .collect();
     let ctx = UnbindCtx { tables: &tables };
     let items = q

@@ -32,6 +32,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use trac_exec::{execute_select_with, ExecOptions};
 use trac_expr::{eval_predicate, BoundExpr, BoundSelect, ColRef, Projection, Truth};
+use trac_plan::split_and;
 use trac_sql::BinaryOp;
 use trac_storage::ReadTxn;
 use trac_types::{Result, SourceId, Value};
@@ -63,14 +64,14 @@ pub(crate) fn execute_recency_subquery(
     if let Some(p) = &q.predicate {
         split_and(p, &mut conjuncts);
     }
-    let mut h_terms: Vec<BoundExpr> = Vec::new();
-    let mut cross_terms: Vec<BoundExpr> = Vec::new();
-    let mut other_terms: Vec<BoundExpr> = Vec::new();
+    let mut h_terms: Vec<&BoundExpr> = Vec::new();
+    let mut cross_terms: Vec<&BoundExpr> = Vec::new();
+    let mut other_terms: Vec<&BoundExpr> = Vec::new();
     for t in conjuncts {
         let tables = t.tables();
         if tables.is_empty() {
             // Constant term: a non-TRUE constant empties the result.
-            if eval_predicate(&t, &[])? != Truth::True {
+            if eval_predicate(t, &[])? != Truth::True {
                 return Ok(());
             }
         } else if !tables.contains(&0) {
@@ -85,7 +86,7 @@ pub(crate) fn execute_recency_subquery(
     // Witness columns: every non-H column the join terms mention.
     let witness_cols: Vec<ColRef> = cross_terms
         .iter()
-        .flat_map(trac_expr::BoundExpr::references)
+        .flat_map(|t| t.references())
         .filter(|c| c.table != 0)
         .collect::<BTreeSet<_>>()
         .into_iter()
@@ -255,7 +256,7 @@ fn all_sid_equalities(terms: &[BoundExpr]) -> Option<Vec<usize>> {
 fn h_matches(
     txn: &ReadTxn,
     q: &BoundSelect,
-    h_terms: &[BoundExpr],
+    h_terms: &[&BoundExpr],
     candidates: Option<BTreeSet<Value>>,
     opts: ExecOptions,
 ) -> Result<Vec<Vec<Value>>> {
@@ -280,7 +281,7 @@ fn h_matches(
             // path (it probes the sid index for `P_s'` point/IN terms).
             let h_q = BoundSelect {
                 tables: vec![q.tables[0].clone()],
-                predicate: BoundExpr::conjoin(h_terms.iter().cloned()),
+                predicate: BoundExpr::conjoin(h_terms.iter().copied().cloned()),
                 projections: vec![Projection::Scalar {
                     expr: BoundExpr::col(0, 0),
                     name: "sid".into(),
@@ -314,7 +315,7 @@ fn h_matches(
 fn collect_h(
     txn: &ReadTxn,
     q: &BoundSelect,
-    h_terms: &[BoundExpr],
+    h_terms: &[&BoundExpr],
     candidates: Option<BTreeSet<Value>>,
     opts: ExecOptions,
     out: &mut BTreeSet<SourceId>,
@@ -325,20 +326,6 @@ fn collect_h(
         }
     }
     Ok(())
-}
-
-fn split_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
-    match e {
-        BoundExpr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } => {
-            split_and(lhs, out);
-            split_and(rhs, out);
-        }
-        other => out.push(other.clone()),
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //! This is the engine every plan runs through. Instead of pulling one
 //! tuple at a time, each operator produces a [`ColumnarBatch`] —
 //! per-slot row vectors plus a selection vector of live lanes — and
-//! predicates, join keys and projections evaluate over whole batches
-//! through [`trac_expr::eval_vec`]. The differential suite checks its
+//! predicates, join keys and projections evaluate over whole batches.
+//! Filters and join keys read borrowed lanes
+//! ([`ColumnarBatch::lane_values`]), cloning no `Value`; projections,
+//! sort keys and group keys go through [`trac_expr::eval_vec`], which
+//! clones once per output value. The differential suite checks its
 //! results against an independent naive evaluator.
 //!
 //! Semantic contracts (the executor tests pin the error ones):
@@ -239,9 +242,8 @@ impl HashJoinSource<'_> {
                     .collect());
             }
         }
-        let keys = batch.column(self.outer_key)?;
-        Ok(keys
-            .iter()
+        Ok(batch
+            .lane_values(self.outer_key)?
             .map(|k| match &build.index {
                 JoinIndex::Boxed(t) => t.get(k).map_or(NO_MATCH, Vec::as_slice),
                 // Value identity matching, like the boxed index: only an
@@ -301,9 +303,8 @@ impl BatchSource for IndexNLJoinSource<'_> {
             if batch.is_empty() {
                 continue;
             }
-            let keys = batch.column(self.outer_key)?;
-            let mut matches: Vec<Vec<Row>> = Vec::with_capacity(keys.len());
-            for k in &keys {
+            let mut matches: Vec<Vec<Row>> = Vec::with_capacity(batch.len());
+            for k in batch.lane_values(self.outer_key)? {
                 if k.is_null() {
                     matches.push(Vec::new());
                     continue;
@@ -319,7 +320,7 @@ impl BatchSource for IndexNLJoinSource<'_> {
                     })?;
                 matches.push(rows);
             }
-            let mut joined = batch.join_extend(self.pos, &matches);
+            let mut joined = batch.join_extend(self.pos, matches);
             joined.apply_filter(self.filter, self.cert);
             return Ok(Some(joined));
         }

@@ -464,11 +464,11 @@ fn apply_op_columnar(
             filter,
         } => {
             const NO_MATCH: &[Row] = &[];
-            let keys = batch.column(*outer_key)?;
-            // Buckets are borrowed from the shared partitioned build;
-            // matched rows are cloned only into the output batch.
-            let matches: Vec<&[Row]> = keys
-                .iter()
+            // Keys are read in place and buckets are borrowed from the
+            // shared partitioned build; matched rows are cloned only into
+            // the output batch.
+            let matches: Vec<&[Row]> = batch
+                .lane_values(*outer_key)?
                 .map(|k| {
                     if k.is_null() {
                         NO_MATCH
@@ -490,9 +490,8 @@ fn apply_op_columnar(
             outer_key,
             filter,
         } => {
-            let keys = batch.column(*outer_key)?;
-            let mut matches: Vec<Vec<Row>> = Vec::with_capacity(keys.len());
-            for k in &keys {
+            let mut matches: Vec<Vec<Row>> = Vec::with_capacity(batch.len());
+            for k in batch.lane_values(*outer_key)? {
                 if k.is_null() {
                     matches.push(Vec::new());
                     continue;
@@ -507,7 +506,7 @@ fn apply_op_columnar(
                     })?;
                 matches.push(rows);
             }
-            let mut joined = batch.join_extend(*pos, &matches);
+            let mut joined = batch.join_extend(*pos, matches);
             joined.apply_filter(filter, cert);
             joined
         }

@@ -8,6 +8,7 @@
 //! `is_source_column`-style checks go through it.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use trac_sql::{BinaryOp, Expr, SelectItem, SelectStmt};
 use trac_storage::{ReadTxn, TableId, TableSchema};
 use trac_types::{Result, TracError, Value};
@@ -27,8 +28,9 @@ pub struct ColRef {
 pub struct BoundTable {
     /// Storage-level table id.
     pub id: TableId,
-    /// The table's schema (snapshot at bind time).
-    pub schema: TableSchema,
+    /// The table's schema (snapshot at bind time), shared by every plan
+    /// and generated query that mentions the table.
+    pub schema: Arc<TableSchema>,
     /// The name this mention is referenced by (alias or table name).
     pub binding: String,
 }
@@ -540,7 +542,7 @@ pub fn bind_select(txn: &ReadTxn, stmt: &SelectStmt) -> Result<BoundSelect> {
     let mut tables = Vec::with_capacity(stmt.from.len());
     for tref in &stmt.from {
         let id = txn.table_id(&tref.table)?;
-        let schema = txn.schema(id)?;
+        let schema = Arc::new(txn.schema(id)?);
         let binding = tref.binding_name().to_string();
         if tables
             .iter()

@@ -144,12 +144,12 @@ mod tests {
         vec![
             BoundTable {
                 id: TableId(1),
-                schema: routing,
+                schema: routing.into(),
                 binding: "R".into(),
             },
             BoundTable {
                 id: TableId(2),
-                schema: activity,
+                schema: activity.into(),
                 binding: "A".into(),
             },
         ]

@@ -4,10 +4,16 @@
 //! executor: up to a morsel's worth of tuples stored column-major — one
 //! `Vec<Row>` per FROM slot (a *column of row handles*) plus a
 //! selection vector of live lanes. Filters never move data: they shrink
-//! the selection vector. Expression evaluation ([`eval_vec`]) gathers
-//! the referenced columns into dense `Vec<Value>` vectors and applies
-//! the same scalar kernels as [`crate::eval::eval_expr`], so both paths
-//! agree bit-for-bit on every value they produce.
+//! the selection vector. Expression evaluation reads borrowed lanes: a
+//! column is a vector of `&Value` pointing into the batch's rows
+//! ([`ColumnarBatch::lane_values`]) and a literal is one `&Value` shared
+//! by every lane, so a predicate clones no `Value` — comparisons, `[NOT]
+//! IN`, `IS NULL`, `NOT` and `AND`/`OR` yield bare [`Truth`]s, and only
+//! arithmetic and negation own the values they compute. Every node
+//! applies the same scalar kernels as [`crate::eval::eval_expr`], so both
+//! paths agree bit-for-bit on every value they produce; [`eval_vec`]
+//! clones once, at the root, for the projections, sort keys and group
+//! keys that need owned values.
 //!
 //! Error semantics: `eval_vec` is strict — if any live lane errors, the
 //! batch errors (matching the scalar evaluator, which errors on the
@@ -21,7 +27,7 @@
 //! back to per-lane scalar evaluation whenever a conjunct errors).
 
 use crate::bound::BoundExpr;
-use crate::eval::{arith, compare, eval_predicate, Truth};
+use crate::eval::{arith, compare, eval_predicate, ord_passes, Truth};
 use crate::ColRef;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -147,30 +153,14 @@ pub struct FloatVec {
     pub nulls: Option<Vec<bool>>,
 }
 
-/// A borrowed text lane extracted from a certified mono-typed column —
-/// borrowing avoids the per-value `String` clone the boxed
-/// [`ColumnarBatch::column`] gather pays.
+/// A borrowed text lane extracted from a certified mono-typed column:
+/// the `&str`s point into the batch's rows, so no `String` is cloned.
 #[derive(Debug)]
 pub struct TextVec<'a> {
     /// Borrowed lane values, in selection order.
     pub values: Vec<&'a str>,
     /// Null bitmap (selection order), absent for null-free lanes.
     pub nulls: Option<Vec<bool>>,
-}
-
-/// Whether `ord` satisfies the comparison `op` — the shared predicate
-/// core of every typed comparison kernel, mirroring
-/// [`crate::eval::eval_expr`]'s boxed `compare` exactly.
-fn ord_passes(op: BinaryOp, ord: Ordering) -> bool {
-    match op {
-        BinaryOp::Eq => ord.is_eq(),
-        BinaryOp::NotEq => !ord.is_eq(),
-        BinaryOp::Lt => ord.is_lt(),
-        BinaryOp::LtEq => ord.is_le(),
-        BinaryOp::Gt => ord.is_gt(),
-        BinaryOp::GtEq => ord.is_ge(),
-        _ => unreachable!("ord_passes called with {op:?}"),
-    }
 }
 
 /// The comparison `op` with its operands swapped: `lit op col` becomes
@@ -437,25 +427,6 @@ impl ColumnarBatch {
         self.width
     }
 
-    /// Gathers the column `c` refers to as a dense vector over the live
-    /// lanes, in selection order.
-    pub fn column(&self, c: ColRef) -> Result<Vec<Value>> {
-        let col = self
-            .slots
-            .get(c.table)
-            .and_then(|s| s.as_ref())
-            .ok_or_else(|| TracError::Execution(format!("tuple has no table slot {}", c.table)))?;
-        self.sel
-            .iter()
-            .map(|&l| {
-                col[l as usize]
-                    .get(c.column)
-                    .cloned()
-                    .ok_or_else(|| TracError::Execution(format!("row has no column {}", c.column)))
-            })
-            .collect()
-    }
-
     /// Materializes one lane as a full-width row-major tuple.
     pub fn lane_tuple(&self, lane: u32) -> Vec<Row> {
         self.slots
@@ -487,11 +458,13 @@ impl ColumnarBatch {
 
     /// Shared outer-major expansion behind the join gathers: replicates
     /// every live outer lane `counts[i]` times into fresh column
-    /// vectors, leaving FROM slot `pos` unfilled for the caller.
-    fn join_expand(&self, pos: usize, counts: &[usize]) -> (usize, Vec<Option<Vec<Row>>>, usize) {
+    /// vectors and places `inner` (one row per output lane, already in
+    /// outer-major order) in FROM slot `pos`.
+    fn join_expand(&self, pos: usize, counts: &[usize], inner: Vec<Row>) -> ColumnarBatch {
         debug_assert_eq!(counts.len(), self.sel.len());
+        debug_assert_eq!(counts.iter().sum::<usize>(), inner.len());
         let width = self.width.max(pos + 1);
-        let lanes: usize = counts.iter().sum();
+        let lanes = inner.len();
         let mut slots: Vec<Option<Vec<Row>>> = vec![None; width];
         for (s, out) in slots.iter_mut().enumerate().take(self.width) {
             if s == pos {
@@ -507,17 +480,22 @@ impl ColumnarBatch {
                 *out = Some(v);
             }
         }
-        (width, slots, lanes)
+        slots[pos] = Some(inner);
+        ColumnarBatch {
+            width,
+            slots,
+            sel: (0..lanes as u32).collect(),
+        }
     }
 
     /// Joins this batch against per-lane match lists: the output batch
     /// has one lane per (live lane, match) pair in outer-major order —
     /// the serial nested-loop expansion order — with the match row
     /// placed in FROM slot `pos`. `matches` is dense over the live
-    /// lanes.
-    pub fn join_extend(&self, pos: usize, matches: &[Vec<Row>]) -> ColumnarBatch {
-        let refs: Vec<&[Row]> = matches.iter().map(Vec::as_slice).collect();
-        self.join_extend_ref(pos, &refs)
+    /// lanes; its rows move into the output batch uncloned.
+    pub fn join_extend(&self, pos: usize, matches: Vec<Vec<Row>>) -> ColumnarBatch {
+        let counts: Vec<usize> = matches.iter().map(Vec::len).collect();
+        self.join_expand(pos, &counts, matches.into_iter().flatten().collect())
     }
 
     /// [`Self::join_extend`] over borrowed match lists: each matched row
@@ -526,17 +504,8 @@ impl ColumnarBatch {
     /// materializing per-lane copies first.
     pub fn join_extend_ref(&self, pos: usize, matches: &[&[Row]]) -> ColumnarBatch {
         let counts: Vec<usize> = matches.iter().map(|m| m.len()).collect();
-        let (width, mut slots, lanes) = self.join_expand(pos, &counts);
-        let mut col = Vec::with_capacity(lanes);
-        for m in matches {
-            col.extend(m.iter().cloned());
-        }
-        slots[pos] = Some(col);
-        ColumnarBatch {
-            width,
-            slots,
-            sel: (0..lanes as u32).collect(),
-        }
+        let inner = matches.iter().flat_map(|m| m.iter().cloned()).collect();
+        self.join_expand(pos, &counts, inner)
     }
 
     /// [`Self::join_extend`] against a shared build-side row store:
@@ -551,17 +520,11 @@ impl ColumnarBatch {
         matches: &[&[u32]],
     ) -> ColumnarBatch {
         let counts: Vec<usize> = matches.iter().map(|m| m.len()).collect();
-        let (width, mut slots, lanes) = self.join_expand(pos, &counts);
-        let mut col = Vec::with_capacity(lanes);
-        for m in matches {
-            col.extend(m.iter().map(|&i| rows[i as usize].clone()));
-        }
-        slots[pos] = Some(col);
-        ColumnarBatch {
-            width,
-            slots,
-            sel: (0..lanes as u32).collect(),
-        }
+        let inner = matches
+            .iter()
+            .flat_map(|m| m.iter().map(|&i| rows[i as usize].clone()))
+            .collect();
+        self.join_expand(pos, &counts, inner)
     }
 
     /// Extracts the column `c` refers to as an unboxed integer lane.
@@ -648,8 +611,9 @@ impl ColumnarBatch {
     }
 
     /// Borrowed view of the column `c` refers to over the live lanes,
-    /// in selection order (no `Value` clones).
-    fn lane_values(&self, c: ColRef) -> Result<impl Iterator<Item = &Value>> {
+    /// in selection order (no `Value` clones). Errs when the batch has
+    /// no such slot or a live row no such column.
+    pub fn lane_values(&self, c: ColRef) -> Result<impl Iterator<Item = &Value>> {
         let col = self
             .slots
             .get(c.table)
@@ -764,14 +728,13 @@ impl ColumnarBatch {
         }
     }
 
-    /// One conjunct's pass/fail mask over the live lanes. Vectorized
-    /// evaluation first; if any lane errors, falls back to per-lane
-    /// scalar evaluation so error lanes (and only those) fail.
+    /// One conjunct's pass/fail mask over the live lanes, read straight
+    /// off the borrowed evaluation. If any lane errors, falls back to
+    /// per-lane scalar evaluation so error lanes (and only those) fail.
     fn filter_mask(&self, conjunct: &BoundExpr) -> Vec<bool> {
-        match eval_vec(conjunct, self) {
-            Ok(vals) => vals
-                .iter()
-                .map(|v| matches!(Truth::of_value(v), Ok(Truth::True)))
+        match eval_lanes(conjunct, self) {
+            Ok(lanes) => (0..self.len())
+                .map(|i| matches!(lanes.truth(i), Ok(Truth::True)))
                 .collect(),
             Err(_) => self
                 .sel
@@ -787,89 +750,170 @@ impl ColumnarBatch {
     }
 }
 
-/// Vectorized expression evaluation: one output [`Value`] per live lane
-/// of `batch`, in selection order. The vectorized twin of
-/// [`crate::eval::eval_expr`], built from the same scalar kernels.
-pub fn eval_vec(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<Value>> {
+/// One subexpression's values over the live lanes of a batch, in
+/// selection order. Values that already exist are borrowed, never
+/// cloned: a column reads its rows in place and a literal is one value
+/// shared by every lane. Predicates carry bare [`Truth`]s; only
+/// arithmetic and negation own the values they compute.
+enum Lanes<'a> {
+    /// One value broadcast to every lane (a literal).
+    Splat(&'a Value),
+    /// One borrowed value per lane (a column).
+    Refs(Vec<&'a Value>),
+    /// One computed value per lane.
+    Owned(Vec<Value>),
+    /// One truth value per lane (a predicate).
+    Truths(Vec<Truth>),
+}
+
+/// The [`Value`]s a [`Truth`] lane reads as, for the consumers that
+/// take a predicate as a value (`(a = b) IS NULL`, `eval_vec`'s root).
+static TRUE: Value = Value::Bool(true);
+static FALSE: Value = Value::Bool(false);
+static NULL: Value = Value::Null;
+
+impl Lanes<'_> {
+    /// Lane `i`'s value.
+    fn get(&self, i: usize) -> &Value {
+        match self {
+            Lanes::Splat(v) => v,
+            Lanes::Refs(v) => v[i],
+            Lanes::Owned(v) => &v[i],
+            Lanes::Truths(t) => match t[i] {
+                Truth::True => &TRUE,
+                Truth::False => &FALSE,
+                Truth::Unknown => &NULL,
+            },
+        }
+    }
+
+    /// Lane `i`'s truth value; errs where the value is not a boolean.
+    fn truth(&self, i: usize) -> Result<Truth> {
+        match self {
+            Lanes::Truths(t) => Ok(t[i]),
+            other => Truth::of_value(other.get(i)),
+        }
+    }
+
+    /// The `n` lanes as owned values — the one place evaluation clones.
+    fn into_values(self, n: usize) -> Vec<Value> {
+        match self {
+            Lanes::Splat(v) => vec![v.clone(); n],
+            Lanes::Refs(v) => v.into_iter().cloned().collect(),
+            Lanes::Owned(v) => v,
+            Lanes::Truths(t) => t.into_iter().map(Truth::to_value).collect(),
+        }
+    }
+}
+
+/// Evaluates `expr` over the live lanes of `batch` as borrowed
+/// [`Lanes`]. Strict: if any live lane errors, the whole evaluation
+/// errors.
+fn eval_lanes<'a>(expr: &'a BoundExpr, batch: &'a ColumnarBatch) -> Result<Lanes<'a>> {
     let n = batch.len();
-    match expr {
-        BoundExpr::Column(c) => batch.column(*c),
-        BoundExpr::Literal(v) => Ok(vec![v.clone(); n]),
+    Ok(match expr {
+        BoundExpr::Column(c) => Lanes::Refs(batch.lane_values(*c)?.collect()),
+        BoundExpr::Literal(v) => Lanes::Splat(v),
         BoundExpr::Binary { op, lhs, rhs } => {
-            let l = eval_vec(lhs, batch)?;
-            let r = eval_vec(rhs, batch)?;
+            let l = eval_lanes(lhs, batch)?;
+            let r = eval_lanes(rhs, batch)?;
             if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                return l
-                    .iter()
-                    .zip(&r)
-                    .map(|(a, b)| {
-                        let (ta, tb) = (Truth::of_value(a)?, Truth::of_value(b)?);
-                        Ok(match op {
-                            BinaryOp::And => ta.and(tb),
-                            _ => ta.or(tb),
-                        }
-                        .to_value())
-                    })
-                    .collect();
+                Lanes::Truths(
+                    (0..n)
+                        .map(|i| {
+                            let (a, b) = (l.truth(i)?, r.truth(i)?);
+                            Ok(match op {
+                                BinaryOp::And => a.and(b),
+                                _ => a.or(b),
+                            })
+                        })
+                        .collect::<Result<_>>()?,
+                )
+            } else if op.is_comparison() {
+                Lanes::Truths((0..n).map(|i| compare(*op, l.get(i), r.get(i))).collect())
+            } else {
+                Lanes::Owned(
+                    (0..n)
+                        .map(|i| arith(*op, l.get(i), r.get(i)))
+                        .collect::<Result<_>>()?,
+                )
             }
-            if op.is_comparison() {
-                return Ok(l.iter().zip(&r).map(|(a, b)| compare(*op, a, b)).collect());
-            }
-            l.iter().zip(&r).map(|(a, b)| arith(*op, a, b)).collect()
         }
         BoundExpr::InList {
             expr,
             list,
             negated,
         } => {
-            let needles = eval_vec(expr, batch)?;
-            let items: Vec<Vec<Value>> = list
+            let needles = eval_lanes(expr, batch)?;
+            let items: Vec<Lanes<'_>> = list
                 .iter()
-                .map(|e| eval_vec(e, batch))
+                .map(|e| eval_lanes(e, batch))
                 .collect::<Result<_>>()?;
-            Ok(needles
-                .iter()
-                .enumerate()
-                .map(|(i, needle)| {
-                    let mut truth = Truth::False;
-                    for item in &items {
-                        match needle.sql_eq(&item[i]) {
-                            Some(true) => {
-                                truth = Truth::True;
-                                break;
+            Lanes::Truths(
+                (0..n)
+                    .map(|i| {
+                        let needle = needles.get(i);
+                        let mut truth = Truth::False;
+                        for item in &items {
+                            match needle.sql_eq(item.get(i)) {
+                                Some(true) => {
+                                    truth = Truth::True;
+                                    break;
+                                }
+                                Some(false) => {}
+                                None => truth = Truth::Unknown,
                             }
-                            Some(false) => {}
-                            None => truth = Truth::Unknown,
                         }
-                    }
-                    if *negated {
-                        truth = truth.not();
-                    }
-                    truth.to_value()
-                })
-                .collect())
+                        if *negated {
+                            truth.not()
+                        } else {
+                            truth
+                        }
+                    })
+                    .collect(),
+            )
         }
-        BoundExpr::IsNull { expr, negated } => Ok(eval_vec(expr, batch)?
-            .iter()
-            .map(|v| Value::Bool(v.is_null() != *negated))
-            .collect()),
-        BoundExpr::Not(e) => eval_vec(e, batch)?
-            .iter()
-            .map(|v| Ok(Truth::of_value(v)?.not().to_value()))
-            .collect(),
-        BoundExpr::Neg(e) => eval_vec(e, batch)?
-            .iter()
-            .map(|v| match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(TracError::Type(format!(
-                    "cannot negate {}",
-                    other.type_name()
-                ))),
-            })
-            .collect(),
-    }
+        BoundExpr::IsNull { expr, negated } => {
+            let v = eval_lanes(expr, batch)?;
+            Lanes::Truths(
+                (0..n)
+                    .map(|i| Truth::from_bool(v.get(i).is_null() != *negated))
+                    .collect(),
+            )
+        }
+        BoundExpr::Not(e) => {
+            let v = eval_lanes(e, batch)?;
+            Lanes::Truths(
+                (0..n)
+                    .map(|i| Ok(v.truth(i)?.not()))
+                    .collect::<Result<_>>()?,
+            )
+        }
+        BoundExpr::Neg(e) => {
+            let v = eval_lanes(e, batch)?;
+            Lanes::Owned(
+                (0..n)
+                    .map(|i| match v.get(i) {
+                        Value::Null => Ok(Value::Null),
+                        Value::Int(x) => Ok(Value::Int(-x)),
+                        Value::Float(f) => Ok(Value::Float(-f)),
+                        other => Err(TracError::Type(format!(
+                            "cannot negate {}",
+                            other.type_name()
+                        ))),
+                    })
+                    .collect::<Result<_>>()?,
+            )
+        }
+    })
+}
+
+/// Vectorized expression evaluation: one output [`Value`] per live lane
+/// of `batch`, in selection order. The vectorized twin of
+/// [`crate::eval::eval_expr`], built from the same scalar kernels over
+/// borrowed lanes; the values are cloned once, here at the root.
+pub fn eval_vec(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<Value>> {
+    Ok(eval_lanes(expr, batch)?.into_values(batch.len()))
 }
 
 #[cfg(test)]
@@ -933,12 +977,7 @@ mod tests {
         b.apply_filter(std::slice::from_ref(&p), &KernelCert::default());
         // NULL lane is unknown (dropped), 4 fails, 1 and 2 survive.
         assert_eq!(b.len(), 2);
-        let col = b
-            .column(ColRef {
-                table: 0,
-                column: 0,
-            })
-            .unwrap();
+        let col = eval_vec(&E::col(0, 0), &b).unwrap();
         assert_eq!(col, vec![Value::Int(1), Value::Int(2)]);
     }
 
@@ -963,14 +1002,143 @@ mod tests {
         );
         b.apply_filter(std::slice::from_ref(&p), &KernelCert::default());
         assert_eq!(b.len(), 1);
-        assert_eq!(
-            b.column(ColRef {
-                table: 0,
-                column: 0
-            })
-            .unwrap(),
-            vec![Value::Int(3)]
+        assert_eq!(eval_vec(&E::col(0, 0), &b).unwrap(), vec![Value::Int(3)]);
+    }
+
+    /// Lanes `(a INT, b FLOAT, x INT)` with a NULL in `a`, a NULL and a
+    /// NaN in `b`, and a zero divisor in `x`.
+    fn mixed_batch() -> ColumnarBatch {
+        ColumnarBatch::from_rows(
+            1,
+            0,
+            vec![
+                row(vec![Value::Int(1), Value::Float(1.0), Value::Int(0)]),
+                row(vec![Value::Null, Value::Float(2.5), Value::Int(5)]),
+                row(vec![Value::Int(3), Value::Null, Value::Int(2)]),
+                row(vec![Value::Int(2), Value::Float(f64::NAN), Value::Int(10)]),
+                row(vec![Value::Int(4), Value::Float(4.0), Value::Int(1)]),
+            ],
+        )
+    }
+
+    /// The borrowed mask for `p`, after checking it equals the scalar
+    /// evaluator's verdict lane by lane.
+    fn checked_mask(b: &ColumnarBatch, p: &BoundExpr) -> Vec<bool> {
+        let mask = b.filter_mask(p);
+        let scalar: Vec<bool> = b
+            .to_tuples()
+            .iter()
+            .map(|t| matches!(eval_predicate(p, t), Ok(Truth::True)))
+            .collect();
+        assert_eq!(mask, scalar, "borrowed mask vs eval_predicate for {p:?}");
+        mask
+    }
+
+    fn in_list(needle: BoundExpr, list: Vec<BoundExpr>, negated: bool) -> BoundExpr {
+        E::InList {
+            expr: Box::new(needle),
+            list,
+            negated,
+        }
+    }
+
+    #[test]
+    fn borrowed_in_masks_follow_three_valued_logic() {
+        let b = mixed_batch();
+        let null = E::Literal(Value::Null);
+        // A NULL needle is unknown under NOT IN: lane 1 fails.
+        let p = in_list(E::col(0, 0), vec![E::lit(1i64), E::lit(2i64)], true);
+        assert_eq!(checked_mask(&b, &p), [false, false, true, false, true]);
+        // A NULL list item makes NOT IN never TRUE.
+        let p = in_list(E::col(0, 0), vec![E::lit(1i64), null.clone()], true);
+        assert_eq!(checked_mask(&b, &p), [false; 5]);
+        // …while IN still passes the lanes that hit a non-NULL item, and
+        // compares INT needles against FLOAT items by value.
+        let p = in_list(E::col(0, 0), vec![E::lit(3.0f64), null], false);
+        assert_eq!(checked_mask(&b, &p), [false, false, true, false, false]);
+    }
+
+    #[test]
+    fn borrowed_column_comparisons_fail_null_and_nan_lanes() {
+        let b = mixed_batch();
+        let (a, fb) = (E::col(0, 0), E::col(0, 1));
+        // Column against column, INT against FLOAT: NULL on either side
+        // (lanes 1, 2) and the NaN lane (3) are unknown.
+        let p = E::binary(BinaryOp::Eq, a.clone(), fb.clone());
+        assert_eq!(checked_mask(&b, &p), [true, false, false, false, true]);
+        let p = E::binary(BinaryOp::LtEq, fb.clone(), a.clone());
+        assert_eq!(checked_mask(&b, &p), [true, false, false, false, true]);
+        let p = E::binary(BinaryOp::Lt, a, E::lit(2.5f64));
+        assert_eq!(checked_mask(&b, &p), [true, false, false, true, false]);
+        // NaN is incomparable even with itself: `b <> b` and
+        // `NOT (b = b)` are unknown on lane 3, never TRUE.
+        let p = E::binary(BinaryOp::NotEq, fb.clone(), fb.clone());
+        assert_eq!(checked_mask(&b, &p), [false; 5]);
+        let p = E::Not(Box::new(E::binary(BinaryOp::Eq, fb.clone(), fb.clone())));
+        assert_eq!(checked_mask(&b, &p), [false; 5]);
+        let p = E::binary(BinaryOp::Gt, fb, E::lit(2i64));
+        assert_eq!(checked_mask(&b, &p), [false, true, false, false, true]);
+    }
+
+    #[test]
+    fn erroring_conjunct_drops_only_its_own_lane() {
+        let mut b = mixed_batch();
+        // 10 / x errors on lane 0 only (x = 0).
+        let p = E::binary(
+            BinaryOp::Gt,
+            E::binary(BinaryOp::Div, E::lit(10i64), E::col(0, 2)),
+            E::lit(1i64),
         );
+        assert!(eval_vec(&p, &b).is_err(), "the strict evaluation errs");
+        assert_eq!(checked_mask(&b, &p), [false, true, true, false, true]);
+        let guarded = E::binary(
+            BinaryOp::And,
+            E::IsNull {
+                expr: Box::new(E::col(0, 0)),
+                negated: true,
+            },
+            p.clone(),
+        );
+        assert_eq!(
+            checked_mask(&b, &guarded),
+            [false, false, true, false, true]
+        );
+        b.apply_filter(&[p], &KernelCert::default());
+        assert_eq!(
+            eval_vec(&E::col(0, 2), &b).unwrap(),
+            [Value::Int(5), Value::Int(2), Value::Int(1)]
+        );
+    }
+
+    #[test]
+    fn eval_vec_projections_equal_eval_expr() {
+        let b = mixed_batch();
+        let projections = [
+            E::col(0, 1),
+            E::lit("k"),
+            E::binary(BinaryOp::Add, E::col(0, 0), E::col(0, 2)),
+            E::binary(BinaryOp::Mul, E::col(0, 1), E::lit(2i64)),
+            E::Neg(Box::new(E::col(0, 1))),
+            E::binary(BinaryOp::Lt, E::col(0, 0), E::col(0, 1)),
+            in_list(
+                E::col(0, 0),
+                vec![E::lit(1i64), E::Literal(Value::Null)],
+                false,
+            ),
+            E::IsNull {
+                expr: Box::new(E::binary(BinaryOp::Eq, E::col(0, 1), E::col(0, 1))),
+                negated: false,
+            },
+        ];
+        for e in &projections {
+            let got = eval_vec(e, &b).unwrap();
+            let want: Vec<Value> = b
+                .to_tuples()
+                .iter()
+                .map(|t| eval_expr(e, t).unwrap())
+                .collect();
+            assert_eq!(got, want, "expr {e:?}");
+        }
     }
 
     fn cert_int_text() -> KernelCert {
@@ -1125,21 +1293,11 @@ mod tests {
         );
         let m1 = row(vec![Value::text("a")]);
         let m2 = row(vec![Value::text("b")]);
-        let joined = outer.join_extend(1, &[vec![m1, m2.clone()], vec![m2]]);
+        let joined = outer.join_extend(1, vec![vec![m1, m2.clone()], vec![m2]]);
         assert_eq!(joined.len(), 3);
-        let outer_col = joined
-            .column(ColRef {
-                table: 0,
-                column: 0,
-            })
-            .unwrap();
+        let outer_col = eval_vec(&E::col(0, 0), &joined).unwrap();
         assert_eq!(outer_col, vec![Value::Int(1), Value::Int(1), Value::Int(2)]);
-        let inner_col = joined
-            .column(ColRef {
-                table: 1,
-                column: 0,
-            })
-            .unwrap();
+        let inner_col = eval_vec(&E::col(1, 0), &joined).unwrap();
         assert_eq!(
             inner_col,
             vec![Value::text("a"), Value::text("b"), Value::text("b")]
@@ -1162,7 +1320,7 @@ mod tests {
         // index lists into the shared store must gather identically.
         let owned = outer.join_extend(
             1,
-            &[
+            vec![
                 vec![store[0].clone(), store[1].clone()],
                 vec![],
                 vec![store[1].clone()],
@@ -1174,17 +1332,11 @@ mod tests {
         let indexed = outer.join_extend_indexed(1, &store, &idx);
         for joined in [&borrowed, &indexed] {
             assert_eq!(joined.len(), owned.len());
-            for col in [
-                ColRef {
-                    table: 0,
-                    column: 0,
-                },
-                ColRef {
-                    table: 1,
-                    column: 0,
-                },
-            ] {
-                assert_eq!(joined.column(col).unwrap(), owned.column(col).unwrap());
+            for col in [E::col(0, 0), E::col(1, 0)] {
+                assert_eq!(
+                    eval_vec(&col, joined).unwrap(),
+                    eval_vec(&col, &owned).unwrap()
+                );
             }
         }
     }

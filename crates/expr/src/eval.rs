@@ -5,6 +5,8 @@
 //! executor keeps only rows whose predicate is [`Truth::True`].
 
 use crate::bound::BoundExpr;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use trac_sql::BinaryOp;
 use trac_storage::Row;
 use trac_types::{Result, TracError, Value};
@@ -21,7 +23,7 @@ pub enum Truth {
 }
 
 impl Truth {
-    fn from_bool(b: bool) -> Truth {
+    pub(crate) fn from_bool(b: bool) -> Truth {
         if b {
             Truth::True
         } else {
@@ -82,44 +84,53 @@ impl Truth {
 /// Evaluates a scalar expression against a composite tuple: `tuple[t]` is
 /// the row for the query's `t`-th table.
 pub fn eval_expr(expr: &BoundExpr, tuple: &[Row]) -> Result<Value> {
+    Ok(eval_ref(expr, tuple)?.into_owned())
+}
+
+/// Evaluates `expr` against `tuple` without cloning what already exists:
+/// a column is borrowed from its row and a literal from the expression,
+/// so only computed values (truths, arithmetic) are owned.
+fn eval_ref<'a>(expr: &'a BoundExpr, tuple: &'a [Row]) -> Result<Cow<'a, Value>> {
+    let owned = |v: Value| Ok(Cow::Owned(v));
     match expr {
         BoundExpr::Column(c) => {
             let row = tuple.get(c.table).ok_or_else(|| {
                 TracError::Execution(format!("tuple has no table slot {}", c.table))
             })?;
             row.get(c.column)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| TracError::Execution(format!("row has no column {}", c.column)))
         }
-        BoundExpr::Literal(v) => Ok(v.clone()),
+        BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
         BoundExpr::Binary { op, lhs, rhs } => {
             if matches!(op, BinaryOp::And | BinaryOp::Or) {
                 // Short-circuit-free 3VL evaluation (both sides are cheap).
-                let l = Truth::of_value(&eval_expr(lhs, tuple)?)?;
-                let r = Truth::of_value(&eval_expr(rhs, tuple)?)?;
-                return Ok(match op {
-                    BinaryOp::And => l.and(r),
-                    _ => l.or(r),
-                }
-                .to_value());
+                let l = eval_predicate(lhs, tuple)?;
+                let r = eval_predicate(rhs, tuple)?;
+                return owned(
+                    match op {
+                        BinaryOp::And => l.and(r),
+                        _ => l.or(r),
+                    }
+                    .to_value(),
+                );
             }
-            let l = eval_expr(lhs, tuple)?;
-            let r = eval_expr(rhs, tuple)?;
+            let l = eval_ref(lhs, tuple)?;
+            let r = eval_ref(rhs, tuple)?;
             if op.is_comparison() {
-                return Ok(compare(*op, &l, &r));
+                return owned(compare(*op, &l, &r).to_value());
             }
-            arith(*op, &l, &r)
+            owned(arith(*op, &l, &r)?)
         }
         BoundExpr::InList {
             expr,
             list,
             negated,
         } => {
-            let needle = eval_expr(expr, tuple)?;
+            let needle = eval_ref(expr, tuple)?;
             let mut truth = Truth::False;
             for item in list {
-                let v = eval_expr(item, tuple)?;
-                match needle.sql_eq(&v) {
+                match needle.sql_eq(eval_ref(item, tuple)?.as_ref()) {
                     Some(true) => {
                         truth = Truth::True;
                         break;
@@ -129,20 +140,16 @@ pub fn eval_expr(expr: &BoundExpr, tuple: &[Row]) -> Result<Value> {
                 }
             }
             let truth = if *negated { truth.not() } else { truth };
-            Ok(truth.to_value())
+            owned(truth.to_value())
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = eval_expr(expr, tuple)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+            owned(Value::Bool(eval_ref(expr, tuple)?.is_null() != *negated))
         }
-        BoundExpr::Not(e) => {
-            let t = Truth::of_value(&eval_expr(e, tuple)?)?;
-            Ok(t.not().to_value())
-        }
-        BoundExpr::Neg(e) => match eval_expr(e, tuple)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(f) => Ok(Value::Float(-f)),
+        BoundExpr::Not(e) => owned(eval_predicate(e, tuple)?.not().to_value()),
+        BoundExpr::Neg(e) => match eval_ref(e, tuple)?.as_ref() {
+            Value::Null => owned(Value::Null),
+            Value::Int(i) => owned(Value::Int(-i)),
+            Value::Float(f) => owned(Value::Float(-f)),
             other => Err(TracError::Type(format!(
                 "cannot negate {}",
                 other.type_name()
@@ -151,22 +158,26 @@ pub fn eval_expr(expr: &BoundExpr, tuple: &[Row]) -> Result<Value> {
     }
 }
 
-/// SQL comparison kernel: `NULL` when either side is `NULL` or the
-/// types are incomparable, a boolean otherwise. Shared by the scalar
-/// evaluator and the vectorized [`crate::columnar`] path so both agree
-/// bit-for-bit.
-pub(crate) fn compare(op: BinaryOp, l: &Value, r: &Value) -> Value {
-    match l.sql_cmp(r) {
-        None => Value::Null,
-        Some(ord) => Value::Bool(match op {
-            BinaryOp::Eq => ord.is_eq(),
-            BinaryOp::NotEq => !ord.is_eq(),
-            BinaryOp::Lt => ord.is_lt(),
-            BinaryOp::LtEq => ord.is_le(),
-            BinaryOp::Gt => ord.is_gt(),
-            BinaryOp::GtEq => ord.is_ge(),
-            _ => unreachable!("compare called with {op:?}"),
-        }),
+/// SQL comparison kernel: `Unknown` when either side is `NULL` or the
+/// types are incomparable, the comparison's truth otherwise. Shared by
+/// the scalar evaluator and the vectorized [`crate::columnar`] path so
+/// both agree bit-for-bit.
+pub(crate) fn compare(op: BinaryOp, l: &Value, r: &Value) -> Truth {
+    l.sql_cmp(r)
+        .map_or(Truth::Unknown, |ord| Truth::from_bool(ord_passes(op, ord)))
+}
+
+/// Whether `ord` satisfies the comparison `op` — the predicate core of
+/// [`compare`] and of every typed comparison kernel.
+pub(crate) fn ord_passes(op: BinaryOp, ord: Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => ord.is_eq(),
+        BinaryOp::NotEq => !ord.is_eq(),
+        BinaryOp::Lt => ord.is_lt(),
+        BinaryOp::LtEq => ord.is_le(),
+        BinaryOp::Gt => ord.is_gt(),
+        BinaryOp::GtEq => ord.is_ge(),
+        _ => unreachable!("comparison kernel called with {op:?}"),
     }
 }
 
@@ -209,7 +220,7 @@ pub(crate) fn arith(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 
 /// Evaluates a predicate to a [`Truth`].
 pub fn eval_predicate(expr: &BoundExpr, tuple: &[Row]) -> Result<Truth> {
-    Truth::of_value(&eval_expr(expr, tuple)?)
+    Truth::of_value(eval_ref(expr, tuple)?.as_ref())
 }
 
 #[cfg(test)]

@@ -92,15 +92,10 @@ fn nnf(expr: &BoundExpr, negate: bool) -> BoundExpr {
 pub fn to_dnf(expr: &BoundExpr, budget: usize) -> Dnf {
     let nnf = to_nnf(expr);
     match dnf(&nnf, budget) {
-        Some(mut disjuncts) => {
-            for c in &mut disjuncts {
-                dedup_terms(c);
-            }
-            Dnf {
-                disjuncts,
-                exact: true,
-            }
-        }
+        Some(disjuncts) => Dnf {
+            disjuncts: disjuncts.into_iter().map(distinct_terms).collect(),
+            exact: true,
+        },
         None => Dnf {
             // The whole (unnormalized) predicate as one opaque "term" is
             // still a valid formula, but classification cannot use it;
@@ -111,7 +106,9 @@ pub fn to_dnf(expr: &BoundExpr, budget: usize) -> Dnf {
     }
 }
 
-fn dnf(expr: &BoundExpr, budget: usize) -> Option<Vec<Conjunct>> {
+/// The DNF of an NNF predicate over borrowed terms, so distribution
+/// copies pointers, not expressions.
+fn dnf(expr: &BoundExpr, budget: usize) -> Option<Vec<Vec<&BoundExpr>>> {
     match expr {
         BoundExpr::Binary {
             op: BinaryOp::Or,
@@ -143,31 +140,31 @@ fn dnf(expr: &BoundExpr, budget: usize) -> Option<Vec<Conjunct>> {
                         return None;
                     }
                     let mut c = Vec::with_capacity(a.len() + b.len());
-                    c.extend(a.iter().cloned());
-                    c.extend(b.iter().cloned());
+                    c.extend_from_slice(a);
+                    c.extend_from_slice(b);
                     out.push(c);
                 }
             }
             Some(out)
         }
-        term => Some(vec![vec![term.clone()]]),
+        term => Some(vec![vec![term]]),
     }
 }
 
-fn term_count(d: &[Conjunct]) -> usize {
+fn term_count(d: &[Vec<&BoundExpr>]) -> usize {
     d.iter().map(Vec::len).sum()
 }
 
-fn dedup_terms(c: &mut Conjunct) {
-    let mut seen: Vec<BoundExpr> = Vec::with_capacity(c.len());
-    c.retain(|t| {
-        if seen.contains(t) {
-            false
-        } else {
-            seen.push(t.clone());
-            true
+/// One owned conjunct: the distinct terms of `c`, in first-occurrence
+/// order, each cloned once.
+fn distinct_terms(c: Vec<&BoundExpr>) -> Conjunct {
+    let mut out: Conjunct = Vec::with_capacity(c.len());
+    for t in c {
+        if !out.contains(t) {
+            out.push(t.clone());
         }
-    });
+    }
+    out
 }
 
 #[cfg(test)]

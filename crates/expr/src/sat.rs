@@ -17,7 +17,7 @@
 use crate::bound::{BoundExpr, ColRef};
 use crate::eval::{eval_predicate, Truth};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use trac_sql::BinaryOp;
 use trac_storage::Row;
@@ -183,27 +183,28 @@ fn exhaustive(
     }
 }
 
-/// One end of an interval constraint.
+/// One end of an interval constraint, borrowing its literal.
 #[derive(Debug, Clone)]
-struct IntervalBound {
-    value: Value,
+struct IntervalBound<'a> {
+    value: &'a Value,
     closed: bool,
 }
 
-/// Accumulated constraints for one equality class of columns.
+/// Accumulated constraints for one equality class of columns. The
+/// values are borrowed from the conjunct's literals, never cloned.
 #[derive(Debug, Clone)]
-struct Constraints {
+struct Constraints<'a> {
     domains: Vec<ColumnDomain>,
-    lo: Option<IntervalBound>,
-    hi: Option<IntervalBound>,
+    lo: Option<IntervalBound<'a>>,
+    hi: Option<IntervalBound<'a>>,
     /// Explicit allowed set (from `=` / `IN`); `None` = unconstrained.
-    allowed: Option<BTreeSet<Value>>,
+    allowed: Option<BTreeSet<&'a Value>>,
     /// Excluded values (from `<>` / `NOT IN`).
-    excluded: BTreeSet<Value>,
+    excluded: BTreeSet<&'a Value>,
 }
 
-impl Constraints {
-    fn new() -> Constraints {
+impl<'a> Constraints<'a> {
+    fn new() -> Constraints<'a> {
         Constraints {
             domains: Vec::new(),
             lo: None,
@@ -213,10 +214,10 @@ impl Constraints {
         }
     }
 
-    fn tighten_lo(&mut self, value: Value, closed: bool) {
+    fn tighten_lo(&mut self, value: &'a Value, closed: bool) {
         let replace = match &self.lo {
             None => true,
-            Some(cur) => match value.sql_cmp(&cur.value) {
+            Some(cur) => match value.sql_cmp(cur.value) {
                 Some(Ordering::Greater) => true,
                 Some(Ordering::Equal) => cur.closed && !closed,
                 _ => false,
@@ -227,10 +228,10 @@ impl Constraints {
         }
     }
 
-    fn tighten_hi(&mut self, value: Value, closed: bool) {
+    fn tighten_hi(&mut self, value: &'a Value, closed: bool) {
         let replace = match &self.hi {
             None => true,
-            Some(cur) => match value.sql_cmp(&cur.value) {
+            Some(cur) => match value.sql_cmp(cur.value) {
                 Some(Ordering::Less) => true,
                 Some(Ordering::Equal) => cur.closed && !closed,
                 _ => false,
@@ -241,23 +242,23 @@ impl Constraints {
         }
     }
 
-    fn restrict_allowed(&mut self, set: BTreeSet<Value>) {
+    fn restrict_allowed(&mut self, set: BTreeSet<&'a Value>) {
         self.allowed = Some(match self.allowed.take() {
             None => set,
-            Some(cur) => cur.intersection(&set).cloned().collect(),
+            Some(cur) => cur.intersection(&set).copied().collect(),
         });
     }
 
     fn passes_interval(&self, v: &Value) -> bool {
         if let Some(lo) = &self.lo {
-            match v.sql_cmp(&lo.value) {
+            match v.sql_cmp(lo.value) {
                 Some(Ordering::Greater) => {}
                 Some(Ordering::Equal) if lo.closed => {}
                 _ => return false,
             }
         }
         if let Some(hi) = &self.hi {
-            match v.sql_cmp(&hi.value) {
+            match v.sql_cmp(hi.value) {
                 Some(Ordering::Less) => {}
                 Some(Ordering::Equal) if hi.closed => {}
                 _ => return false,
@@ -458,27 +459,28 @@ impl Constraints {
     }
 }
 
-/// Simple union-find over column refs.
+/// Simple union-find over column refs. A conjunct names a handful of
+/// columns, so ids are found by a linear scan.
 struct UnionFind {
-    ids: HashMap<ColRef, usize>,
+    ids: Vec<ColRef>,
     parent: Vec<usize>,
 }
 
 impl UnionFind {
     fn new() -> UnionFind {
         UnionFind {
-            ids: HashMap::new(),
+            ids: Vec::new(),
             parent: Vec::new(),
         }
     }
 
     fn id(&mut self, c: ColRef) -> usize {
-        if let Some(&i) = self.ids.get(&c) {
+        if let Some(i) = self.ids.iter().position(|x| *x == c) {
             return i;
         }
         let i = self.parent.len();
         self.parent.push(i);
-        self.ids.insert(c, i);
+        self.ids.push(c);
         i
     }
 
@@ -499,26 +501,23 @@ impl UnionFind {
     }
 }
 
-/// What shape a term has for the propagation engine.
-enum Shape {
-    ColCmpLit(ColRef, BinaryOp, Value),
+/// What shape a term has for the propagation engine, borrowing the
+/// term's literals.
+enum Shape<'a> {
+    ColCmpLit(ColRef, BinaryOp, &'a Value),
     ColEqCol(ColRef, ColRef),
-    ColInLits(ColRef, Vec<Value>, bool),
+    ColInLits(ColRef, Vec<&'a Value>, bool),
     ColIsNull(bool),
     Constant(Truth),
     Unsupported,
 }
 
-fn shape_of(term: &BoundExpr) -> Shape {
+fn shape_of(term: &BoundExpr) -> Shape<'_> {
     match term {
         BoundExpr::Binary { op, lhs, rhs } if op.is_comparison() => {
             match (lhs.as_ref(), rhs.as_ref()) {
-                (BoundExpr::Column(c), BoundExpr::Literal(v)) => {
-                    Shape::ColCmpLit(*c, *op, v.clone())
-                }
-                (BoundExpr::Literal(v), BoundExpr::Column(c)) => {
-                    Shape::ColCmpLit(*c, op.flip(), v.clone())
-                }
+                (BoundExpr::Column(c), BoundExpr::Literal(v)) => Shape::ColCmpLit(*c, *op, v),
+                (BoundExpr::Literal(v), BoundExpr::Column(c)) => Shape::ColCmpLit(*c, op.flip(), v),
                 (BoundExpr::Column(a), BoundExpr::Column(b)) if *op == BinaryOp::Eq => {
                     Shape::ColEqCol(*a, *b)
                 }
@@ -534,7 +533,7 @@ fn shape_of(term: &BoundExpr) -> Shape {
                 let mut lits = Vec::with_capacity(list.len());
                 for item in list {
                     match item {
-                        BoundExpr::Literal(v) => lits.push(v.clone()),
+                        BoundExpr::Literal(v) => lits.push(v),
                         _ => return Shape::Unsupported,
                     }
                 }
@@ -578,23 +577,23 @@ fn propagate(conjunct: &[BoundExpr], dom: &dyn Fn(ColRef) -> ColumnDomain) -> Sa
             Shape::Unsupported => {}
         }
     }
-    // Register every referenced column so its domain participates.
-    for t in conjunct {
-        for c in t.references() {
-            uf.id(c);
+    // Register every referenced column so its domain participates (the
+    // shapes above registered their own).
+    for (t, s) in conjunct.iter().zip(&shapes) {
+        if matches!(s, Shape::ColIsNull(_) | Shape::Unsupported) {
+            for c in t.references() {
+                uf.id(c);
+            }
         }
     }
-    // Pass 2: accumulate constraints per class.
-    let mut classes: HashMap<usize, Constraints> = HashMap::new();
-    let cols: Vec<ColRef> = uf.ids.keys().copied().collect();
-    for c in cols {
-        let i = uf.id(c);
+    // Pass 2: accumulate constraints per class, indexed by class root.
+    let mut classes: Vec<Option<Constraints>> = (0..uf.ids.len()).map(|_| None).collect();
+    for i in 0..uf.ids.len() {
         let root = uf.find(i);
-        classes
-            .entry(root)
-            .or_insert_with(Constraints::new)
+        classes[root]
+            .get_or_insert_with(Constraints::new)
             .domains
-            .push(dom(c));
+            .push(dom(uf.ids[i]));
     }
     let mut unknown = false;
     for s in &shapes {
@@ -605,32 +604,32 @@ fn propagate(conjunct: &[BoundExpr], dom: &dyn Fn(ColRef) -> ColumnDomain) -> Sa
                 }
                 let i = uf.id(*c);
                 let root = uf.find(i);
-                let k = classes.get_mut(&root).expect("registered above");
+                let k = classes[root].as_mut().expect("registered above");
                 match op {
-                    BinaryOp::Eq => k.restrict_allowed(BTreeSet::from([v.clone()])),
+                    BinaryOp::Eq => k.restrict_allowed(BTreeSet::from([*v])),
                     BinaryOp::NotEq => {
-                        k.excluded.insert(v.clone());
+                        k.excluded.insert(*v);
                     }
-                    BinaryOp::Lt => k.tighten_hi(v.clone(), false),
-                    BinaryOp::LtEq => k.tighten_hi(v.clone(), true),
-                    BinaryOp::Gt => k.tighten_lo(v.clone(), false),
-                    BinaryOp::GtEq => k.tighten_lo(v.clone(), true),
+                    BinaryOp::Lt => k.tighten_hi(v, false),
+                    BinaryOp::LtEq => k.tighten_hi(v, true),
+                    BinaryOp::Gt => k.tighten_lo(v, false),
+                    BinaryOp::GtEq => k.tighten_lo(v, true),
                     _ => unreachable!("shape_of only passes comparisons"),
                 }
             }
             Shape::ColInLits(c, lits, negated) => {
                 let i = uf.id(*c);
                 let root = uf.find(i);
-                let k = classes.get_mut(&root).expect("registered above");
+                let k = classes[root].as_mut().expect("registered above");
                 if *negated {
-                    if lits.iter().any(Value::is_null) {
+                    if lits.iter().any(|v| v.is_null()) {
                         // x NOT IN (…, NULL, …) is never True.
                         return Sat3::Unsat;
                     }
-                    k.excluded.extend(lits.iter().cloned());
+                    k.excluded.extend(lits.iter().copied());
                 } else {
-                    let set: BTreeSet<Value> =
-                        lits.iter().filter(|v| !v.is_null()).cloned().collect();
+                    let set: BTreeSet<&Value> =
+                        lits.iter().filter(|v| !v.is_null()).copied().collect();
                     k.restrict_allowed(set);
                 }
             }
@@ -639,7 +638,7 @@ fn propagate(conjunct: &[BoundExpr], dom: &dyn Fn(ColRef) -> ColumnDomain) -> Sa
         }
     }
     // Pass 3: emptiness per class.
-    for k in classes.values() {
+    for k in classes.iter().flatten() {
         match k.non_empty() {
             Some(false) => return Sat3::Unsat,
             Some(true) => {}

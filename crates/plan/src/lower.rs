@@ -36,8 +36,8 @@ use trac_sql::BinaryOp;
 use trac_storage::{ColumnStats, ReadTxn};
 use trac_types::{DataType, Result};
 
-/// Splits nested `AND`s into a conjunct list.
-pub fn split_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
+/// Splits nested `AND`s into a conjunct list borrowed from `e`.
+pub fn split_and<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
     match e {
         BoundExpr::Binary {
             op: BinaryOp::And,
@@ -47,7 +47,7 @@ pub fn split_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
             split_and(lhs, out);
             split_and(rhs, out);
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
@@ -328,7 +328,7 @@ fn greedy_order(
 /// additionally reflect the catalog's write-time statistics.
 pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<PhysicalPlan> {
     // 1. Split the predicate into top-level conjuncts.
-    let mut conjuncts: Vec<BoundExpr> = Vec::new();
+    let mut conjuncts = Vec::new();
     if let Some(p) = &q.predicate {
         split_and(p, &mut conjuncts);
     }
@@ -337,11 +337,11 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
     let mut trivially_empty = false;
     for c in conjuncts {
         if c.references().is_empty() {
-            if eval_predicate(&c, &[])? != Truth::True {
+            if eval_predicate(c, &[])? != Truth::True {
                 trivially_empty = true;
             }
         } else {
-            remaining.push(c);
+            remaining.push(c.clone());
         }
     }
     // Per-table statistics snapshots drive every estimate below.
@@ -412,8 +412,17 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                     }
                 }
             }
-            // Pick an equi-join conjunct usable as a key: pos.col = joined.col.
-            let equi = applicable.iter().find_map(|c| equi_key(c, pos, &joined));
+            // Pick an equi-join conjunct usable as a key: pos.col =
+            // joined.col over two columns of one declared type. Keyed
+            // joins match on `Value` identity, which ranks `Int(2)` and
+            // `Float(2.0)` apart although SQL's `=` widens the pair, so
+            // a mixed-type key lowers to `NLJoin` instead.
+            let equi = applicable.iter().find_map(|c| {
+                equi_key(c, pos, &joined).filter(|(inner_col, outer_key)| {
+                    bt.schema.column(*inner_col).ty
+                        == q.tables[outer_key.table].schema.column(outer_key.column).ty
+                })
+            });
             let access = choose_access_path(txn, bt.id, pos, &table_conjuncts[pos], opts);
             joined.insert(pos);
             let Some(outer) = tree else {
@@ -646,6 +655,43 @@ mod tests {
             panic!("expected NLJoin: {input:?}");
         };
         assert_eq!(filter.len(), 1);
+    }
+
+    #[test]
+    fn mixed_type_equi_keys_lower_to_nested_loops() {
+        let db = Database::new();
+        for (name, ty) in [
+            ("a", DataType::Int),
+            ("b", DataType::Float),
+            ("c", DataType::Int),
+        ] {
+            db.create_table(
+                TableSchema::new(
+                    name,
+                    vec![ColumnDef::new("s", DataType::Text), ColumnDef::new("k", ty)],
+                    Some("s"),
+                )
+                .unwrap(),
+            )
+            .unwrap();
+            db.create_index(name, "k").unwrap();
+        }
+        let no_index = ExecOptions {
+            enable_index_scan: false,
+            ..Default::default()
+        };
+        for opts in [ExecOptions::default(), no_index] {
+            // INT = FLOAT: no hash or index key, whatever the options.
+            let p = plan(&db, "SELECT a.s FROM a, b WHERE a.k = b.k", opts);
+            assert_eq!(p.operator_counts()["NLJoin"], 1, "{opts:?}");
+            // A same-typed conjunct beside it still keys the join.
+            let p = plan(
+                &db,
+                "SELECT a.s FROM a, c WHERE a.s = c.k AND a.k = c.k",
+                opts,
+            );
+            assert!(!p.operator_counts().contains_key("NLJoin"), "{opts:?}");
+        }
     }
 
     #[test]

@@ -125,14 +125,14 @@ pub fn classify_maintenance(q: &BoundSelect) -> MaintenanceLicense {
     if let Some(p) = &q.predicate {
         crate::split_and(p, &mut conjuncts);
     }
-    let mut h_terms: Vec<BoundExpr> = Vec::new();
-    let mut cross_terms: Vec<BoundExpr> = Vec::new();
+    let mut h_terms: Vec<&BoundExpr> = Vec::new();
+    let mut cross_terms: Vec<&BoundExpr> = Vec::new();
     for t in conjuncts {
         let tables = t.tables();
         if tables.is_empty() {
             // A constant term is data-independent: FALSE/NULL empties
             // the result forever, TRUE restricts nothing.
-            match eval_predicate(&t, &[]) {
+            match eval_predicate(t, &[]) {
                 Ok(Truth::True) => {}
                 Ok(_) => return MaintenanceLicense::ProvenEmpty,
                 Err(_) => return rescan("constant term does not evaluate"),
@@ -172,7 +172,7 @@ pub fn classify_maintenance(q: &BoundSelect) -> MaintenanceLicense {
     // Every join term must be `H.sid = <witness column>` (either
     // orientation) for an inserted witness row to nominate exactly one
     // candidate source id.
-    for t in &cross_terms {
+    for t in cross_terms {
         let BoundExpr::Binary {
             op: BinaryOp::Eq,
             lhs,
@@ -211,7 +211,8 @@ mod tests {
                 ],
                 Some("sid"),
             )
-            .unwrap(),
+            .unwrap()
+            .into(),
             binding: "H".into(),
         }
     }
@@ -227,7 +228,8 @@ mod tests {
                 ],
                 Some("mach_id"),
             )
-            .unwrap(),
+            .unwrap()
+            .into(),
             binding: binding.into(),
         }
     }

@@ -106,4 +106,4 @@ cargo run --release -q -p trac-analyze --bin trac-analyze -- --typeflow --format
   | diff -u scripts/analyzer_baseline.json - \
   || { echo "analyzer sweep diverged from scripts/analyzer_baseline.json"; exit 1; }
 
-echo "All checks passed."
+echo "All checks passed in ${SECONDS} s."

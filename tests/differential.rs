@@ -431,6 +431,69 @@ proptest! {
     }
 }
 
+/// INT = FLOAT equi-joins compare under SQL's numeric widening (`2 =
+/// 2.0` is TRUE), which `Value` identity does not share: a hash bucket or
+/// an index key ranks `Int(2)` and `Float(2.0)` apart, and re-applying
+/// the conjunct afterwards cannot restore a dropped match. Every join
+/// strategy the options can select, without and then with indexes on
+/// both key columns (the index-nested-loop shape), must agree with the
+/// reference, and the widened matches must be there.
+#[test]
+fn int_float_equi_joins_match_the_reference() {
+    let db = Database::new();
+    for sql in [
+        "CREATE TABLE a (s TEXT NOT NULL, k INT) SOURCE COLUMN s",
+        "CREATE TABLE b (s TEXT NOT NULL, x FLOAT) SOURCE COLUMN s",
+        "INSERT INTO a VALUES ('s0', 2)",
+        "INSERT INTO a VALUES ('s1', 3)",
+        "INSERT INTO a VALUES ('s2', NULL)",
+        "INSERT INTO b VALUES ('s0', 2.0)",
+        "INSERT INTO b VALUES ('s1', 2.5)",
+        "INSERT INTO b VALUES ('s2', 3.0)",
+    ] {
+        execute_statement(&db, sql).unwrap();
+    }
+    let queries = [
+        "SELECT COUNT(*) FROM a, b WHERE a.k = b.x",
+        "SELECT a.s, b.s FROM a, b WHERE b.x = a.k",
+        "SELECT b.s, a.k FROM b, a WHERE a.k = b.x",
+    ];
+    let arms = [
+        trac::plan::ExecOptions::default(),
+        trac::plan::ExecOptions {
+            enable_index_scan: false,
+            ..Default::default()
+        },
+        trac::plan::ExecOptions {
+            enable_hash_join: false,
+            ..Default::default()
+        },
+    ];
+    for indexed in [false, true] {
+        if indexed {
+            execute_statement(&db, "CREATE INDEX ak ON a (k)").unwrap();
+            execute_statement(&db, "CREATE INDEX bx ON b (x)").unwrap();
+        }
+        let txn = db.begin_read();
+        for sql in queries {
+            let bound = bind_select(&txn, &parse_select(sql).unwrap()).unwrap();
+            let groups = reference_eval(&txn, &bound);
+            let due: usize = groups.iter().map(Vec::len).sum();
+            if bound.is_aggregate() {
+                assert_eq!(groups, vec![vec![vec![Value::Int(2)]]], "{sql}");
+            } else {
+                assert_eq!(due, 2, "the reference finds both widened matches: {sql}");
+            }
+            for opts in arms {
+                let got = execute_select_with(&txn, &bound, opts).unwrap().0.rows;
+                if let Err(e) = check_against_reference(&got, &groups, None) {
+                    panic!("indexed={indexed} {opts:?}: {sql}: {e}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
