@@ -440,7 +440,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
             // The probe restricts rows to `column ∈ keys`; that is only
             // sound if an enforced conjunct of this very leaf implies it.
             let justified = facts.enforced.iter().any(|t| {
-                probe_candidate(t, *pos).is_some_and(|(col, cand)| {
+                probe_candidate(t, *pos, &table.schema).is_some_and(|(col, cand)| {
                     col == *column && keys.iter().all(|k| cand.contains(k))
                 })
             });

@@ -209,7 +209,7 @@ fn walk(
             // over exactly this column (`col IN (lits)` or `col = lit`);
             // invented or widened key sets would change results.
             let derivable = where_conjuncts(q).iter().any(|c| {
-                probe_candidate(c, *pos).is_some_and(|(col, mut ks)| {
+                probe_candidate(c, *pos, &table.schema).is_some_and(|(col, mut ks)| {
                     ks.sort();
                     ks.dedup();
                     col == *column && ks == *keys
@@ -382,9 +382,14 @@ fn check_top_n(
     // the cost model would feed the general plan by an index probe,
     // rows stream in *key* order instead and sort ties could resolve
     // differently.
-    if let AccessPath::IndexProbe { column: pc, keys } =
-        choose_access_path(txn, table.id, pos, filter, ExecOptions::default())
-    {
+    if let AccessPath::IndexProbe { column: pc, keys } = choose_access_path(
+        txn,
+        table,
+        &txn.table_stats(table.id),
+        pos,
+        filter,
+        ExecOptions::default(),
+    ) {
         out.push(unsound(
             context,
             format!(

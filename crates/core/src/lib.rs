@@ -38,6 +38,6 @@ pub mod zscore;
 pub use maintained::{MaintainedReport, ServeKind};
 pub use metrics::{false_positive_rate, overhead};
 pub use relevance::{Guarantee, RecencyPlan, RecencySubquery, RelevanceConfig};
-pub use report::{RecencyReport, ReportConfig, StalenessSummary};
+pub use report::{MemberPair, MemberPairs, RecencyReport, ReportConfig, StalenessSummary};
 pub use session::{MaintenanceStats, Method, PlanCacheStats, ReportOutput, Session};
 pub use zscore::{mean, population_std_dev, z_scores};

@@ -15,6 +15,10 @@
 //!   (folded with `max`, which is exact because heartbeat maintenance
 //!   is monotone and events carry the *offered* timestamp), grown per
 //!   event under each subquery's [`MaintenanceLicense`];
+//! * the **served list** — the [`MemberPairs`] last served, shared
+//!   with the reports and pending report tables built from it, and
+//!   handed out again until a member is added or advances (each such
+//!   mutation clears it; registration seeds it with the rescan's list);
 //! * the stream **cursor** and the fold **basis** (see below);
 //! * certified **auxiliary aggregates** over the member pairs:
 //!   max-recency (maintained directly — heartbeat advances are
@@ -75,6 +79,7 @@
 //! that does the same.
 
 use crate::relevance::RecencyPlan;
+use crate::report::{MemberPair, MemberPairs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use trac_exec::ExecOptions;
@@ -85,10 +90,6 @@ use trac_storage::{
     TxnStatus, HEARTBEAT_TABLE,
 };
 use trac_types::{Result, SourceId, Timestamp, TracError, Value};
-
-/// A relevant member together with its current recency — the unit the
-/// maintained state serves and aggregates over.
-pub type MemberPair = (SourceId, Timestamp);
 
 /// How one report request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +145,10 @@ pub struct MaintainedReport {
     /// carrying its current recency (max-folded), sid-sorted so serving
     /// is one linear pass.
     members: BTreeMap<SourceId, Timestamp>,
+    /// The member list last served, kept until `members` next changes:
+    /// a refresh that folds no membership or recency change hands out
+    /// this same list again. Every mutation of `members` clears it.
+    served: Option<MemberPairs>,
     /// Per-subquery fold logic (proven-empty subqueries are absent).
     subs: Vec<SubFold>,
     /// Plan-level: report every source (analysis gave up).
@@ -169,7 +174,7 @@ impl MaintainedReport {
         db: &Database,
         plan: &RecencyPlan,
         opts: ExecOptions,
-    ) -> Result<(MaintainedReport, Vec<(SourceId, Timestamp)>)> {
+    ) -> Result<(MaintainedReport, MemberPairs)> {
         // DBLog low watermark, taken before the rescan: the first event
         // this snapshot cannot see. Writers racing the rescan publish
         // at or past it; re-folding what the rescan already saw is
@@ -193,6 +198,7 @@ impl MaintainedReport {
             cursor: cursor.unwrap_or(0),
             basis: txn.snapshot.coverage_basis(),
             members: BTreeMap::new(),
+            served: None,
             subs,
             all_sources: plan.all_sources,
             needs_rescan: cursor.is_none(),
@@ -206,6 +212,8 @@ impl MaintainedReport {
         for (sid, ts) in &pairs {
             state.add_member(sid.clone(), *ts);
         }
+        // The rescan's list is the member map's, in the same sid order.
+        state.served = Some(pairs.clone());
         Ok((state, pairs))
     }
 
@@ -220,7 +228,7 @@ impl MaintainedReport {
         db: &Database,
         plan: &RecencyPlan,
         opts: ExecOptions,
-    ) -> Result<(Vec<(SourceId, Timestamp)>, ServeKind)> {
+    ) -> Result<(MemberPairs, ServeKind)> {
         // Schedule point: the interleaving explorer switches threads
         // between taking the state out of the plan cache and folding,
         // to drive writes into the middle of a fold.
@@ -281,7 +289,7 @@ impl MaintainedReport {
         db: &Database,
         plan: &RecencyPlan,
         opts: ExecOptions,
-    ) -> Result<(Vec<(SourceId, Timestamp)>, ServeKind)> {
+    ) -> Result<(MemberPairs, ServeKind)> {
         let (state, pairs) = MaintainedReport::register(txn, db, plan, opts)?;
         *self = state;
         Ok((pairs, ServeKind::Rescan))
@@ -497,7 +505,8 @@ impl MaintainedReport {
                 }
             }
         }
-        for (sid, ts) in opened.into_iter().chain(fetch_recencies(txn, &nominated)?) {
+        let fetched = fetch_recencies(txn, &nominated)?;
+        for (sid, ts) in opened.into_iter().chain(fetched.iter().cloned()) {
             self.add_member(sid, ts);
         }
         Ok(())
@@ -511,6 +520,7 @@ impl MaintainedReport {
             return;
         }
         self.members.insert(sid.clone(), ts);
+        self.served = None;
         let m = i128::from(ts.micros());
         self.count += 1;
         self.sum += m;
@@ -540,6 +550,7 @@ impl MaintainedReport {
         if let Some(mv) = self.members.get_mut(sid) {
             *mv = new;
         }
+        self.served = None;
         let o = i128::from(old.micros());
         let n = i128::from(new.micros());
         self.sum += n - o;
@@ -572,11 +583,14 @@ impl MaintainedReport {
         self.min_stale = false;
     }
 
-    /// The member pairs, read straight from maintained state: one
+    /// The member pairs, read straight from maintained state: the
+    /// memoized list when nothing changed since it was served, else one
     /// linear pass over the member map (already sid-sorted, matching
     /// the rescan path's order).
-    fn serve_pairs(&self) -> Vec<(SourceId, Timestamp)> {
-        self.members.iter().map(|(s, t)| (s.clone(), *t)).collect()
+    fn serve_pairs(&mut self) -> MemberPairs {
+        self.served
+            .get_or_insert_with(|| MemberPairs::from(&self.members))
+            .clone()
     }
 
     fn aggregates_consistent(&self, pairs: &[(SourceId, Timestamp)]) -> bool {
@@ -779,19 +793,17 @@ pub(crate) fn rescan_pairs(
     txn: &ReadTxn,
     plan: &RecencyPlan,
     opts: ExecOptions,
-) -> Result<Vec<(SourceId, Timestamp)>> {
+) -> Result<MemberPairs> {
     let sids = plan.execute_with(txn, opts)?;
     fetch_recencies(txn, &sids)
 }
 
 /// Fetches `(source, recency)` for the given sids from `Heartbeat` in
-/// the same snapshot, preferring the sid index.
-pub(crate) fn fetch_recencies(
-    txn: &ReadTxn,
-    sids: &BTreeSet<SourceId>,
-) -> Result<Vec<(SourceId, Timestamp)>> {
+/// the same snapshot, preferring the sid index (whose probe already
+/// yields sid order; the scan fallback is sorted by the conversion).
+pub(crate) fn fetch_recencies(txn: &ReadTxn, sids: &BTreeSet<SourceId>) -> Result<MemberPairs> {
     if sids.is_empty() {
-        return Ok(Vec::new());
+        return Ok(MemberPairs::default());
     }
     let hb = txn.table_id(HEARTBEAT_TABLE)?;
     let keys: Vec<Value> = sids.iter().map(SourceId::to_value).collect();
@@ -841,11 +853,7 @@ mod tests {
             .unwrap();
         assert_eq!(kind, ServeKind::Delta);
         let expect = rescan_pairs(&txn, plan, ExecOptions::default()).unwrap();
-        let mut sorted = pairs;
-        sorted.sort();
-        let mut expect_sorted = expect;
-        expect_sorted.sort();
-        assert_eq!(sorted, expect_sorted);
+        assert_eq!(pairs, expect);
     }
 
     #[test]

@@ -8,9 +8,96 @@
 //! difference, the **bound of inconsistency**.
 
 use crate::relevance::Guarantee;
-use crate::zscore::z_scores;
+use crate::zscore::ZScore;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use trac_types::{SourceId, Timestamp, TsDuration};
+
+/// A relevant source together with its recency timestamp.
+pub type MemberPair = (SourceId, Timestamp);
+
+/// An immutable, sid-sorted list of member pairs behind one reference
+/// count. The maintained report state, the [`RecencyReport`] built from
+/// it and the session's pending report tables all hold the same list,
+/// so handing it on is a pointer copy, never a pair copy.
+///
+/// Every constructor leaves the pairs sorted by source id (stably: pairs
+/// with equal ids keep their input order).
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct MemberPairs(Arc<Vec<MemberPair>>);
+
+impl MemberPairs {
+    /// True when both lists are the same allocation (not merely equal).
+    pub fn ptr_eq(&self, other: &MemberPairs) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Splits the list into the pairs `taken` rejects and those it
+    /// selects, each still in sid order.
+    fn partition(&self, taken: impl Fn(&MemberPair) -> bool) -> (MemberPairs, MemberPairs) {
+        let (yes, no): (Vec<_>, Vec<_>) = self.0.iter().cloned().partition(taken);
+        (MemberPairs(Arc::new(no)), MemberPairs(Arc::new(yes)))
+    }
+}
+
+impl From<Vec<MemberPair>> for MemberPairs {
+    /// Sorts stably by source id (a single linear pass when the pairs
+    /// already are).
+    fn from(mut pairs: Vec<MemberPair>) -> MemberPairs {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        MemberPairs(Arc::new(pairs))
+    }
+}
+
+impl From<&BTreeMap<SourceId, Timestamp>> for MemberPairs {
+    /// The map's pairs, already in sid order.
+    fn from(members: &BTreeMap<SourceId, Timestamp>) -> MemberPairs {
+        MemberPairs(Arc::new(
+            members.iter().map(|(s, t)| (s.clone(), *t)).collect(),
+        ))
+    }
+}
+
+impl FromIterator<MemberPair> for MemberPairs {
+    fn from_iter<I: IntoIterator<Item = MemberPair>>(iter: I) -> MemberPairs {
+        MemberPairs::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl Deref for MemberPairs {
+    type Target = [MemberPair];
+    fn deref(&self) -> &[MemberPair] {
+        self.0.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a MemberPairs {
+    type Item = &'a MemberPair;
+    type IntoIter = std::slice::Iter<'a, MemberPair>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq<Vec<MemberPair>> for MemberPairs {
+    fn eq(&self, other: &Vec<MemberPair>) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<MemberPairs> for Vec<MemberPair> {
+    fn eq(&self, other: &MemberPairs) -> bool {
+        *self == *other.0
+    }
+}
+
+impl fmt::Debug for MemberPairs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// Tunables for report computation.
 #[derive(Debug, Clone, Copy)]
@@ -34,10 +121,12 @@ impl Default for ReportConfig {
 #[derive(Debug, Clone)]
 pub struct RecencyReport {
     /// "Normal" relevant sources and their recency timestamps, sorted by
-    /// source id (contents of the `sys_temp_a…` table).
-    pub normal: Vec<(SourceId, Timestamp)>,
+    /// source id (contents of the `sys_temp_a…` table). When no source
+    /// is exceptional this is the very list the report was computed
+    /// from.
+    pub normal: MemberPairs,
     /// Exceptional (outlier) relevant sources (the `sys_temp_e…` table).
-    pub exceptional: Vec<(SourceId, Timestamp)>,
+    pub exceptional: MemberPairs,
     /// Least recent normal source.
     pub least_recent: Option<(SourceId, Timestamp)>,
     /// Most recent normal source.
@@ -49,28 +138,25 @@ pub struct RecencyReport {
 }
 
 impl RecencyReport {
-    /// Builds a report from `(source, recency)` pairs.
+    /// Builds a report from `(source, recency)` pairs. `sources` is
+    /// already sid-sorted, so nothing is re-sorted; with no exceptional
+    /// source, `normal` shares `sources` itself.
     pub fn compute(
-        mut sources: Vec<(SourceId, Timestamp)>,
+        sources: MemberPairs,
         guarantee: Guarantee,
         config: ReportConfig,
     ) -> RecencyReport {
-        sources.sort_by(|a, b| a.0.cmp(&b.0));
-        let (normal, exceptional) = if config.detect_exceptional && sources.len() >= 2 {
-            let xs: Vec<f64> = sources.iter().map(|(_, t)| t.micros() as f64).collect();
-            let z = z_scores(&xs);
-            let mut normal = Vec::with_capacity(sources.len());
-            let mut exceptional = Vec::new();
-            for (pair, zi) in sources.into_iter().zip(z) {
-                if zi.abs() >= config.z_threshold {
-                    exceptional.push(pair);
-                } else {
-                    normal.push(pair);
-                }
-            }
-            (normal, exceptional)
+        let micros = |(_, t): &MemberPair| t.micros() as f64;
+        let z = (config.detect_exceptional && sources.len() >= 2)
+            .then(|| ZScore::of(sources.iter().map(micros)));
+        let exceptional_at = |pair: &MemberPair| {
+            z.as_ref()
+                .is_some_and(|z| z.score(micros(pair)).abs() >= config.z_threshold)
+        };
+        let (normal, exceptional) = if sources.iter().any(exceptional_at) {
+            sources.partition(exceptional_at)
         } else {
-            (sources, Vec::new())
+            (sources, MemberPairs::default())
         };
         let least_recent = normal.iter().min_by_key(|(_, t)| *t).cloned();
         let most_recent = normal.iter().max_by_key(|(_, t)| *t).cloned();
@@ -234,7 +320,7 @@ mod tests {
     #[test]
     fn reproduces_paper_session_output() {
         let report = RecencyReport::compute(
-            paper_session_sources(),
+            paper_session_sources().into(),
             Guarantee::Minimum,
             ReportConfig::default(),
         );
@@ -261,7 +347,7 @@ mod tests {
     #[test]
     fn no_outliers_without_detection() {
         let report = RecencyReport::compute(
-            paper_session_sources(),
+            paper_session_sources().into(),
             Guarantee::Minimum,
             ReportConfig {
                 detect_exceptional: false,
@@ -276,14 +362,18 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_reports() {
-        let r = RecencyReport::compute(vec![], Guarantee::Minimum, ReportConfig::default());
+        let r = RecencyReport::compute(
+            MemberPairs::default(),
+            Guarantee::Minimum,
+            ReportConfig::default(),
+        );
         assert_eq!(r.relevant_count(), 0);
         assert!(r.least_recent.is_none());
         assert!(r.inconsistency_bound.is_none());
         assert!(r.to_string().contains("No normal relevant data sources"));
 
         let r = RecencyReport::compute(
-            vec![src("m1", 100)],
+            vec![src("m1", 100)].into(),
             Guarantee::UpperBound,
             ReportConfig::default(),
         );
@@ -296,7 +386,7 @@ mod tests {
         let sources: Vec<_> = (0..50)
             .map(|i| src(&format!("s{i:02}"), 1000 + i))
             .collect();
-        let r = RecencyReport::compute(sources, Guarantee::Minimum, ReportConfig::default());
+        let r = RecencyReport::compute(sources.into(), Guarantee::Minimum, ReportConfig::default());
         assert!(r.exceptional.is_empty());
         assert_eq!(r.normal.len(), 50);
         assert_eq!(r.inconsistency_bound.unwrap(), TsDuration::from_secs(49));
@@ -311,7 +401,7 @@ mod tests {
             .map(|(i, &t)| src(&format!("s{i}"), t))
             .collect();
         let r = RecencyReport::compute(
-            sources,
+            sources.into(),
             Guarantee::Minimum,
             ReportConfig {
                 detect_exceptional: false,
@@ -332,11 +422,15 @@ mod tests {
 
     #[test]
     fn staleness_summary_empty_and_exclusions() {
-        let r = RecencyReport::compute(vec![], Guarantee::Minimum, ReportConfig::default());
+        let r = RecencyReport::compute(
+            MemberPairs::default(),
+            Guarantee::Minimum,
+            ReportConfig::default(),
+        );
         assert!(r.staleness_summary(Timestamp::from_secs(0)).is_none());
         // With an outlier split off, the summary says so.
         let r = RecencyReport::compute(
-            paper_session_sources(),
+            paper_session_sources().into(),
             Guarantee::Minimum,
             ReportConfig::default(),
         );
@@ -349,7 +443,7 @@ mod tests {
     #[test]
     fn normal_list_is_sorted_by_source() {
         let r = RecencyReport::compute(
-            vec![src("b", 2), src("a", 1), src("c", 3)],
+            vec![src("b", 2), src("a", 1), src("c", 3)].into(),
             Guarantee::Minimum,
             ReportConfig::default(),
         );

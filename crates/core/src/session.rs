@@ -18,7 +18,7 @@
 
 use crate::maintained::{self, MaintainedReport, ServeKind};
 use crate::relevance::{Guarantee, RecencyPlan, RelevanceConfig};
-use crate::report::{RecencyReport, ReportConfig};
+use crate::report::{MemberPairs, RecencyReport, ReportConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -29,7 +29,7 @@ use trac_plan::DEFAULT_BATCH_SIZE;
 use trac_sql::parse_select;
 use trac_storage::lockorder::{self, LockId};
 use trac_storage::{heartbeat, ColumnDef, Database, ReadTxn, TableSchema, HEARTBEAT_TABLE};
-use trac_types::{DataType, Result, SourceId, Timestamp, Value};
+use trac_types::{DataType, Result, Value};
 
 /// Which recency-reporting method to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +154,9 @@ impl PlanKey {
     }
 }
 
-/// The detail rows of one report table, `(source, recency)`.
-type ReportRows = Vec<(SourceId, Timestamp)>;
+/// The detail rows of one report table, `(source, recency)`: the
+/// report's own shared list, not a copy of it.
+type ReportRows = MemberPairs;
 
 /// A user session against a TRAC-enabled database.
 pub struct Session {
@@ -407,7 +408,7 @@ impl Session {
         let t0 = Instant::now();
         let (pairs, guarantee) = match plan {
             Some(plan) => (self.relevant_pairs(txn, plan, cache_key)?, plan.guarantee),
-            None => (heartbeat::all_recencies(txn)?, Guarantee::UpperBound),
+            None => (heartbeat::all_recencies(txn)?.into(), Guarantee::UpperBound),
         };
         let relevance_query = t0.elapsed();
         // 3. Statistics; the detail tables are only named here, and
@@ -448,7 +449,7 @@ impl Session {
         txn: &ReadTxn,
         plan: &RecencyPlan,
         cache_key: Option<&PlanKey>,
-    ) -> Result<Vec<(SourceId, Timestamp)>> {
+    ) -> Result<MemberPairs> {
         let Some(key) = cache_key.filter(|_| self.exec_options.maintain_reports) else {
             return maintained::rescan_pairs(txn, plan, self.exec_options);
         };
@@ -568,7 +569,7 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use crate::testutil::paper_db;
-    use trac_types::TsDuration;
+    use trac_types::{SourceId, Timestamp, TsDuration};
 
     #[test]
     fn focused_report_for_paper_q1_example() {
@@ -641,6 +642,51 @@ mod tests {
                 other => panic!("unexpected report-table row {other:?}"),
             })
             .collect()
+    }
+
+    #[test]
+    fn warm_reports_share_one_member_list_until_a_member_changes() {
+        let db = paper_db();
+        let session = Session::new(db.clone());
+        let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
+        let pending = |name: &str| session.with_report_tables(|p| p.get(name).cloned());
+        let registered = session.recency_report(sql).unwrap();
+        let warm = session.recency_report(sql).unwrap();
+        let again = session.recency_report(sql).unwrap();
+        assert_eq!(session.maintenance_stats().delta_serves, 2);
+        assert!(warm.report.exceptional.is_empty());
+        // The registration's list, the memoized serves and the pending
+        // report tables are one allocation.
+        for out in [&registered, &again] {
+            assert!(out.report.normal.ptr_eq(&warm.report.normal));
+            let rows = pending(&out.normal_table).expect("pending until named");
+            assert!(rows.ptr_eq(&warm.report.normal));
+        }
+        // One member's heartbeat advances: the next serve is a new list,
+        // equal to what a rescan computes.
+        db.with_write(|w| {
+            w.heartbeat(
+                &SourceId::new("m1"),
+                Timestamp::parse("2006-02-10 00:01:30").unwrap(),
+            )
+        })
+        .unwrap();
+        let moved = session.recency_report(sql).unwrap();
+        assert_eq!(session.maintenance_stats().delta_serves, 3);
+        assert!(!moved.report.normal.ptr_eq(&warm.report.normal));
+        assert_ne!(moved.report.normal, warm.report.normal);
+        let mut rescan = Session::new(db);
+        rescan.exec_options.maintain_reports = false;
+        let reference = rescan.recency_report(sql).unwrap();
+        assert_eq!(moved.report.normal, reference.report.normal);
+        assert_eq!(moved.report.exceptional, reference.report.exceptional);
+        // Naming the table materializes exactly the report's list.
+        assert_eq!(
+            table_rows(&session, &moved.normal_table),
+            moved.report.normal
+        );
+        assert!(pending(&moved.normal_table).is_none());
+        assert!(pending(&warm.normal_table).is_some());
     }
 
     #[test]

@@ -7,31 +7,72 @@
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
+    mean_of(xs.iter().copied())
 }
 
 /// Population standard deviation (the paper's σ divides by N, not N−1).
 pub fn population_std_dev(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    var.sqrt()
+    std_dev_of(xs.iter().copied())
 }
 
 /// z-scores of each element. When σ = 0 every score is 0 (no element can
 /// be exceptional in a constant data set).
 pub fn z_scores(xs: &[f64]) -> Vec<f64> {
-    let m = mean(xs);
-    let sd = population_std_dev(xs);
-    if sd == 0.0 {
-        return vec![0.0; xs.len()];
+    let z = ZScore::of(xs.iter().copied());
+    xs.iter().map(|&x| z.score(x)).collect()
+}
+
+/// The z-score function `x ↦ (x − μ)/σ` of one data set, read from any
+/// re-iterable source without collecting it: the same `f64` operations
+/// in the same order as [`mean`] and [`population_std_dev`] over the
+/// collected slice, so its scores are bit-identical to [`z_scores`].
+#[derive(Debug, Clone, Copy)]
+pub struct ZScore {
+    mean: f64,
+    sd: f64,
+}
+
+impl ZScore {
+    /// Fits μ and σ to `xs` (two passes).
+    pub fn of<I>(xs: I) -> ZScore
+    where
+        I: ExactSizeIterator<Item = f64> + Clone,
+    {
+        ZScore {
+            mean: mean_of(xs.clone()),
+            sd: std_dev_of(xs),
+        }
     }
-    xs.iter().map(|x| (x - m) / sd).collect()
+
+    /// The z-score of `x`; 0 when σ = 0.
+    pub fn score(&self, x: f64) -> f64 {
+        if self.sd == 0.0 {
+            0.0
+        } else {
+            (x - self.mean) / self.sd
+        }
+    }
+}
+
+fn mean_of(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    xs.sum::<f64>() / n as f64
+}
+
+fn std_dev_of<I>(xs: I) -> f64
+where
+    I: ExactSizeIterator<Item = f64> + Clone,
+{
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let m = mean_of(xs.clone());
+    let var = xs.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64;
+    var.sqrt()
 }
 
 #[cfg(test)]

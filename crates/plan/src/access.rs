@@ -7,9 +7,9 @@
 //! semantic change.
 
 use crate::cost::TableCost;
-use trac_expr::{BoundExpr, ColRef};
-use trac_storage::{ReadTxn, TableId};
-use trac_types::Value;
+use trac_expr::{BoundExpr, BoundTable, ColRef};
+use trac_storage::{ReadTxn, TableSchema, TableStats};
+use trac_types::{DataType, Value};
 
 /// Execution tuning knobs, mostly for the ablation benchmarks.
 ///
@@ -113,8 +113,17 @@ impl AccessPath {
 
 /// Extracts `(column, keys)` when `term` pins `table`'s column to literal
 /// key(s): `col = lit`, `lit = col`, or `col IN (lit, …)`.
-pub fn probe_candidate(term: &BoundExpr, table: usize) -> Option<(usize, Vec<Value>)> {
-    match term {
+///
+/// An index matches keys by `Value` identity while SQL `=` widens INT
+/// against FLOAT, so every key is first given the column's declared
+/// type (see `probe_key`). A FLOAT column never yields a candidate:
+/// identity tells `0.0` from `-0.0`, which SQL `=` equates.
+pub fn probe_candidate(
+    term: &BoundExpr,
+    table: usize,
+    schema: &TableSchema,
+) -> Option<(usize, Vec<Value>)> {
+    let (column, literals): (usize, Vec<&Value>) = match term {
         BoundExpr::Binary {
             op: trac_sql::BinaryOp::Eq,
             lhs,
@@ -124,9 +133,9 @@ pub fn probe_candidate(term: &BoundExpr, table: usize) -> Option<(usize, Vec<Val
             | (BoundExpr::Literal(v), BoundExpr::Column(ColRef { table: t, column }))
                 if *t == table && !v.is_null() =>
             {
-                Some((*column, vec![v.clone()]))
+                (*column, vec![v])
             }
-            _ => None,
+            _ => return None,
         },
         BoundExpr::InList {
             expr,
@@ -139,31 +148,63 @@ pub fn probe_candidate(term: &BoundExpr, table: usize) -> Option<(usize, Vec<Val
             if *t != table {
                 return None;
             }
-            let mut keys = Vec::with_capacity(list.len());
+            let mut literals = Vec::with_capacity(list.len());
             for item in list {
                 match item {
-                    BoundExpr::Literal(v) if !v.is_null() => keys.push(v.clone()),
-                    BoundExpr::Literal(_) => {} // NULL key matches nothing
+                    BoundExpr::Literal(v) => literals.push(v),
                     _ => return None,
                 }
             }
-            keys.sort();
-            keys.dedup();
-            Some((*column, keys))
+            (*column, literals)
         }
-        _ => None,
+        _ => return None,
+    };
+    let ty = schema.columns.get(column)?.ty;
+    if ty == DataType::Float {
+        return None;
+    }
+    let mut keys = Vec::with_capacity(literals.len());
+    for v in literals {
+        // A key no stored value can equal (NULL among them) drops out.
+        keys.extend(probe_key(v, ty)?);
+    }
+    keys.sort();
+    keys.dedup();
+    Some((column, keys))
+}
+
+/// The one stored key of a (non-FLOAT) column of type `ty` that SQL `=`
+/// against literal `v` selects: `Some(None)` when no stored value can
+/// equal `v`, and `None` when no single key stands for it.
+///
+/// Stored values carry the declared type, and `=` across types is
+/// never true except INT against FLOAT, where an integral float names
+/// the integer it equals and a fractional one names none. Past ±2⁵³
+/// several integers round to one float, so such a literal is not a key.
+fn probe_key(v: &Value, ty: DataType) -> Option<Option<Value>> {
+    /// 2⁵³: below it in magnitude, `i as f64 == f` holds for exactly
+    /// one integer `i`.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    match (ty, v) {
+        (DataType::Int, Value::Float(f)) if f.fract() == 0.0 =>
+        {
+            #[allow(clippy::cast_possible_truncation)]
+            (f.abs() < EXACT).then_some(Some(Value::Int(*f as i64)))
+        }
+        _ => Some((v.data_type() == Some(ty)).then(|| v.clone())),
     }
 }
 
 /// Chooses the access path for `table` given the conjuncts that reference
 /// only that table. Probe candidates are costed against the sequential
-/// scan with the catalog statistics: a probe is kept only when its
-/// estimated row touches don't exceed the scan's (ties go to the probe),
-/// and among surviving probes the cheapest wins, with fewer keys as the
-/// tie-break.
+/// scan with the table's catalog statistics `stats` (read once per
+/// lowering by the caller): a probe is kept only when its estimated row
+/// touches don't exceed the scan's (ties go to the probe), and among
+/// surviving probes the cheapest wins, with fewer keys as the tie-break.
 pub fn choose_access_path(
     txn: &ReadTxn,
-    tid: TableId,
+    table: &BoundTable,
+    stats: &TableStats,
     table_pos: usize,
     table_conjuncts: &[BoundExpr],
     opts: ExecOptions,
@@ -171,12 +212,12 @@ pub fn choose_access_path(
     if !opts.enable_index_scan {
         return AccessPath::SeqScan;
     }
-    let tc = TableCost::new(txn, tid);
+    let tc = TableCost::new(stats);
     let seq_cost = tc.seq_cost();
     let mut best: Option<(u64, usize, Vec<Value>)> = None;
     for term in table_conjuncts {
-        if let Some((column, keys)) = probe_candidate(term, table_pos) {
-            if txn.has_index(tid, column) {
+        if let Some((column, keys)) = probe_candidate(term, table_pos, &table.schema) {
+            if txn.has_index(table.id, column) {
                 let cost = tc.probe_cost(column, keys.len());
                 if cost > seq_cost {
                     continue;
@@ -205,31 +246,38 @@ mod tests {
     use trac_storage::{ColumnDef, Database, TableSchema};
     use trac_types::DataType;
 
-    fn setup() -> (Database, TableId) {
+    fn setup() -> (Database, BoundTable) {
         let db = Database::new();
-        let tid = db
-            .create_table(
-                TableSchema::new(
-                    "t",
-                    vec![
-                        ColumnDef::new("sid", DataType::Text),
-                        ColumnDef::new("v", DataType::Int),
-                    ],
-                    Some("sid"),
-                )
-                .unwrap(),
-            )
-            .unwrap();
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("sid", DataType::Text),
+                ColumnDef::new("v", DataType::Int),
+                ColumnDef::new("f", DataType::Float),
+            ],
+            Some("sid"),
+        )
+        .unwrap();
+        let id = db.create_table(schema.clone()).unwrap();
         db.create_index("t", "sid").unwrap();
-        (db, tid)
+        let bt = BoundTable {
+            id,
+            schema: schema.into(),
+            binding: "t".into(),
+        };
+        (db, bt)
+    }
+
+    fn access(db: &Database, bt: &BoundTable, terms: &[E], opts: ExecOptions) -> AccessPath {
+        let txn = db.begin_read();
+        choose_access_path(&txn, bt, &txn.table_stats(bt.id), 0, terms, opts)
     }
 
     #[test]
     fn picks_index_probe_for_eq() {
-        let (db, tid) = setup();
-        let txn = db.begin_read();
+        let (db, bt) = setup();
         let term = E::binary(BinaryOp::Eq, E::col(0, 0), E::lit("m1"));
-        let p = choose_access_path(&txn, tid, 0, &[term], ExecOptions::default());
+        let p = access(&db, &bt, &[term], ExecOptions::default());
         assert_eq!(
             p,
             AccessPath::IndexProbe {
@@ -241,14 +289,13 @@ mod tests {
 
     #[test]
     fn picks_index_probe_for_in_list_and_dedups() {
-        let (db, tid) = setup();
-        let txn = db.begin_read();
+        let (db, bt) = setup();
         let term = E::InList {
             expr: Box::new(E::col(0, 0)),
             list: vec![E::lit("m2"), E::lit("m1"), E::lit("m2")],
             negated: false,
         };
-        let p = choose_access_path(&txn, tid, 0, &[term], ExecOptions::default());
+        let p = access(&db, &bt, &[term], ExecOptions::default());
         assert_eq!(
             p,
             AccessPath::IndexProbe {
@@ -260,15 +307,13 @@ mod tests {
 
     #[test]
     fn falls_back_to_seqscan() {
-        let (db, tid) = setup();
-        let txn = db.begin_read();
+        let (db, bt) = setup();
         // No index on v.
         let term = E::binary(BinaryOp::Eq, E::col(0, 1), E::lit(3i64));
         assert_eq!(
-            choose_access_path(
-                &txn,
-                tid,
-                0,
+            access(
+                &db,
+                &bt,
                 std::slice::from_ref(&term),
                 ExecOptions::default()
             ),
@@ -281,44 +326,39 @@ mod tests {
             negated: true,
         };
         assert_eq!(
-            choose_access_path(&txn, tid, 0, &[ni], ExecOptions::default()),
+            access(&db, &bt, &[ni], ExecOptions::default()),
             AccessPath::SeqScan
         );
         // Range predicates don't probe (we only use point/IN probes).
         let rng = E::binary(BinaryOp::Lt, E::col(0, 0), E::lit("m9"));
         assert_eq!(
-            choose_access_path(&txn, tid, 0, &[rng], ExecOptions::default()),
+            access(&db, &bt, &[rng], ExecOptions::default()),
             AccessPath::SeqScan
         );
     }
 
     #[test]
     fn options_disable_index() {
-        let (db, tid) = setup();
-        let txn = db.begin_read();
+        let (db, bt) = setup();
         let term = E::binary(BinaryOp::Eq, E::col(0, 0), E::lit("m1"));
         let opts = ExecOptions {
             enable_index_scan: false,
             ..Default::default()
         };
-        assert_eq!(
-            choose_access_path(&txn, tid, 0, &[term], opts),
-            AccessPath::SeqScan
-        );
+        assert_eq!(access(&db, &bt, &[term], opts), AccessPath::SeqScan);
     }
 
     #[test]
     fn prefers_fewest_keys() {
-        let (db, tid) = setup();
+        let (db, bt) = setup();
         db.create_index("t", "v").unwrap();
-        let txn = db.begin_read();
         let many = E::InList {
             expr: Box::new(E::col(0, 0)),
             list: vec![E::lit("a"), E::lit("b"), E::lit("c")],
             negated: false,
         };
         let one = E::binary(BinaryOp::Eq, E::col(0, 1), E::lit(5i64));
-        let p = choose_access_path(&txn, tid, 0, &[many, one], ExecOptions::default());
+        let p = access(&db, &bt, &[many, one], ExecOptions::default());
         assert_eq!(
             p,
             AccessPath::IndexProbe {
@@ -330,12 +370,49 @@ mod tests {
 
     #[test]
     fn null_eq_never_probes_with_null() {
-        let (db, tid) = setup();
-        let txn = db.begin_read();
+        let (db, bt) = setup();
         let term = E::binary(BinaryOp::Eq, E::col(0, 0), E::Literal(Value::Null));
         assert_eq!(
-            choose_access_path(&txn, tid, 0, &[term], ExecOptions::default()),
+            access(&db, &bt, &[term], ExecOptions::default()),
             AccessPath::SeqScan
         );
+    }
+
+    #[test]
+    fn probe_keys_take_the_column_type() {
+        let (_, bt) = setup();
+        let int_in = |list: Vec<Value>| E::InList {
+            expr: Box::new(E::col(0, 1)),
+            list: list.into_iter().map(E::Literal).collect(),
+            negated: false,
+        };
+        // An integral float names the integer it equals; a fractional,
+        // NaN or infinite one names none.
+        let term = int_in(vec![
+            Value::Float(2.0),
+            Value::Int(7),
+            Value::Int(2),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+        ]);
+        assert_eq!(
+            probe_candidate(&term, 0, &bt.schema),
+            Some((1, vec![Value::Int(0), Value::Int(2), Value::Int(7)]))
+        );
+        let eq = E::binary(BinaryOp::Eq, E::Literal(Value::Float(2.5)), E::col(0, 1));
+        assert_eq!(probe_candidate(&eq, 0, &bt.schema), Some((1, vec![])));
+        // Past 2^53 several integers equal one float: no single key.
+        let big = int_in(vec![Value::Float(9_007_199_254_740_992.0)]);
+        assert_eq!(probe_candidate(&big, 0, &bt.schema), None);
+        // A literal of another type can equal no stored text.
+        let text = E::binary(BinaryOp::Eq, E::col(0, 0), E::lit(1i64));
+        assert_eq!(probe_candidate(&text, 0, &bt.schema), Some((0, vec![])));
+        // FLOAT columns never probe: identity splits 0.0 from -0.0.
+        for lit in [Value::Float(0.0), Value::Int(0)] {
+            let eq = E::binary(BinaryOp::Eq, E::col(0, 2), E::Literal(lit));
+            assert_eq!(probe_candidate(&eq, 0, &bt.schema), None);
+        }
     }
 }

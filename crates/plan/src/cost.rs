@@ -15,13 +15,14 @@
 
 use trac_expr::{BoundExpr, ColRef};
 use trac_sql::BinaryOp;
-use trac_storage::{ReadTxn, TableId, TableStats};
+use trac_storage::TableStats;
 
-/// Statistics-backed estimator for one table.
-pub(crate) struct TableCost {
+/// Statistics-backed estimator for one table, over statistics the
+/// caller read once for the whole lowering.
+pub(crate) struct TableCost<'a> {
     /// Estimated row count (the write-time counter, not a scan).
     pub rows: u64,
-    stats: TableStats,
+    pub stats: &'a TableStats,
 }
 
 /// Saturating `f64 → u64` row-estimate conversion (ceiling).
@@ -52,10 +53,9 @@ fn is_literal(e: &BoundExpr) -> bool {
     matches!(e, BoundExpr::Literal(_))
 }
 
-impl TableCost {
-    /// Snapshot of `tid`'s statistics as an estimator. O(1) — no scan.
-    pub fn new(txn: &ReadTxn, tid: TableId) -> TableCost {
-        let stats = txn.table_stats(tid);
+impl TableCost<'_> {
+    /// `stats` as an estimator. O(1) — no scan, no copy.
+    pub fn new(stats: &TableStats) -> TableCost<'_> {
         TableCost {
             rows: stats.rows,
             stats,
@@ -165,7 +165,7 @@ pub(crate) fn join_rows(outer_est: u64, inner_est: u64, key_ndv: Option<u64>) ->
 mod tests {
     use super::*;
     use trac_expr::BoundExpr as E;
-    use trac_storage::{ColumnDef, Database, TableSchema};
+    use trac_storage::{ColumnDef, Database, TableId, TableSchema};
     use trac_types::{DataType, Value};
 
     fn setup() -> (Database, TableId) {
@@ -207,7 +207,8 @@ mod tests {
     fn equality_selectivity_uses_ndv() {
         let (db, tid) = setup();
         let txn = db.begin_read();
-        let tc = TableCost::new(&txn, tid);
+        let stats = txn.table_stats(tid);
+        let tc = TableCost::new(&stats);
         assert_eq!(tc.rows, 30);
         let eq = E::binary(BinaryOp::Eq, E::col(0, 0), E::lit("s1"));
         let est = tc.filtered_rows(std::slice::from_ref(&eq), 0);
@@ -225,7 +226,8 @@ mod tests {
     fn probe_beats_scan_only_when_keys_are_selective() {
         let (db, tid) = setup();
         let txn = db.begin_read();
-        let tc = TableCost::new(&txn, tid);
+        let stats = txn.table_stats(tid);
+        let tc = TableCost::new(&stats);
         assert_eq!(tc.seq_cost(), 30);
         assert!(tc.probe_cost(0, 1) < tc.seq_cost());
         // Probing every distinct key touches roughly the whole table.

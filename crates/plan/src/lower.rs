@@ -33,7 +33,7 @@ use trac_expr::{
     Truth,
 };
 use trac_sql::BinaryOp;
-use trac_storage::{ColumnStats, ReadTxn};
+use trac_storage::{ColumnStats, ReadTxn, TableStats};
 use trac_types::{DataType, Result};
 
 /// Splits nested `AND`s into a conjunct list borrowed from `e`.
@@ -124,10 +124,10 @@ fn make_leaf(
 /// Missing statistics mean the table never saw an insert, so both stats
 /// proofs hold vacuously. The analyzer's typeflow pass re-derives all
 /// of this and reports `TRAC023` for any claim it cannot prove.
-fn compute_kernel_cert(txn: &ReadTxn, q: &BoundSelect) -> KernelCert {
+fn compute_kernel_cert(q: &BoundSelect, costs: &[TableCost]) -> KernelCert {
     let mut cert = KernelCert::default();
-    for (pos, bt) in q.tables.iter().enumerate() {
-        let stats = txn.table_stats(bt.id);
+    for ((pos, bt), tc) in q.tables.iter().enumerate().zip(costs) {
+        let stats = tc.stats;
         for (col, def) in bt.schema.columns.iter().enumerate() {
             let cs = stats.column(col);
             cert.insert(
@@ -149,10 +149,9 @@ fn compute_kernel_cert(txn: &ReadTxn, q: &BoundSelect) -> KernelCert {
 /// index's storage total order (`total_cmp`) agree on `column`: any
 /// non-float type, or a float column whose catalog statistics prove it
 /// NaN-free (TRAC026) — without NaNs the two orders coincide.
-fn index_order_is_sql_order(txn: &ReadTxn, bt: &BoundTable, column: usize) -> bool {
+fn index_order_is_sql_order(bt: &BoundTable, stats: &TableStats, column: usize) -> bool {
     bt.schema.column(column).ty != DataType::Float
-        || txn
-            .table_stats(bt.id)
+        || stats
             .column(column)
             .is_none_or(ColumnStats::proves_nan_free)
 }
@@ -202,7 +201,7 @@ fn try_fast_path(
                 (AggFunc::Min | AggFunc::Max, Some(BoundExpr::Column(cr)))
                     if cr.table == 0
                         && txn.has_index(bt.id, cr.column)
-                        && index_order_is_sql_order(txn, bt, cr.column) =>
+                        && index_order_is_sql_order(bt, tc.stats, cr.column) =>
                 {
                     return Some(PhysicalPlan {
                         root: PlanNode::IndexMinMax {
@@ -240,7 +239,7 @@ fn try_fast_path(
                 && txn.has_index(bt.id, cr.column)
                 && !bt.schema.column(cr.column).nullable
                 && matches!(
-                    choose_access_path(txn, bt.id, 0, pending, opts),
+                    choose_access_path(txn, bt, tc.stats, 0, pending, opts),
                     AccessPath::SeqScan
                 )
             {
@@ -344,16 +343,14 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
             remaining.push(c.clone());
         }
     }
-    // Per-table statistics snapshots drive every estimate below.
-    let costs: Vec<TableCost> = q
-        .tables
-        .iter()
-        .map(|bt| TableCost::new(txn, bt.id))
-        .collect();
+    // Per-table statistics, read (and copied out of the catalog) once
+    // per lowering, drive every estimate and certificate below.
+    let stats: Vec<TableStats> = q.tables.iter().map(|bt| txn.table_stats(bt.id)).collect();
+    let costs: Vec<TableCost> = stats.iter().map(TableCost::new).collect();
     // Typeflow kernel certificate: derived once per plan so the knob
     // changes the lowered artifact (plan caches must key on it).
     let cert = if opts.typed_kernels {
-        compute_kernel_cert(txn, q)
+        compute_kernel_cert(q, &costs)
     } else {
         KernelCert::default()
     };
@@ -413,17 +410,20 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                 }
             }
             // Pick an equi-join conjunct usable as a key: pos.col =
-            // joined.col over two columns of one declared type. Keyed
-            // joins match on `Value` identity, which ranks `Int(2)` and
-            // `Float(2.0)` apart although SQL's `=` widens the pair, so
-            // a mixed-type key lowers to `NLJoin` instead.
+            // joined.col over two non-FLOAT columns of one declared
+            // type. Keyed joins match on `Value` identity, which ranks
+            // `Int(2)` and `Float(2.0)` apart, and `0.0` and `-0.0`,
+            // although SQL's `=` equates both pairs, so such a key
+            // lowers to `NLJoin` instead (the rule index probes follow,
+            // see `probe_candidate`).
             let equi = applicable.iter().find_map(|c| {
                 equi_key(c, pos, &joined).filter(|(inner_col, outer_key)| {
-                    bt.schema.column(*inner_col).ty
-                        == q.tables[outer_key.table].schema.column(outer_key.column).ty
+                    let ty = bt.schema.column(*inner_col).ty;
+                    ty != DataType::Float
+                        && ty == q.tables[outer_key.table].schema.column(outer_key.column).ty
                 })
             });
-            let access = choose_access_path(txn, bt.id, pos, &table_conjuncts[pos], opts);
+            let access = choose_access_path(txn, bt, tc.stats, pos, &table_conjuncts[pos], opts);
             joined.insert(pos);
             let Some(outer) = tree else {
                 // First table: the leaf is the tree. `applicable` here is

@@ -78,10 +78,12 @@ echo "==> benchmark smoke: one short point_reports window"
 # benchmark's correctness gate.
 bash benchmark/run.sh --workload point_reports --seed 1 --seconds 1 --trace 0 >/dev/null
 
-echo "==> benchmark smoke: one short scan_reports window"
+echo "==> benchmark smoke: a scan_reports window of ~26 cycles (52 reports)"
 # The only workload whose report tables hold ~10 000 sources each, and
-# whose user queries scan whole tables.
-bash benchmark/run.sh --workload scan_reports --seed 1 --seconds 1 --trace 0 >/dev/null
+# whose user queries scan whole tables. Long enough for warm reports to
+# share one memoized member list across pending report tables, and for
+# the correctness gate to see Session::close() release them.
+bash benchmark/run.sh --workload scan_reports --seed 1 --seconds 6 --trace 0 >/dev/null
 
 echo "==> benchmark smoke: one short ingest_and_report window"
 # The write path under the same gate: begin/commit through ingest

@@ -494,6 +494,102 @@ fn int_float_equi_joins_match_the_reference() {
     }
 }
 
+/// An index must never change an answer. Probe keys and keyed joins
+/// match on `Value` identity, while SQL `=` equates `Int(2)` with
+/// `Float(2.0)` and `0.0` with `-0.0`: a FLOAT literal probing an INT
+/// index, an INT or FLOAT literal probing a FLOAT column holding `-0.0`,
+/// and a FLOAT = FLOAT join across the two zeros must all return the
+/// rows the unindexed plan and the reference return. `2⁵³ + 1` sits
+/// where an integral float equals two integers at once.
+#[test]
+fn indexes_never_change_an_answer() {
+    let db = Database::new();
+    for sql in [
+        "CREATE TABLE c (s TEXT NOT NULL, z INT) SOURCE COLUMN s",
+        "CREATE TABLE f (s TEXT NOT NULL, y FLOAT) SOURCE COLUMN s",
+        "CREATE TABLE g (s TEXT NOT NULL, w FLOAT) SOURCE COLUMN s",
+        "INSERT INTO c VALUES ('s0', 2)",
+        "INSERT INTO c VALUES ('s1', 7)",
+        "INSERT INTO c VALUES ('s2', 0)",
+        "INSERT INTO c VALUES ('s3', NULL)",
+        "INSERT INTO c VALUES ('s4', 9007199254740992)",
+        "INSERT INTO c VALUES ('s5', 9007199254740993)",
+        "INSERT INTO g VALUES ('s0', 0.0)",
+        "INSERT INTO g VALUES ('s1', 1.5)",
+    ] {
+        execute_statement(&db, sql).unwrap();
+    }
+    // `-0.0` has no SQL literal; it enters through the write path.
+    let f = db.begin_read().table_id("f").unwrap();
+    db.with_write(|w| {
+        for (s, y) in [("s0", -0.0), ("s1", 1.5), ("s2", 2.0)] {
+            w.insert(f, vec![Value::text(s), Value::Float(y)])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    // (query, reference row count)
+    let queries = [
+        ("SELECT COUNT(*) FROM c WHERE c.z = 2.0", 1),
+        ("SELECT c.s FROM c WHERE c.z = 2.0", 1),
+        ("SELECT c.s FROM c WHERE c.z IN (2.0, 7)", 2),
+        ("SELECT c.s FROM c WHERE c.z IN (2.5, -0.0)", 1),
+        ("SELECT c.s FROM c WHERE c.z = 2.5", 0),
+        ("SELECT c.s FROM c WHERE c.z = 9007199254740992.0", 2),
+        ("SELECT c.s FROM c WHERE 7.0 = c.z", 1),
+        ("SELECT f.s FROM f WHERE f.y = 0.0", 1),
+        ("SELECT f.s FROM f WHERE f.y = 0", 1),
+        ("SELECT f.s FROM f WHERE f.y IN (0, 2)", 2),
+        ("SELECT f.s, g.s FROM f, g WHERE f.y = g.w", 2),
+        ("SELECT g.s, f.s FROM g, f WHERE f.y = g.w", 2),
+        ("SELECT c.s, f.s FROM c, f WHERE c.z = f.y", 2),
+    ];
+    let arms = [
+        trac::plan::ExecOptions::default(),
+        trac::plan::ExecOptions {
+            enable_hash_join: false,
+            ..Default::default()
+        },
+    ];
+    let mut unindexed: Vec<Vec<Vec<Value>>> = Vec::new();
+    for indexed in [false, true] {
+        if indexed {
+            execute_statement(&db, "CREATE INDEX cz ON c (z)").unwrap();
+            execute_statement(&db, "CREATE INDEX fy ON f (y)").unwrap();
+            execute_statement(&db, "CREATE INDEX gw ON g (w)").unwrap();
+        }
+        let txn = db.begin_read();
+        for (i, (sql, due)) in queries.into_iter().enumerate() {
+            let bound = bind_select(&txn, &parse_select(sql).unwrap()).unwrap();
+            let groups = reference_eval(&txn, &bound);
+            if bound.is_aggregate() {
+                assert_eq!(groups, vec![vec![vec![Value::Int(due)]]], "{sql}");
+            } else {
+                let found: usize = groups.iter().map(Vec::len).sum();
+                assert_eq!(found as i64, due, "reference rows for {sql}");
+            }
+            for opts in arms {
+                let plan = trac::plan::plan_select(&txn, &bound, opts).unwrap();
+                let findings = trac::analyze::validate_plan(&bound, &plan, "differential", None);
+                assert!(findings.is_empty(), "{sql}: {}", plan.render());
+                let got = execute_select_with(&txn, &bound, opts).unwrap().0.rows;
+                if let Err(e) = check_against_reference(&got, &groups, None) {
+                    panic!("indexed={indexed} {opts:?}: {sql}: {e}\n{}", plan.render());
+                }
+                if indexed {
+                    let mut sorted = got.clone();
+                    sorted.sort();
+                    assert_eq!(sorted, unindexed[i], "index changed the rows of {sql}");
+                } else if opts == trac::plan::ExecOptions::default() {
+                    let mut sorted = got;
+                    sorted.sort();
+                    unindexed.push(sorted);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
