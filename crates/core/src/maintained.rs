@@ -16,9 +16,14 @@
 //!   is monotone and events carry the *offered* timestamp), grown per
 //!   event under each subquery's [`MaintenanceLicense`];
 //! * the **served list** — the [`MemberPairs`] last served, shared
-//!   with the reports and pending report tables built from it, and
-//!   handed out again until a member is added or advances (each such
-//!   mutation clears it; registration seeds it with the rescan's list);
+//!   with the reports and pending report tables built from it. A list
+//!   is first held weakly: a serve after a member change (or a
+//!   registration) keeps only a weak handle, so on a
+//!   statement whose members change between reports no list outlives
+//!   the reports that use it. The next serve with no member change in
+//!   between takes the list back if a report still holds it (rebuilding
+//!   it otherwise) and keeps it, handing out that one allocation until
+//!   a member is added or advances (each such mutation drops it);
 //! * the stream **cursor** and the fold **basis** (see below);
 //! * certified **auxiliary aggregates** over the member pairs:
 //!   max-recency (maintained directly — heartbeat advances are
@@ -79,7 +84,7 @@
 //! that does the same.
 
 use crate::relevance::RecencyPlan;
-use crate::report::{MemberPair, MemberPairs};
+use crate::report::{MemberPair, MemberPairs, WeakMemberPairs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use trac_exec::ExecOptions;
@@ -134,6 +139,20 @@ enum SubFold {
     },
 }
 
+/// What the maintained state remembers of the member list it last
+/// served. A list is kept only once a second serve with no member change
+/// in between shows it is reused; until then it lives only as long as
+/// the reports and pending tables that hold it.
+enum Served {
+    /// The members changed since the last serve.
+    Stale,
+    /// Served once since the last change, and not kept.
+    Once(WeakMemberPairs),
+    /// Served again with no change in between: kept, and handed out by
+    /// every serve until the members change.
+    Kept(MemberPairs),
+}
+
 /// Delta-maintained state for one prepared recency plan.
 pub struct MaintainedReport {
     /// Next change-stream sequence to read.
@@ -145,10 +164,9 @@ pub struct MaintainedReport {
     /// carrying its current recency (max-folded), sid-sorted so serving
     /// is one linear pass.
     members: BTreeMap<SourceId, Timestamp>,
-    /// The member list last served, kept until `members` next changes:
-    /// a refresh that folds no membership or recency change hands out
-    /// this same list again. Every mutation of `members` clears it.
-    served: Option<MemberPairs>,
+    /// The member list last served (see [`Served`]). Every mutation of
+    /// `members` resets it to [`Served::Stale`].
+    served: Served,
     /// Per-subquery fold logic (proven-empty subqueries are absent).
     subs: Vec<SubFold>,
     /// Plan-level: report every source (analysis gave up).
@@ -198,7 +216,7 @@ impl MaintainedReport {
             cursor: cursor.unwrap_or(0),
             basis: txn.snapshot.coverage_basis(),
             members: BTreeMap::new(),
-            served: None,
+            served: Served::Stale,
             subs,
             all_sources: plan.all_sources,
             needs_rescan: cursor.is_none(),
@@ -212,8 +230,9 @@ impl MaintainedReport {
         for (sid, ts) in &pairs {
             state.add_member(sid.clone(), *ts);
         }
-        // The rescan's list is the member map's, in the same sid order.
-        state.served = Some(pairs.clone());
+        // The rescan's list is the member map's, in the same sid order:
+        // served once, and kept if the next serve finds nothing changed.
+        state.served = Served::Once(pairs.downgrade());
         Ok((state, pairs))
     }
 
@@ -520,7 +539,7 @@ impl MaintainedReport {
             return;
         }
         self.members.insert(sid.clone(), ts);
-        self.served = None;
+        self.served = Served::Stale;
         let m = i128::from(ts.micros());
         self.count += 1;
         self.sum += m;
@@ -550,7 +569,7 @@ impl MaintainedReport {
         if let Some(mv) = self.members.get_mut(sid) {
             *mv = new;
         }
-        self.served = None;
+        self.served = Served::Stale;
         let o = i128::from(old.micros());
         let n = i128::from(new.micros());
         self.sum += n - o;
@@ -583,14 +602,24 @@ impl MaintainedReport {
         self.min_stale = false;
     }
 
-    /// The member pairs, read straight from maintained state: the
-    /// memoized list when nothing changed since it was served, else one
-    /// linear pass over the member map (already sid-sorted, matching
-    /// the rescan path's order).
+    /// The member pairs, read straight from maintained state: the kept
+    /// list when nothing changed since it was served, else one linear
+    /// pass over the member map (already sid-sorted, matching the rescan
+    /// path's order). See [`Served`] for when a list is kept.
     fn serve_pairs(&mut self) -> MemberPairs {
-        self.served
-            .get_or_insert_with(|| MemberPairs::from(&self.members))
-            .clone()
+        let pairs = match &self.served {
+            Served::Kept(pairs) => return pairs.clone(),
+            Served::Once(last) => last
+                .upgrade()
+                .unwrap_or_else(|| MemberPairs::from(&self.members)),
+            Served::Stale => {
+                let pairs = MemberPairs::from(&self.members);
+                self.served = Served::Once(pairs.downgrade());
+                return pairs;
+            }
+        };
+        self.served = Served::Kept(pairs.clone());
+        pairs
     }
 
     fn aggregates_consistent(&self, pairs: &[(SourceId, Timestamp)]) -> bool {
@@ -1140,6 +1169,56 @@ mod tests {
     fn beat(db: &Database, sid: &str, at: &str) {
         db.with_write(|w| w.heartbeat(&SourceId::new(sid), Timestamp::parse(at).unwrap()))
             .unwrap();
+    }
+
+    /// The served-list rule: a list is kept only once a second serve
+    /// with no member change in between reuses it, so a statement whose
+    /// members change between reports leaves no list behind.
+    #[test]
+    fn a_served_list_is_kept_only_once_a_serve_reuses_it() {
+        let db = paper_db();
+        let plan = plan_of(
+            &db,
+            "SELECT mach_id FROM Activity WHERE mach_id IN ('m1','m2')",
+        );
+        let serve = |state: &mut MaintainedReport| {
+            let txn = db.begin_read();
+            let (pairs, kind) = state
+                .refresh(&txn, &db, &plan, ExecOptions::default())
+                .unwrap();
+            assert_eq!(kind, ServeKind::Delta);
+            assert_eq!(
+                pairs,
+                rescan_pairs(&txn, &plan, ExecOptions::default()).unwrap()
+            );
+            pairs
+        };
+        let txn = db.begin_read();
+        let (mut state, registered) =
+            MaintainedReport::register(&txn, &db, &plan, ExecOptions::default()).unwrap();
+        drop(txn);
+        // Warm and unchanged: the registration's list, kept from here on.
+        let warm = serve(&mut state);
+        assert!(warm.ptr_eq(&registered));
+        drop(registered);
+        let again = serve(&mut state);
+        assert!(
+            again.ptr_eq(&warm),
+            "a warm, unchanged serve shares the list"
+        );
+        // A member advances: a new list, which the state holds only
+        // weakly.
+        beat(&db, "m1", "2006-02-10 00:05:00");
+        let moved = serve(&mut state);
+        assert!(!moved.ptr_eq(&warm));
+        let weak = moved.downgrade();
+        drop((warm, again, moved));
+        assert!(weak.upgrade().is_none(), "no list outlives its reports");
+        // Unchanged again, with the last list gone: rebuilt once, then
+        // kept.
+        let first = serve(&mut state);
+        let second = serve(&mut state);
+        assert!(second.ptr_eq(&first));
     }
 
     #[test]

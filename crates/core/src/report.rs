@@ -12,7 +12,7 @@ use crate::zscore::ZScore;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use trac_types::{SourceId, Timestamp, TsDuration};
 
 /// A relevant source together with its recency timestamp.
@@ -34,11 +34,28 @@ impl MemberPairs {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
+    /// A handle that finds this list again while something else keeps
+    /// it alive, without keeping it alive itself.
+    pub(crate) fn downgrade(&self) -> WeakMemberPairs {
+        WeakMemberPairs(Arc::downgrade(&self.0))
+    }
+
     /// Splits the list into the pairs `taken` rejects and those it
     /// selects, each still in sid order.
     fn partition(&self, taken: impl Fn(&MemberPair) -> bool) -> (MemberPairs, MemberPairs) {
         let (yes, no): (Vec<_>, Vec<_>) = self.0.iter().cloned().partition(taken);
         (MemberPairs(Arc::new(no)), MemberPairs(Arc::new(yes)))
+    }
+}
+
+/// A non-owning handle to a [`MemberPairs`] list (see
+/// [`MemberPairs::downgrade`]).
+pub(crate) struct WeakMemberPairs(Weak<Vec<MemberPair>>);
+
+impl WeakMemberPairs {
+    /// The list, if some owner still holds it.
+    pub(crate) fn upgrade(&self) -> Option<MemberPairs> {
+        self.0.upgrade().map(MemberPairs)
     }
 }
 

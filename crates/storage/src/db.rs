@@ -11,11 +11,12 @@ use crate::catalog::{Catalog, IndexMeta, SessionId, TableId, TableStats};
 use crate::changelog::{ChangeData, ChangeLog};
 use crate::heartbeat::{self, HEARTBEAT_TABLE};
 use crate::index::Index;
-use crate::lockorder::{self, LockId};
+use crate::lockorder::{self, LockId, LockToken};
 use crate::schema::TableSchema;
-use crate::table::{Row, RowSlot, Table};
+use crate::table::{Row, RowSlot, RowVersion, Table};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStatus};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -26,9 +27,90 @@ struct Stored {
     indexes: Vec<Index>,
 }
 
+impl Stored {
+    /// Reclaims the version at `slot` when `dead` says no snapshot can
+    /// see it (see [`Table::reclaim`]) and unlinks it from every index.
+    /// Returns whether it did.
+    fn reclaim(&mut self, slot: RowSlot, dead: impl FnOnce(&RowVersion) -> bool) -> bool {
+        let Some(row) = self.table.reclaim(slot, dead) else {
+            return false;
+        };
+        for idx in &mut self.indexes {
+            idx.remove(&row[idx.column], slot);
+        }
+        true
+    }
+}
+
+/// A version some transaction stamped `xmax` on, waiting until the
+/// stamper falls below the xmin horizon.
+type Superseded = (TxnId, TableId, RowSlot);
+
 struct DbInner {
     stores: Vec<Option<Stored>>,
     catalog: Catalog,
+    /// The reclaim queue, in stamp order: every `xmax` stamp pushes its
+    /// version here, under the same data latch. See
+    /// [`DbInner::reclaim_superseded`].
+    superseded: VecDeque<Superseded>,
+}
+
+/// Superseded versions one write-latch acquisition reclaims at most.
+/// A write stamps at most one version per acquisition (an update or an
+/// upsert stamps one and appends one under a single latch), so with two
+/// the backlog below the horizon shrinks by at least one per stamping
+/// write and never grows with history. A small fixed number spreads
+/// reclamation's cost and its frees evenly over the writes: each freed
+/// payload is recycled by the write that freed it, instead of a whole
+/// batch's payloads landing on the allocator's free lists at once,
+/// where the allocations of the reports that follow would scatter over
+/// them.
+const RECLAIM_PER_WRITE: usize = 2;
+
+impl DbInner {
+    /// Reclaims superseded versions from the front of the queue whose
+    /// stamper lies below the xmin horizon, at most
+    /// [`RECLAIM_PER_WRITE`] of them: a committed stamper's version
+    /// loses its payload and its index entries (its slot keeps a stub),
+    /// an aborted stamper's entry is dropped (its stamp was undone).
+    /// Runs on every write-latch acquisition of the write path, by
+    /// `writer`; stops at the first entry not yet below the horizon.
+    ///
+    /// Sound because an entry exists only after its stamper's
+    /// `WriteTxn` registered its snapshot (which keeps the horizon at or
+    /// below the stamper's id), and that snapshot is dropped only after
+    /// the stamper committed or aborted: a stamper below the horizon is
+    /// decided, and if it committed, every live and future snapshot sees
+    /// its stamp.
+    fn reclaim_superseded(&mut self, txns: &TxnManager, writer: TxnId) {
+        // The writer's own snapshot holds the horizon at or below its
+        // id, so a front entry from it or a later transaction cannot be
+        // drained: skip the horizon computation.
+        match self.superseded.front() {
+            Some(&(stamper, ..)) if stamper < writer => {}
+            _ => return,
+        }
+        let horizon = txns.xmin_horizon();
+        let mut reclaimed = 0;
+        while let Some(&(stamper, tid, slot)) = self.superseded.front() {
+            if stamper >= horizon || reclaimed == RECLAIM_PER_WRITE {
+                break;
+            }
+            match txns.status(stamper) {
+                TxnStatus::Committed => {
+                    let stored = self.stores.get_mut(tid.0).and_then(Option::as_mut);
+                    if stored.is_some_and(|st| st.reclaim(slot, |v| v.xmax == Some(stamper))) {
+                        reclaimed += 1;
+                    }
+                }
+                TxnStatus::Aborted => {}
+                // Unreachable below the horizon (see above); keep the
+                // entry rather than guess.
+                TxnStatus::InProgress => break,
+            }
+            self.superseded.pop_front();
+        }
+    }
 }
 
 struct DbState {
@@ -73,6 +155,7 @@ impl Database {
                 data: RwLock::new(DbInner {
                     stores: Vec::new(),
                     catalog: Catalog::new(),
+                    superseded: VecDeque::new(),
                 }),
                 next_session: AtomicU64::new(1),
                 changes: ChangeLog::new(),
@@ -153,8 +236,9 @@ impl Database {
             .fetch_add(1, AtomicOrdering::Relaxed)
     }
 
-    /// Builds an ordered index on `table.column`, backfilling existing
-    /// committed versions.
+    /// Builds an ordered index on `table.column`, backfilling every
+    /// version that still holds its payload (reclaimed stubs are
+    /// skipped).
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
         let mut inner = self.state.data.write();
         let tid = inner
@@ -182,11 +266,8 @@ impl Database {
             .as_mut()
             .ok_or_else(|| TracError::Storage(format!("table {table} has no backing store")))?;
         let mut index = Index::new(col);
-        for slot in 0..store.table.version_count() {
-            let v = store.table.version(RowSlot(slot)).ok_or_else(|| {
-                TracError::Storage(format!("table {table} lost version slot {slot} mid-build"))
-            })?;
-            index.insert(&v.values[col], RowSlot(slot));
+        for (slot, _, row) in store.table.payloads() {
+            index.insert(&row[col], slot);
         }
         store.indexes.push(index);
         Ok(())
@@ -211,20 +292,23 @@ impl Database {
                 own: Some(id),
             },
             id,
-            stamped: Mutex::new(Vec::new()),
+            undo: Mutex::new(Vec::new()),
             suppress_events: std::sync::atomic::AtomicBool::new(false),
             finished: false,
         }
     }
 
-    /// Reclaims dead row versions: versions created by aborted
-    /// transactions, and versions whose deletion is visible to every
-    /// outstanding snapshot. Indexes are rebuilt over the survivors.
+    /// Compacts the heaps: drops reclaimed stubs, versions created by
+    /// aborted transactions, and versions whose deletion is visible to
+    /// every outstanding snapshot
+    /// ([`TxnManager::committed_before_all_snapshots`], the same xmin
+    /// horizon the write path reclaims below). Indexes are rebuilt over
+    /// the survivors.
     ///
-    /// Long-lived monitoring databases need this: every heartbeat upsert
-    /// supersedes a version, so without vacuum the `Heartbeat` table's
-    /// physical size grows with total update count rather than source
-    /// count.
+    /// The write path already releases superseded payloads and their
+    /// index entries as the horizon passes them; what only vacuum
+    /// recovers is the heap slots themselves (one payload-free stub per
+    /// reclaimed version).
     ///
     /// Preconditions: no transaction may be in progress (checked), and
     /// callers must not hold `RowSlot`s across the call (slots are
@@ -240,7 +324,9 @@ impl Database {
         let _order = lockorder::acquire(LockId::DbData);
         let mut inner = self.state.data.write();
         let mut stats = VacuumStats::default();
-        for store in inner.stores.iter_mut().flatten() {
+        let mut superseded = Vec::new();
+        for (tid, store) in inner.stores.iter_mut().enumerate() {
+            let Some(store) = store else { continue };
             let removed = store.table.compact(|v| {
                 txns.status(v.xmin) == TxnStatus::Aborted
                     || v.xmax
@@ -250,17 +336,31 @@ impl Database {
                 for idx in &mut store.indexes {
                     let col = idx.column;
                     let mut fresh = Index::new(col);
-                    for (slot, v) in store.table.all_versions() {
-                        fresh.insert(&v.values[col], slot);
+                    for (slot, _, row) in store.table.payloads() {
+                        fresh.insert(&row[col], slot);
                     }
                     *idx = fresh;
                 }
             }
+            // Slots moved: re-enqueue the surviving stamped versions.
+            superseded.extend(store.table.payloads().filter_map(|(slot, v, _)| {
+                let x = v.xmax?;
+                (txns.status(x) != TxnStatus::Aborted).then_some((x, TableId(tid), slot))
+            }));
             stats.tables += 1;
             stats.versions_removed += removed;
             stats.versions_kept += store.table.version_count();
         }
+        superseded.sort_unstable();
+        inner.superseded = superseded.into();
         Ok(stats)
+    }
+
+    /// Number of superseded versions stamped but not yet reclaimed: the
+    /// reclaim queue's length. Versions some registered snapshot can see
+    /// wait here, and so does everything stamped since the last write.
+    pub fn reclaim_backlog(&self) -> usize {
+        self.state.data.read().superseded.len()
     }
 
     /// Applies `f` to the planner statistics of `tid`. Intended for
@@ -297,6 +397,32 @@ pub struct VacuumStats {
     pub versions_removed: usize,
     /// Row versions surviving.
     pub versions_kept: usize,
+}
+
+/// The physical size of one table and its indexes, as
+/// [`ReadTxn::census`] reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableCensus {
+    /// Heap slots, stubs included.
+    pub versions: usize,
+    /// Reclaimed, payload-free stubs among them.
+    pub stubs: usize,
+    /// Per index, in creation order: its column, its entry count and its
+    /// longest posting list (the most versions one key probe visits).
+    pub indexes: Vec<IndexCensus>,
+}
+
+/// The size of one index, inside a [`TableCensus`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexCensus {
+    /// Indexed column position.
+    pub column: usize,
+    /// Entries (non-NULL keys over versions holding a payload).
+    pub entries: usize,
+    /// Distinct keys.
+    pub distinct_keys: usize,
+    /// Length of the longest posting list.
+    pub longest_posting: usize,
 }
 
 /// A snapshot view of the database for reading.
@@ -354,6 +480,27 @@ impl ReadTxn {
             .catalog
             .index_on_column(tid, column)
             .is_some()
+    }
+
+    /// The physical size of `tid`: heap slots, stubs and index entries,
+    /// regardless of visibility. Walks the heap (O(versions)).
+    pub fn census(&self, tid: TableId) -> Result<TableCensus> {
+        let inner = self.state.data.read();
+        let st = store(&inner, tid)?;
+        Ok(TableCensus {
+            versions: st.table.version_count(),
+            stubs: st.table.stub_count(),
+            indexes: st
+                .indexes
+                .iter()
+                .map(|idx| IndexCensus {
+                    column: idx.column,
+                    entries: idx.len(),
+                    distinct_keys: idx.distinct_keys(),
+                    longest_posting: idx.longest_posting(),
+                })
+                .collect(),
+        })
     }
 
     /// Full scan of the rows visible in this snapshot.
@@ -642,13 +789,33 @@ fn store_mut(inner: &mut DbInner, tid: TableId) -> Result<&mut Stored> {
 pub struct WriteTxn {
     read: ReadTxn,
     id: TxnId,
-    /// Versions this txn stamped `xmax` on — unstamped again on abort.
-    stamped: Mutex<Vec<(TableId, RowSlot)>>,
+    /// Heap writes this txn undoes on abort, in write order.
+    undo: Mutex<Vec<Undo>>,
     /// While set, `insert`/`delete` publish no change events. Used by
     /// [`WriteTxn::heartbeat`] so the monotone upsert surfaces as one
     /// semantic `HeartbeatUpsert` event instead of its raw table writes.
     suppress_events: std::sync::atomic::AtomicBool,
     finished: bool,
+}
+
+/// How a write to one table surfaces on the change stream.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    /// The system heartbeat table: raw writes publish
+    /// [`ChangeData::HeartbeatDml`].
+    heartbeat: bool,
+    /// A session temp table: writes publish nothing.
+    temp: bool,
+}
+
+/// One heap write a [`WriteTxn`] undoes on abort.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// It stamped `xmax` on this version: the stamp is cleared.
+    Stamped(TableId, RowSlot),
+    /// It created this version: the version is reclaimed at once, since
+    /// no snapshot can ever see an aborted transaction's writes.
+    Created(TableId, RowSlot),
 }
 
 impl std::ops::Deref for WriteTxn {
@@ -704,11 +871,37 @@ impl WriteTxn {
     }
 
     fn append_row(&self, tid: TableId, row: Vec<Value>, new_key: Option<usize>) -> Result<RowSlot> {
-        let _order = lockorder::acquire(LockId::DbData);
+        let (mut inner, _order, target) = self.latch(tid);
+        let (slot, row) = self.append_locked(&mut inner, tid, row, new_key)?;
+        drop(inner);
+        self.publish_insert(target, tid, row);
+        Ok(slot)
+    }
+
+    /// Takes the data latch for a write to `tid`, reclaiming superseded
+    /// versions first, and says how the write surfaces on the change
+    /// stream. The guard is released before the returned token.
+    fn latch(&self, tid: TableId) -> (RwLockWriteGuard<'_, DbInner>, LockToken, Target) {
+        let order = lockorder::acquire(LockId::DbData);
         let mut inner = self.read.state.data.write();
-        let touches_heartbeat = is_heartbeat_table(&inner, tid);
-        let is_temp = inner.catalog.is_temp_id(tid);
-        let st = store_mut(&mut inner, tid)?;
+        inner.reclaim_superseded(&self.read.state.txns, self.id);
+        let target = Target {
+            heartbeat: is_heartbeat_table(&inner, tid),
+            temp: inner.catalog.is_temp_id(tid),
+        };
+        (inner, order, target)
+    }
+
+    /// Appends `row` as a new version of `tid` under the held latch
+    /// (see [`WriteTxn::insert_new_key`] for `new_key`).
+    fn append_locked(
+        &self,
+        inner: &mut DbInner,
+        tid: TableId,
+        row: Vec<Value>,
+        new_key: Option<usize>,
+    ) -> Result<(RowSlot, Row)> {
+        let st = store_mut(inner, tid)?;
         let row = st.table.schema.check_row(row)?;
         if let Some(col) = new_key {
             self.claim_key(st, col, &row[col])?;
@@ -718,18 +911,72 @@ impl WriteTxn {
         for idx in &mut st.indexes {
             idx.insert(&row[idx.column], slot);
         }
-        inner.catalog.table_stats_mut(tid).observe_insert(&row);
-        drop(inner);
-        if touches_heartbeat {
+        self.appended(inner, tid, slot, &row);
+        Ok((slot, row))
+    }
+
+    /// Stamps this transaction's `xmax` on the version at `slot` of
+    /// `tid` under the held latch, and queues the version for
+    /// reclamation. It must be visible to this transaction.
+    fn stamp_locked(&self, inner: &mut DbInner, tid: TableId, slot: RowSlot) -> Result<()> {
+        let txns = &self.read.state.txns;
+        let st = store_mut(inner, tid)?;
+        if st
+            .table
+            .visible_at(slot, &self.read.snapshot, Some(self.id))
+            .is_none()
+        {
+            return Err(TracError::Storage(format!(
+                "delete target {slot:?} is not visible to {}",
+                self.id
+            )));
+        }
+        st.table
+            .delete_version(slot, self.id, |x| txns.status(x) != TxnStatus::Aborted)?;
+        self.stamped(inner, tid, slot);
+        Ok(())
+    }
+
+    /// Bookkeeping of a stamp this transaction made on `slot` of `tid`:
+    /// its undo entry, its place in the reclaim queue, the statistics.
+    fn stamped(&self, inner: &mut DbInner, tid: TableId, slot: RowSlot) {
+        self.push_undo(Undo::Stamped(tid, slot));
+        inner.superseded.push_back((self.id, tid, slot));
+        inner.catalog.table_stats_mut(tid).observe_delete();
+    }
+
+    /// Bookkeeping of a version this transaction appended at `slot`.
+    fn appended(&self, inner: &mut DbInner, tid: TableId, slot: RowSlot, row: &Row) {
+        self.push_undo(Undo::Created(tid, slot));
+        inner.catalog.table_stats_mut(tid).observe_insert(row);
+    }
+
+    fn push_undo(&self, undo: Undo) {
+        let _order = lockorder::acquire(LockId::TxnStamped);
+        self.undo.lock().push(undo);
+    }
+
+    /// The change event of an insert into `tid`, published after the
+    /// latch is released.
+    fn publish_insert(&self, target: Target, tid: TableId, row: Row) {
+        if target.heartbeat {
             // Raw DML on the heartbeat table bypasses the monotone
             // upsert: no fold stays exact, so the typed event is the
             // rescan trigger (the semantic upsert suppresses this and
             // publishes `HeartbeatUpsert` instead).
             self.publish_change(ChangeData::HeartbeatDml);
-        } else if !is_temp {
+        } else if !target.temp {
             self.publish_change(ChangeData::RowInsert { table: tid, row });
         }
-        Ok(slot)
+    }
+
+    /// The change event of a delete from `tid`.
+    fn publish_delete(&self, target: Target, tid: TableId) {
+        if target.heartbeat {
+            self.publish_change(ChangeData::HeartbeatDml);
+        } else if !target.temp {
+            self.publish_change(ChangeData::RowDelete { table: tid });
+        }
     }
 
     /// The conflict check of [`WriteTxn::insert_new_key`], run under
@@ -739,9 +986,9 @@ impl WriteTxn {
             Some(idx) => idx.probe_eq(key).collect(),
             None => st
                 .table
-                .all_versions()
-                .filter(|(_, v)| v.values.get(col) == Some(key))
-                .map(|(slot, _)| slot)
+                .payloads()
+                .filter(|(_, _, row)| row.get(col) == Some(key))
+                .map(|(slot, ..)| slot)
                 .collect(),
         };
         let txns = &self.read.state.txns;
@@ -765,44 +1012,83 @@ impl WriteTxn {
     /// Deletes the row at `slot` (it must be visible to this txn).
     /// Deletes from the heartbeat table publish
     /// [`ChangeData::HeartbeatDml`] (see [`WriteTxn::insert`]; updates
-    /// route through delete + insert).
+    /// publish a delete and an insert).
     pub fn delete(&self, tid: TableId, slot: RowSlot) -> Result<()> {
-        let txns = Arc::clone(&self.read.state.txns);
-        let _order = lockorder::acquire(LockId::DbData);
-        let mut inner = self.read.state.data.write();
-        let touches_heartbeat = is_heartbeat_table(&inner, tid);
-        let is_temp = inner.catalog.is_temp_id(tid);
-        let st = store_mut(&mut inner, tid)?;
-        if st
-            .table
-            .visible_at(slot, &self.read.snapshot, Some(self.id))
-            .is_none()
-        {
-            return Err(TracError::Storage(format!(
-                "delete target {slot:?} is not visible to {}",
-                self.id
-            )));
-        }
-        st.table
-            .delete_version(slot, self.id, |x| txns.status(x) != TxnStatus::Aborted)?;
-        {
-            let _stamped_order = lockorder::acquire(LockId::TxnStamped);
-            self.stamped.lock().push((tid, slot));
-        }
-        inner.catalog.table_stats_mut(tid).observe_delete();
+        let (mut inner, _order, target) = self.latch(tid);
+        self.stamp_locked(&mut inner, tid, slot)?;
         drop(inner);
-        if touches_heartbeat {
-            self.publish_change(ChangeData::HeartbeatDml);
-        } else if !is_temp {
-            self.publish_change(ChangeData::RowDelete { table: tid });
-        }
+        self.publish_delete(target, tid);
         Ok(())
     }
 
-    /// Updates the row at `slot` to `new_row`; returns the new slot.
+    /// Updates the row at `slot` to `new_row` under one latch; returns
+    /// the new slot. Publishes the delete's event, then the insert's.
     pub fn update(&self, tid: TableId, slot: RowSlot, new_row: Vec<Value>) -> Result<RowSlot> {
-        self.delete(tid, slot)?;
-        self.insert(tid, new_row)
+        let (mut inner, _order, target) = self.latch(tid);
+        self.stamp_locked(&mut inner, tid, slot)?;
+        let appended = self.append_locked(&mut inner, tid, new_row, None);
+        drop(inner);
+        self.publish_delete(target, tid);
+        let (slot, row) = appended?;
+        self.publish_insert(target, tid, row);
+        Ok(slot)
+    }
+
+    /// The keyed read-modify-write of [`heartbeat::upsert`], under one
+    /// latch and one index lookup: finds the version of `row[key]` this
+    /// transaction sees through the index on column `key`. When there is
+    /// one and `supersedes(current)` holds, replaces it with `row` as
+    /// [`WriteTxn::update`] does, pushing the new slot onto the posting
+    /// list already in hand; with none, inserts `row` as
+    /// [`WriteTxn::insert_new_key`] does. Returns whether it created the
+    /// key's row, or `None` when column `key` has no index.
+    pub(crate) fn upsert_keyed(
+        &self,
+        tid: TableId,
+        key: usize,
+        row: Vec<Value>,
+        supersedes: impl FnOnce(&Row) -> Result<bool>,
+    ) -> Result<Option<bool>> {
+        let (mut inner, _order, target) = self.latch(tid);
+        let st = store_mut(&mut inner, tid)?;
+        let Some(ix) = st.indexes.iter().position(|i| i.column == key) else {
+            return Ok(None);
+        };
+        let row = st.table.schema.check_row(row)?;
+        let Stored { table, indexes } = st;
+        let mut postings = indexes[ix].postings_mut(&row[key]);
+        let current = postings.as_ref().and_then(|p| {
+            p.slots().iter().find_map(|&slot| {
+                table
+                    .visible_at(slot, &self.read.snapshot, Some(self.id))
+                    .map(|r| (slot, r))
+            })
+        });
+        let (Some(postings), Some((old, current))) = (postings.as_mut(), current) else {
+            let (_, row) = self.append_locked(&mut inner, tid, row, Some(key))?;
+            drop(inner);
+            self.publish_insert(target, tid, row);
+            return Ok(Some(true));
+        };
+        if !supersedes(&current)? {
+            return Ok(Some(false));
+        }
+        let txns = &self.read.state.txns;
+        table.delete_version(old, self.id, |x| txns.status(x) != TxnStatus::Aborted)?;
+        let row: Row = Arc::from(row.into_boxed_slice());
+        let new = table.append(Arc::clone(&row), self.id);
+        postings.push(new);
+        for (i, idx) in indexes.iter_mut().enumerate() {
+            if i != ix {
+                idx.insert(&row[idx.column], new);
+            }
+        }
+        self.stamped(&mut inner, tid, old);
+        self.appended(&mut inner, tid, new, &row);
+        drop(inner);
+        self.publish_delete(target, tid);
+        self.publish_insert(target, tid, row);
+        Ok(Some(false))
     }
 
     /// Ingests one update from a data source (paper Section 3.1): the
@@ -816,20 +1102,24 @@ impl WriteTxn {
         row: Vec<Value>,
         event_time: Timestamp,
     ) -> Result<RowSlot> {
-        let schema = self.read.schema(tid)?;
-        let sc = schema.source_column.ok_or_else(|| {
-            TracError::Constraint(format!(
-                "table {} has no data source column; use insert()",
-                schema.name
-            ))
-        })?;
-        match row.get(sc) {
-            Some(v) if v.as_text() == Some(source.as_str()) => {}
-            _ => {
-                return Err(TracError::Constraint(format!(
-                    "update from source {source} must carry {source} in {}.{}",
-                    schema.name, schema.columns[sc].name
-                )))
+        {
+            // Checked under the read latch, reading the schema in place.
+            let inner = self.read.state.data.read();
+            let schema = &store(&inner, tid)?.table.schema;
+            let sc = schema.source_column.ok_or_else(|| {
+                TracError::Constraint(format!(
+                    "table {} has no data source column; use insert()",
+                    schema.name
+                ))
+            })?;
+            match row.get(sc) {
+                Some(v) if v.as_text() == Some(source.as_str()) => {}
+                _ => {
+                    return Err(TracError::Constraint(format!(
+                        "update from source {source} must carry {source} in {}.{}",
+                        schema.name, schema.columns[sc].name
+                    )))
+                }
             }
         }
         let slot = self.insert(tid, row)?;
@@ -877,9 +1167,18 @@ impl WriteTxn {
         let _order = lockorder::acquire(LockId::DbData);
         let mut inner = self.read.state.data.write();
         let _stamped_order = lockorder::acquire(LockId::TxnStamped);
-        for (tid, slot) in self.stamped.lock().drain(..) {
-            if let Ok(st) = store_mut(&mut inner, tid) {
-                st.table.unstamp(slot, self.id);
+        for undo in self.undo.lock().drain(..) {
+            match undo {
+                Undo::Stamped(tid, slot) => {
+                    if let Ok(st) = store_mut(&mut inner, tid) {
+                        st.table.unstamp(slot, self.id);
+                    }
+                }
+                Undo::Created(tid, slot) => {
+                    if let Ok(st) = store_mut(&mut inner, tid) {
+                        st.reclaim(slot, |v| v.xmin == self.id);
+                    }
+                }
             }
         }
         self.finished = true;

@@ -4,9 +4,12 @@
 //! of `Heartbeat`, `Activity` and `Routing` (Section 5.2) — that is what
 //! lets the Focused recency query probe only the few relevant sources
 //! instead of scanning everything. We implement the moral equivalent with
-//! a `BTreeMap<Value, Vec<RowSlot>>`: entries are added on insert and
-//! never removed (versions stay in the heap); readers re-check MVCC
-//! visibility and, when necessary, the indexed predicate.
+//! a `BTreeMap<Value, Vec<RowSlot>>`. Entries are added on insert and
+//! removed when their version is reclaimed (superseded below the xmin
+//! horizon, or created by an aborted transaction), so a key's posting
+//! list holds its live versions plus the dead ones some snapshot may
+//! still see or the write path has not reclaimed yet. Readers re-check
+//! MVCC visibility and, when necessary, the indexed predicate.
 
 use crate::table::RowSlot;
 use std::collections::BTreeMap;
@@ -20,6 +23,29 @@ pub struct Index {
     pub column: usize,
     map: BTreeMap<Value, Vec<RowSlot>>,
     entries: usize,
+}
+
+/// One key's posting list, borrowed from its [`Index`] by
+/// [`Index::postings_mut`].
+pub struct Postings<'a> {
+    slots: &'a mut Vec<RowSlot>,
+    entries: &'a mut usize,
+}
+
+impl Postings<'_> {
+    /// The key's slots, in slot order.
+    pub fn slots(&self) -> &[RowSlot] {
+        self.slots
+    }
+
+    /// Appends `slot`, which must exceed every slot already listed (a
+    /// version just appended to the heap), so the list stays in slot
+    /// order.
+    pub fn push(&mut self, slot: RowSlot) {
+        debug_assert!(self.slots.last().is_none_or(|last| *last < slot));
+        self.slots.push(slot);
+        *self.entries += 1;
+    }
 }
 
 impl Index {
@@ -38,8 +64,51 @@ impl Index {
         if key.is_null() {
             return;
         }
-        self.map.entry(key.clone()).or_default().push(slot);
+        // Clone the key only when it is new to the index.
+        match self.map.get_mut(key) {
+            Some(slots) => slots.push(slot),
+            None => {
+                self.map.insert(key.clone(), vec![slot]);
+            }
+        }
         self.entries += 1;
+    }
+
+    /// Removes the entry `(key, slot)`, dropping the key when its posting
+    /// list empties. Returns whether the entry was present. Posting lists
+    /// are in slot order (slots are appended in increasing order and
+    /// builds walk the heap in slot order), so the lookup is a binary
+    /// search and the remaining postings keep their order.
+    pub fn remove(&mut self, key: &Value, slot: RowSlot) -> bool {
+        let Some(slots) = self.map.get_mut(key) else {
+            return false;
+        };
+        let Ok(at) = slots.binary_search(&slot) else {
+            return false;
+        };
+        slots.remove(at);
+        if slots.is_empty() {
+            self.map.remove(key);
+        }
+        self.entries -= 1;
+        true
+    }
+
+    /// The posting list of `key` for a read-modify-write under one
+    /// lookup: read its slots, then push a new slot. `None` when `key`
+    /// has no entry.
+    pub fn postings_mut(&mut self, key: &Value) -> Option<Postings<'_>> {
+        let slots = self.map.get_mut(key)?;
+        Some(Postings {
+            slots,
+            entries: &mut self.entries,
+        })
+    }
+
+    /// Length of the longest posting list: the most versions an equality
+    /// probe of one key visits.
+    pub fn longest_posting(&self) -> usize {
+        self.map.values().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Number of (non-NULL) entries.
@@ -180,6 +249,43 @@ mod tests {
         // Descending keys, but postings still forward — the stable
         // descending-sort tie order.
         assert_eq!(desc, vec![RowSlot(3), RowSlot(1), RowSlot(0), RowSlot(2)]);
+    }
+
+    #[test]
+    fn remove_keeps_counts_and_posting_order_exact() {
+        let mut i = idx();
+        assert_eq!(i.longest_posting(), 2);
+        assert!(i.remove(&Value::text("m1"), RowSlot(0)));
+        assert_eq!((i.len(), i.distinct_keys()), (3, 3));
+        assert_eq!(
+            i.probe_eq(&Value::text("m1")).collect::<Vec<_>>(),
+            vec![RowSlot(2)]
+        );
+        // Absent entries, wrong slots and NULL keys remove nothing.
+        assert!(!i.remove(&Value::text("m1"), RowSlot(0)));
+        assert!(!i.remove(&Value::text("m2"), RowSlot(3)));
+        assert!(!i.remove(&Value::text("zz"), RowSlot(1)));
+        assert!(!i.remove(&Value::Null, RowSlot(4)));
+        assert_eq!(i.len(), 3);
+        // The last posting of a key drops the key itself.
+        assert!(i.remove(&Value::text("m2"), RowSlot(1)));
+        assert_eq!((i.len(), i.distinct_keys()), (2, 2));
+        assert_eq!(i.probe_eq(&Value::text("m2")).count(), 0);
+        assert_eq!(
+            i.ordered_slots(false).collect::<Vec<_>>(),
+            vec![RowSlot(2), RowSlot(3)]
+        );
+        assert_eq!(i.longest_posting(), 1);
+        // Middle removal keeps the rest in slot order.
+        let mut j = Index::new(0);
+        for n in 0..5 {
+            j.insert(&Value::Int(1), RowSlot(n));
+        }
+        assert!(j.remove(&Value::Int(1), RowSlot(2)));
+        assert_eq!(
+            j.probe_eq(&Value::Int(1)).collect::<Vec<_>>(),
+            vec![RowSlot(0), RowSlot(1), RowSlot(3), RowSlot(4)]
+        );
     }
 
     #[test]

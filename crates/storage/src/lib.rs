@@ -40,7 +40,7 @@ pub use changelog::{
     set_publish_yield_hook, ChangeData, ChangeEvent, ChangeLog, RescanRequired, StreamObservation,
     DEFAULT_CHANGELOG_CAPACITY,
 };
-pub use db::{Database, ReadTxn, VacuumStats, WriteTxn};
+pub use db::{Database, IndexCensus, ReadTxn, TableCensus, VacuumStats, WriteTxn};
 pub use heartbeat::{HEARTBEAT_RECENCY_COL, HEARTBEAT_SID_COL, HEARTBEAT_TABLE};
 pub use lockorder::{LockId, LockToken};
 pub use persist::{load_snapshot, save_snapshot};

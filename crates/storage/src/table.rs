@@ -4,6 +4,12 @@
 //! version and stamp `xmax` on the old one; deletes stamp `xmax` only.
 //! Visibility is decided per [`crate::txn::Snapshot`]. Rows are shared as
 //! `Arc<[Value]>` so scans hand out cheap clones.
+//!
+//! A version no snapshot can see any more is *reclaimed* in place: its
+//! payload is released and a payload-free stub keeps its slot, so slots
+//! are never renumbered and scan order never changes. A stub is invisible
+//! to every snapshot; [`Table::payloads`] skips stubs for readers of raw
+//! versions, and only vacuum's compaction removes them.
 
 use crate::schema::TableSchema;
 use crate::txn::{Snapshot, TxnId};
@@ -20,8 +26,8 @@ pub struct RowSlot(pub usize);
 /// One version of a row.
 #[derive(Debug, Clone)]
 pub struct RowVersion {
-    /// The column values.
-    pub values: Row,
+    /// The column values; `None` once the version is reclaimed (a stub).
+    pub values: Option<Row>,
     /// Creating transaction.
     pub xmin: TxnId,
     /// Deleting/superseding transaction, if any.
@@ -55,7 +61,7 @@ impl Table {
     pub fn append(&mut self, values: Row, xmin: TxnId) -> RowSlot {
         let slot = RowSlot(self.versions.len());
         self.versions.push(RowVersion {
-            values,
+            values: Some(values),
             xmin,
             xmax: None,
         });
@@ -106,6 +112,22 @@ impl Table {
         }
     }
 
+    /// Reclaims the version at `slot` when `dead` says no snapshot can
+    /// see it: releases its payload, leaving a stub, and returns the
+    /// payload so the caller can unlink its index entries. `None` when
+    /// `dead` declines or the slot is a stub already.
+    pub fn reclaim(
+        &mut self,
+        slot: RowSlot,
+        dead: impl FnOnce(&RowVersion) -> bool,
+    ) -> Option<Row> {
+        let v = self.versions.get_mut(slot.0)?;
+        if !dead(v) {
+            return None;
+        }
+        v.values.take()
+    }
+
     /// Iterates `(slot, row)` over versions visible to `snap` for reader
     /// `own`.
     pub fn scan_visible<'a>(
@@ -113,36 +135,44 @@ impl Table {
         snap: &'a Snapshot,
         own: Option<TxnId>,
     ) -> impl Iterator<Item = (RowSlot, Row)> + 'a {
-        self.versions
-            .iter()
-            .enumerate()
-            .filter(move |(_, v)| snap.sees_version(own, v.xmin, v.xmax))
-            .map(|(i, v)| (RowSlot(i), Arc::clone(&v.values)))
+        self.versions.iter().enumerate().filter_map(move |(i, v)| {
+            let row = v.values.as_ref()?;
+            snap.sees_version(own, v.xmin, v.xmax)
+                .then(|| (RowSlot(i), Arc::clone(row)))
+        })
     }
 
-    /// Drops every version for which `is_dead` returns true, compacting
-    /// the heap. Returns the number removed. Slots are renumbered — the
-    /// caller must rebuild indexes and must guarantee no outstanding
-    /// [`RowSlot`] references (vacuum's job).
+    /// Drops every stub and every version for which `is_dead` returns
+    /// true, compacting the heap. Returns the number removed. Slots are
+    /// renumbered — the caller must rebuild indexes and must guarantee no
+    /// outstanding [`RowSlot`] references (vacuum's job).
     pub fn compact(&mut self, is_dead: impl Fn(&RowVersion) -> bool) -> usize {
         let before = self.versions.len();
-        self.versions.retain(|v| !is_dead(v));
+        self.versions.retain(|v| v.values.is_some() && !is_dead(v));
         before - self.versions.len()
     }
 
-    /// Iterates all physical versions (for index rebuilds).
-    pub fn all_versions(&self) -> impl Iterator<Item = (RowSlot, &RowVersion)> {
+    /// Iterates `(slot, version, row)` over every version that still
+    /// holds its payload, dead or alive (index builds, key checks). Stubs
+    /// are skipped.
+    pub fn payloads(&self) -> impl Iterator<Item = (RowSlot, &RowVersion, &Row)> {
         self.versions
             .iter()
             .enumerate()
-            .map(|(i, v)| (RowSlot(i), v))
+            .filter_map(|(i, v)| Some((RowSlot(i), v, v.values.as_ref()?)))
+    }
+
+    /// Number of reclaimed stubs in the heap.
+    pub fn stub_count(&self) -> usize {
+        self.versions.iter().filter(|v| v.values.is_none()).count()
     }
 
     /// Visibility check + fetch for a single slot.
     pub fn visible_at(&self, slot: RowSlot, snap: &Snapshot, own: Option<TxnId>) -> Option<Row> {
         let v = self.versions.get(slot.0)?;
+        let row = v.values.as_ref()?;
         snap.sees_version(own, v.xmin, v.xmax)
-            .then(|| Arc::clone(&v.values))
+            .then(|| Arc::clone(row))
     }
 }
 

@@ -13,6 +13,13 @@
 //! later begin or finish copies the set it edits instead of changing the
 //! one a snapshot holds. Visibility checks read only the snapshot.
 //!
+//! The manager also keeps a registry of live snapshots and derives one
+//! **xmin horizon** from it ([`TxnManager::xmin_horizon`]): the smallest
+//! id any registered snapshot still treats as undecided. A committed id
+//! below the horizon is visible to every live and every future snapshot,
+//! so a version it superseded can never be read again. The write path
+//! reclaims such versions incrementally, and vacuum uses the same test.
+//!
 //! This is what gives the TRAC session its first guiding requirement
 //! (Section 3.2): the user query and the generated recency query run
 //! against the *same* [`Snapshot`], so the reported recency information is
@@ -46,11 +53,16 @@ pub enum TxnStatus {
 }
 
 /// Allocates transaction ids and tracks their status, plus the registry
-/// of outstanding snapshots (used by vacuum to find a safe horizon).
+/// of outstanding snapshots (from which the xmin horizon is derived).
 #[derive(Debug, Default)]
 pub struct TxnManager {
     inner: RwLock<TxnTable>,
-    snapshots: RwLock<HashMap<u64, SnapshotInfo>>,
+    /// Registered snapshots by serial, each with its own xmin: the
+    /// smallest id it does not see as decided, `min(in_flight ∪ {xmax})`.
+    /// Lock order: `snapshots` before `inner`, so a snapshot reads the
+    /// transaction table and registers in one step that no horizon
+    /// computation can fall between.
+    snapshots: RwLock<HashMap<u64, TxnId>>,
     next_snapshot_serial: AtomicU64,
 }
 
@@ -62,12 +74,6 @@ struct TxnTable {
     active: Arc<HashSet<TxnId>>,
     /// Ids that aborted. Every other issued id outside `active` committed.
     aborted: Arc<HashSet<TxnId>>,
-}
-
-#[derive(Debug, Clone)]
-struct SnapshotInfo {
-    xmax: TxnId,
-    in_flight: Arc<HashSet<TxnId>>,
 }
 
 impl TxnManager {
@@ -117,25 +123,23 @@ impl TxnManager {
     }
 
     /// Takes a snapshot of the current commit state. The snapshot is
-    /// registered until dropped, which holds back the vacuum horizon.
+    /// registered until dropped, which holds back the xmin horizon.
     pub fn snapshot(self: &Arc<TxnManager>) -> Snapshot {
+        let serial = self
+            .next_snapshot_serial
+            .fetch_add(1, AtomicOrdering::Relaxed);
+        let mut registry = self.snapshots.write();
         let t = self.inner.read();
         let xmax = TxnId(t.last + 1);
         let in_flight = Arc::clone(&t.active);
         let aborted = Arc::clone(&t.aborted);
         drop(t);
-        let serial = self
-            .next_snapshot_serial
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        self.snapshots.write().insert(
-            serial,
-            SnapshotInfo {
-                xmax,
-                in_flight: Arc::clone(&in_flight),
-            },
-        );
+        let xmin = in_flight.iter().copied().fold(xmax, TxnId::min);
+        registry.insert(serial, xmin);
+        drop(registry);
         Snapshot {
             xmax,
+            xmin,
             in_flight,
             aborted,
             serial,
@@ -143,17 +147,32 @@ impl TxnManager {
         }
     }
 
+    /// The xmin horizon: the minimum, over registered snapshots, of
+    /// `min(in_flight ∪ {xmax})`, or the next id to issue when none is
+    /// registered. Every id below it was decided before each registered
+    /// snapshot was taken, so a committed id below it is visible to
+    /// every live snapshot and, being decided, to every future one.
+    ///
+    /// The horizon can move down only when a new snapshot sees in
+    /// flight a transaction that was in flight at an earlier call with
+    /// no snapshot registered; any id committed by that call is
+    /// committed for the new snapshot too, so what the call allowed
+    /// stays allowed.
+    pub fn xmin_horizon(&self) -> TxnId {
+        let registry = self.snapshots.read();
+        let next = TxnId(self.inner.read().last + 1);
+        registry.values().copied().fold(next, TxnId::min)
+    }
+
     /// True when `id`'s effects are visible to **every** outstanding
-    /// snapshot — i.e. `id` committed strictly before each of them. A
-    /// version deleted by such a transaction can never be read again.
+    /// and future snapshot: `id` committed and lies below the
+    /// [xmin horizon](Self::xmin_horizon). A version deleted by such a
+    /// transaction can never be read again.
     pub fn committed_before_all_snapshots(&self, id: TxnId) -> bool {
-        if self.status(id) != TxnStatus::Committed {
-            return false;
-        }
-        let snaps = self.snapshots.read();
-        snaps
-            .values()
-            .all(|s| id < s.xmax && !s.in_flight.contains(&id))
+        // Status first: an id committed by now is committed for every
+        // snapshot registered later, and the horizon then covers every
+        // snapshot registered earlier that is still alive.
+        self.status(id) == TxnStatus::Committed && id < self.xmin_horizon()
     }
 
     /// Number of currently outstanding snapshots.
@@ -173,7 +192,7 @@ impl TxnManager {
 
 /// The recency footprint of a snapshot, detached from the snapshot
 /// registry: enough to answer [`Snapshot::covers_basis`] but holding
-/// nothing back from vacuum. Cheap to clone (the in-flight set is
+/// back no reclamation. Cheap to clone (the in-flight set is
 /// shared).
 #[derive(Debug, Clone)]
 pub struct SnapshotBasis {
@@ -183,11 +202,14 @@ pub struct SnapshotBasis {
 
 /// A point-in-time view of which transactions' effects are visible.
 ///
-/// Cloning re-registers: every live clone holds back the vacuum horizon.
+/// Cloning re-registers: every live clone holds back the xmin horizon.
 pub struct Snapshot {
     /// First transaction id *not* visible (ids `>= xmax` started after the
     /// snapshot).
     xmax: TxnId,
+    /// Smallest id this snapshot does not see as decided:
+    /// `min(in_flight ∪ {xmax})`. Its contribution to the horizon.
+    xmin: TxnId,
     /// Transactions in flight when the snapshot was taken.
     in_flight: Arc<HashSet<TxnId>>,
     /// Transactions aborted when the snapshot was taken.
@@ -203,15 +225,10 @@ impl Clone for Snapshot {
             .mgr
             .next_snapshot_serial
             .fetch_add(1, AtomicOrdering::Relaxed);
-        self.mgr.snapshots.write().insert(
-            serial,
-            SnapshotInfo {
-                xmax: self.xmax,
-                in_flight: Arc::clone(&self.in_flight),
-            },
-        );
+        self.mgr.snapshots.write().insert(serial, self.xmin);
         Snapshot {
             xmax: self.xmax,
+            xmin: self.xmin,
             in_flight: Arc::clone(&self.in_flight),
             aborted: Arc::clone(&self.aborted),
             serial,
@@ -269,7 +286,7 @@ impl Snapshot {
 
     /// Extracts the comparison data [`Snapshot::covers_basis`] needs,
     /// without keeping the snapshot itself alive (a registered
-    /// [`Snapshot`] holds back the vacuum horizon; a basis does not).
+    /// [`Snapshot`] holds back the xmin horizon; a basis does not).
     pub fn coverage_basis(&self) -> SnapshotBasis {
         SnapshotBasis {
             xmax: self.xmax,
@@ -481,6 +498,26 @@ mod tests {
                 "{step:?}"
             );
             assert_eq!(m.active_snapshots(), live.len(), "{step:?}");
+            // The horizon: each live snapshot's first undecided id, or
+            // the next id to issue.
+            let xmin = |seen: &[TxnStatus]| {
+                seen.iter()
+                    .position(|s| *s == TxnStatus::InProgress)
+                    .map_or(seen.len() as u64 + 1, |i| i as u64 + 1)
+            };
+            let want = live
+                .iter()
+                .map(|(_, seen)| xmin(seen))
+                .fold(horizon, u64::min);
+            assert_eq!(m.xmin_horizon(), TxnId(want), "{step:?}");
+            for id in 1..horizon {
+                let committed = reference[(id - 1) as usize] == TxnStatus::Committed;
+                assert_eq!(
+                    m.committed_before_all_snapshots(TxnId(id)),
+                    committed && id < want,
+                    "{step:?}: txn#{id}"
+                );
+            }
         }
     }
 

@@ -85,10 +85,12 @@ echo "==> benchmark smoke: a scan_reports window of ~26 cycles (52 reports)"
 # the correctness gate to see Session::close() release them.
 bash benchmark/run.sh --workload scan_reports --seed 1 --seconds 6 --trace 0 >/dev/null
 
-echo "==> benchmark smoke: one short ingest_and_report window"
+echo "==> benchmark smoke: an ingest_and_report window of ~11 cycles"
 # The write path under the same gate: begin/commit through ingest
-# batches, change-stream ring overflow and the rescans it forces.
-bash benchmark/run.sh --workload ingest_and_report --seed 1 --seconds 1 --trace 0 >/dev/null
+# batches, change-stream ring overflow and the rescans it forces, and
+# reclamation of superseded heartbeat versions running behind the
+# reports (maintained == rescan is rechecked every 64th report).
+bash benchmark/run.sh --workload ingest_and_report --seed 1 --seconds 4 --trace 0 >/dev/null
 
 echo "==> benchmark smoke: one short adhoc_reports window"
 # Every statement misses the plan cache, so this registers hundreds of

@@ -216,3 +216,73 @@ fn conflicting_heartbeat_upserts_are_serializable() {
     let hbt = txn.table_id("heartbeat").unwrap();
     assert_eq!(txn.scan(hbt).unwrap().len(), 1);
 }
+
+/// Reclamation racing readers: each reader opens a snapshot while a
+/// writer keeps superseding every source's heartbeat, and must keep
+/// reading the recencies it opened with, by scan and by index probe,
+/// however many batches commit and however much the write path reclaims
+/// meanwhile. Every batch moves all sources to one timestamp, so a view
+/// that mixes two batches is torn. Once the readers are gone, each
+/// upsert reclaims at least one more version than it supersedes, so as
+/// many upserts as the backlog left behind bring the `sid` index back to
+/// the live versions plus the last batch's.
+#[test]
+fn readers_keep_their_versions_while_the_write_path_reclaims() {
+    use trac::storage::heartbeat::{all_recencies, recencies_of};
+    const SOURCES: usize = 32;
+    let db = Database::new();
+    let sources: Vec<SourceId> = (0..SOURCES)
+        .map(|i| SourceId::new(format!("r{i}")))
+        .collect();
+    let batch = |db: &Database, t: i64| {
+        db.with_write(|w| {
+            sources
+                .iter()
+                .try_for_each(|s| w.heartbeat(s, Timestamp::from_secs(t)))
+        })
+        .unwrap();
+    };
+    batch(&db, 0);
+    let stop = Arc::new(AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            let (db, stop, sources) = (db.clone(), Arc::clone(&stop), &sources);
+            scope.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let txn = db.begin_read();
+                    let scanned = all_recencies(&txn).unwrap();
+                    let probed = recencies_of(&txn, sources).unwrap();
+                    assert_eq!(scanned, probed);
+                    assert_eq!(scanned.len(), SOURCES);
+                    let t = scanned[0].1;
+                    assert!(scanned.iter().all(|(_, ts)| *ts == t), "torn view");
+                    for _ in 0..20 {
+                        std::thread::yield_now();
+                        assert_eq!(all_recencies(&txn).unwrap(), scanned);
+                        assert_eq!(recencies_of(&txn, sources).unwrap(), scanned);
+                    }
+                }
+            });
+        }
+        for t in 1..=300 {
+            batch(&db, t);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let last = 300 + db.reclaim_backlog().div_ceil(SOURCES) as i64 + 1;
+    for t in 301..=last {
+        batch(&db, t);
+    }
+    let txn = db.begin_read();
+    assert!(all_recencies(&txn)
+        .unwrap()
+        .iter()
+        .all(|(_, ts)| *ts == Timestamp::from_secs(last)));
+    let hb = txn.table_id("heartbeat").unwrap();
+    let census = txn.census(hb).unwrap();
+    let index = census.indexes[0];
+    assert_eq!(index.entries, census.versions - census.stubs);
+    assert!(index.entries <= 2 * SOURCES, "{census:?}");
+    assert!(index.longest_posting <= 2, "{census:?}");
+    assert!(db.reclaim_backlog() <= SOURCES);
+}
