@@ -14,7 +14,8 @@
 //!
 //! * Inner join sides stay lazy — a join fetches (or hash-builds) its
 //!   inner table only when the first **non-empty** outer batch arrives,
-//!   so an empty outer input never touches downstream tables.
+//!   so an empty outer input never touches downstream tables; on the
+//!   morsel route, joins borrow a side built once ([`Prebuilt`]).
 //! * A filter conjunct that fails to evaluate counts as not true: the
 //!   lane is dropped, the error never surfaces.
 //! * `LIMIT` is checked before each output lane is materialized, so an
@@ -34,6 +35,7 @@ use crate::operators::{
 };
 use crate::parallel::{self, MorselRoute};
 use crate::result::QueryResult;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use trac_expr::{
     eval_expr, eval_vec, AggFunc, BoundExpr, ColRef, ColumnarBatch, KernelCert, Projection,
@@ -45,9 +47,24 @@ use trac_types::{DataType, Result, TracError, Value};
 /// A pull-based batch iterator over one operator subtree. Batches may
 /// have zero live lanes after filtering; consumers skip those without
 /// treating them as end-of-stream.
-trait BatchSource {
+pub(crate) trait BatchSource {
     /// Produces the next batch, or `None` when exhausted.
     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>>;
+
+    /// Pulls every batch and returns their live lanes as tuples.
+    fn drain(&mut self) -> Result<Vec<Tuple>> {
+        let mut tuples = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            tuples.extend(batch.to_tuples());
+        }
+        Ok(tuples)
+    }
+
+    /// The build side a hash join holds (tests check morsels share it).
+    #[cfg(test)]
+    fn build_side(&self) -> Option<&BuildSide> {
+        None
+    }
 }
 
 /// Produces no batches (a statically pruned input).
@@ -61,7 +78,7 @@ impl BatchSource for EmptySource {
 
 /// Streams the base table of a join chain in `batch_size` chunks, with
 /// the leaf's residual filter applied vectorized per chunk. Rows are
-/// fetched lazily on the first pull.
+/// fetched on the first pull, unless seeded with a morsel's rows.
 struct LeafSource<'a> {
     txn: &'a ReadTxn,
     node: &'a PlanNode,
@@ -93,9 +110,10 @@ impl BatchSource for LeafSource<'_> {
 struct NLJoinSource<'a> {
     txn: &'a ReadTxn,
     outer: Box<dyn BatchSource + 'a>,
-    inner_node: &'a PlanNode,
+    inner: &'a PlanNode,
     inner_pos: usize,
-    inner_rows: Option<Vec<Row>>,
+    /// Fetched lazily, or borrowed from the morsel route's [`Prebuilt`].
+    inner_rows: Option<Cow<'a, [Row]>>,
     filter: &'a [trac_expr::BoundExpr],
     cert: &'a KernelCert,
 }
@@ -110,7 +128,7 @@ impl BatchSource for NLJoinSource<'_> {
                 continue;
             }
             if self.inner_rows.is_none() {
-                self.inner_rows = Some(fetch_leaf_rows(self.txn, self.inner_node, self.cert)?);
+                self.inner_rows = Some(fetch_leaf_rows(self.txn, self.inner, self.cert)?.into());
             }
             let rows = self.inner_rows.as_deref().unwrap_or_default();
             // Every live lane matches the whole inner row set; hand the
@@ -128,11 +146,12 @@ impl BatchSource for NLJoinSource<'_> {
 /// key → row-index table over them. Probing yields `u32` index lists
 /// borrowed from the table, and matched rows are cloned only at gather
 /// time ([`ColumnarBatch::join_extend_indexed`]) — never per probe.
-struct BuildSide {
+#[derive(Clone)]
+pub(crate) struct BuildSide {
     /// The (filtered) inner rows, in fetch order.
     rows: Vec<Row>,
     /// Key index into `rows`.
-    index: JoinIndex,
+    pub(crate) index: JoinIndex,
 }
 
 /// The hash-join key index: boxed [`Value`] keys in general, unboxed
@@ -141,7 +160,8 @@ struct BuildSide {
 /// matching is `Value` identity (the equi-key conjunct is re-applied
 /// with SQL semantics afterwards), so both representations match the
 /// same rows.
-enum JoinIndex {
+#[derive(Clone)]
+pub(crate) enum JoinIndex {
     /// Boxed keys, bucketing row indices by [`Value`].
     Boxed(HashMap<Value, Vec<u32>>),
     /// Unboxed keys, bucketing row indices by `i64`
@@ -158,39 +178,39 @@ const NO_MATCH: &[u32] = &[];
 struct HashJoinSource<'a> {
     txn: &'a ReadTxn,
     outer: Box<dyn BatchSource + 'a>,
-    inner_node: &'a PlanNode,
+    join: &'a PlanNode,
     inner_pos: usize,
-    inner_col: usize,
     outer_key: trac_expr::ColRef,
     filter: &'a [trac_expr::BoundExpr],
     cert: &'a KernelCert,
-    build: Option<BuildSide>,
+    /// Built lazily, or borrowed from the morsel route's [`Prebuilt`].
+    build: Option<Cow<'a, BuildSide>>,
 }
 
-impl HashJoinSource<'_> {
-    /// True when both key lanes are certified `INT`, admitting the
-    /// unboxed build table and probe kernel.
-    fn int_key_certified(&self) -> bool {
-        let inner_ok = self
-            .cert
-            .get(self.inner_pos, self.inner_col)
-            .is_some_and(|l| l.ty == DataType::Int);
-        inner_ok
-            && self
-                .cert
-                .lane(self.outer_key)
-                .is_some_and(|l| l.ty == DataType::Int)
-    }
-
-    /// Builds the boxed or unboxed key index over the inner rows. A row
-    /// whose key contradicts the `INT` certificate drops the whole
-    /// build back to the boxed representation (never a wrong answer).
-    fn build_side(&self, rows: Vec<Row>) -> BuildSide {
-        if self.int_key_certified() {
+impl BuildSide {
+    /// Fetches a `HashJoin`'s filtered inner rows and indexes their keys,
+    /// unboxed when `cert` proves both key lanes `INT`. A row whose key
+    /// contradicts the certificate drops the whole build back to boxed
+    /// keys (never a wrong answer).
+    pub(crate) fn new(txn: &ReadTxn, join: &PlanNode, cert: &KernelCert) -> Result<BuildSide> {
+        let PlanNode::HashJoin {
+            inner,
+            inner_col,
+            outer_key,
+            ..
+        } = join
+        else {
+            return Err(TracError::Execution(
+                "only a HashJoin has a build side".into(),
+            ));
+        };
+        let rows = fetch_leaf_rows(txn, inner, cert)?;
+        let is_int = |l: Option<&trac_expr::LaneCert>| l.is_some_and(|l| l.ty == DataType::Int);
+        if is_int(cert.get(leaf_pos(inner)?, *inner_col)) && is_int(cert.lane(*outer_key)) {
             let mut index: HashMap<i64, Vec<u32>> = HashMap::new();
             let mut ok = true;
             for (i, r) in rows.iter().enumerate() {
-                match &r[self.inner_col] {
+                match &r[*inner_col] {
                     Value::Int(k) => index.entry(*k).or_default().push(i as u32),
                     Value::Null => {}
                     _ => {
@@ -200,25 +220,27 @@ impl HashJoinSource<'_> {
                 }
             }
             if ok {
-                return BuildSide {
+                return Ok(BuildSide {
                     rows,
                     index: JoinIndex::Int(index),
-                };
+                });
             }
         }
         let mut index: HashMap<Value, Vec<u32>> = HashMap::new();
         for (i, r) in rows.iter().enumerate() {
-            let k = &r[self.inner_col];
+            let k = &r[*inner_col];
             if !k.is_null() {
                 index.entry(k.clone()).or_default().push(i as u32);
             }
         }
-        BuildSide {
+        Ok(BuildSide {
             rows,
             index: JoinIndex::Boxed(index),
-        }
+        })
     }
+}
 
+impl HashJoinSource<'_> {
     /// Per-lane match lists for one outer batch, borrowed straight from
     /// the build-side buckets (no rows are cloned here). The unboxed
     /// probe gathers the key lane as raw `i64`s (null-bitmap aware); if
@@ -267,10 +289,9 @@ impl BatchSource for HashJoinSource<'_> {
                 continue;
             }
             if self.build.is_none() {
-                let rows = fetch_leaf_rows(self.txn, self.inner_node, self.cert)?;
-                self.build = Some(self.build_side(rows));
+                self.build = Some(Cow::Owned(BuildSide::new(self.txn, self.join, self.cert)?));
             }
-            let Some(build) = self.build.as_ref() else {
+            let Some(build) = self.build.as_deref() else {
                 unreachable!("build side constructed above");
             };
             let matches = self.probe(build, &batch)?;
@@ -278,6 +299,11 @@ impl BatchSource for HashJoinSource<'_> {
             joined.apply_filter(self.filter, self.cert);
             return Ok(Some(joined));
         }
+    }
+
+    #[cfg(test)]
+    fn build_side(&self) -> Option<&BuildSide> {
+        self.build.as_deref()
     }
 }
 
@@ -379,7 +405,8 @@ impl BatchSource for SortSource<'_> {
 }
 
 /// The morsel route: runs the worker pool over the whole relational
-/// root on the first pull, then replays the merged tuples as one batch.
+/// root on the first pull, each morsel through its own [`build_source`]
+/// tree, then replays the merged tuples as one batch.
 struct MorselSource<'a> {
     txn: &'a ReadTxn,
     route: MorselRoute<'a>,
@@ -401,9 +428,9 @@ impl BatchSource for MorselSource<'_> {
 
 /// Builds the source for a plan's relational root (the input of
 /// `Aggregate`, or of `Sort`/`Project`). With `opts.threads > 1`, a
-/// root of the shape [`parallel::morsel_route`] accepts runs on the
-/// morsel route; every other root, and every root at one thread, runs
-/// through the serial source tree.
+/// root of the shape [`parallel::morsel_route`] accepts runs its source
+/// tree once per morsel on the morsel route; every other root, and
+/// every root at one thread, runs it once.
 fn root_source<'a>(
     txn: &'a ReadTxn,
     node: &'a PlanNode,
@@ -428,20 +455,66 @@ fn root_source<'a>(
             }));
         }
     }
-    build_source(txn, node, opts.batch_size.max(1), cert)
+    build_source(txn, node, opts.batch_size.max(1), cert, None)
 }
 
-/// Builds the serial batch-source tree for the filter/join chain below
-/// a plan's relational root. `cert` is the plan's typed-kernel
+/// Join inner sides built once for a filter/join chain, keyed by the
+/// inner leaf's FROM position: the morsel route's coordinator builds
+/// them before fan-out, and every morsel's joins borrow them.
+#[derive(Default)]
+pub(crate) struct Prebuilt {
+    /// Each `NLJoin`'s filtered inner rows.
+    rows: HashMap<usize, Vec<Row>>,
+    /// Each `HashJoin`'s build side.
+    pub(crate) builds: HashMap<usize, BuildSide>,
+}
+
+impl Prebuilt {
+    /// Fetches every `NLJoin` inner side and builds every `HashJoin`
+    /// build side below `root`, as the serial joins do lazily.
+    pub(crate) fn build(txn: &ReadTxn, root: &PlanNode, cert: &KernelCert) -> Result<Prebuilt> {
+        let mut out = Prebuilt::default();
+        let mut node = root;
+        loop {
+            node = match node {
+                PlanNode::Filter { input, .. } => input,
+                PlanNode::NLJoin { outer, inner, .. } => {
+                    out.rows
+                        .insert(leaf_pos(inner)?, fetch_leaf_rows(txn, inner, cert)?);
+                    outer
+                }
+                PlanNode::HashJoin { outer, inner, .. } => {
+                    out.builds
+                        .insert(leaf_pos(inner)?, BuildSide::new(txn, node, cert)?);
+                    outer
+                }
+                PlanNode::IndexNLJoin { outer, .. } => outer,
+                _ => return Ok(out),
+            };
+        }
+    }
+}
+
+/// One morsel: its leaf's starting state and the chain's [`Prebuilt`].
+pub(crate) struct MorselInput<'a> {
+    pub(crate) leaf: (usize, &'a [BoundExpr], std::vec::IntoIter<Row>),
+    pub(crate) prebuilt: &'a Prebuilt,
+}
+
+/// Builds the batch-source tree for the filter/join chain below a
+/// plan's relational root. `cert` is the plan's typed-kernel
 /// certificate (empty when typed kernels are disabled): every filter
 /// application and the hash-join key path consult it before choosing
-/// an unboxed kernel.
-fn build_source<'a>(
+/// an unboxed kernel. With a `morsel`, the leaf starts seeded and the
+/// joins borrow its prebuilt inner sides; without, both fetch lazily.
+pub(crate) fn build_source<'a>(
     txn: &'a ReadTxn,
     node: &'a PlanNode,
     batch_size: usize,
     cert: &'a KernelCert,
+    morsel: Option<MorselInput<'a>>,
 ) -> Result<Box<dyn BatchSource + 'a>> {
+    let shared = morsel.as_ref().map(|m| m.prebuilt);
     Ok(match node {
         PlanNode::Empty { .. } => Box::new(EmptySource),
         PlanNode::Scan { .. } | PlanNode::IndexLookup { .. } | PlanNode::TopNIndex { .. } => {
@@ -450,7 +523,7 @@ fn build_source<'a>(
                 node,
                 batch_size,
                 cert,
-                state: None,
+                state: morsel.map(|m| m.leaf),
             })
         }
         PlanNode::NLJoin {
@@ -458,33 +531,37 @@ fn build_source<'a>(
             inner,
             filter,
             ..
-        } => Box::new(NLJoinSource {
-            txn,
-            outer: build_source(txn, outer, batch_size, cert)?,
-            inner_node: inner,
-            inner_pos: leaf_pos(inner)?,
-            inner_rows: None,
-            filter,
-            cert,
-        }),
+        } => {
+            let pos = leaf_pos(inner)?;
+            Box::new(NLJoinSource {
+                txn,
+                outer: build_source(txn, outer, batch_size, cert, morsel)?,
+                inner,
+                inner_pos: pos,
+                inner_rows: shared.and_then(|s| s.rows.get(&pos)).map(Cow::from),
+                filter,
+                cert,
+            })
+        }
         PlanNode::HashJoin {
             outer,
             inner,
-            inner_col,
             outer_key,
             filter,
             ..
-        } => Box::new(HashJoinSource {
-            txn,
-            outer: build_source(txn, outer, batch_size, cert)?,
-            inner_node: inner,
-            inner_pos: leaf_pos(inner)?,
-            inner_col: *inner_col,
-            outer_key: *outer_key,
-            filter,
-            cert,
-            build: None,
-        }),
+        } => {
+            let pos = leaf_pos(inner)?;
+            Box::new(HashJoinSource {
+                txn,
+                outer: build_source(txn, outer, batch_size, cert, morsel)?,
+                join: node,
+                inner_pos: pos,
+                outer_key: *outer_key,
+                filter,
+                cert,
+                build: shared.and_then(|s| s.builds.get(&pos)).map(Cow::Borrowed),
+            })
+        }
         PlanNode::IndexNLJoin {
             outer,
             table,
@@ -495,7 +572,7 @@ fn build_source<'a>(
             ..
         } => Box::new(IndexNLJoinSource {
             txn,
-            outer: build_source(txn, outer, batch_size, cert)?,
+            outer: build_source(txn, outer, batch_size, cert, morsel)?,
             table,
             pos: *pos,
             inner_col: *inner_col,
@@ -504,7 +581,7 @@ fn build_source<'a>(
             cert,
         }),
         PlanNode::Filter { input, predicate } => Box::new(FilterSource {
-            input: build_source(txn, input, batch_size, cert)?,
+            input: build_source(txn, input, batch_size, cert, morsel)?,
             predicate,
             cert,
         }),
@@ -761,10 +838,7 @@ pub(crate) fn execute_plan_columnar(
                         });
                     }
                 }
-                let mut tuples: Vec<Tuple> = Vec::new();
-                while let Some(batch) = src.next_batch()? {
-                    tuples.extend(batch.to_tuples());
-                }
+                let tuples = src.drain()?;
                 return finish_global(columns, &tuples, projections, having.as_ref());
             }
             // Grouped aggregation: vectorized key evaluation per batch,

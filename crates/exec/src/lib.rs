@@ -17,11 +17,9 @@
 //! * **morsel-driven parallelism** — a route inside the engine, not an
 //!   operator in the plan: when [`ExecOptions::threads`] > 1 and the
 //!   relational root is a FROM-order filter/join chain over a `Scan` or
-//!   `IndexLookup`, the engine splits the driving leaf into morsels for
-//!   a scoped-thread worker pool that runs the same columnar operators
-//!   per morsel, and merges the per-morsel batches back in morsel
-//!   order, so parallel results are byte-identical to serial ones
-//!   (`parallel`, private);
+//!   `IndexLookup`, a scoped-thread worker pool runs the serial source
+//!   tree over each morsel of the driving leaf and merges the results
+//!   in morsel order, byte-identical to serial (`parallel`, private);
 //! * **entry points** — parse/bind/plan/execute glue plus the
 //!   [`PlanInfo`] plan summary ([`executor`]);
 //! * **DML/DDL interpretation** for `INSERT`/`UPDATE`/`DELETE`/`CREATE`

@@ -1,62 +1,44 @@
 //! Morsel-driven parallel execution: the executor's route for a
-//! plan's relational root when [`ExecOptions::threads`] > 1.
+//! plan's relational root when [`ExecOptions::threads`] > 1. The plan
+//! carries no parallel operators, and the route no operators of its
+//! own: each morsel runs through the serial source tree
+//! ([`build_source`]).
 //!
-//! The plan carries no parallel operators; it is the same at every
-//! thread count. [`morsel_route`] matches the relational root (the input
-//! of `Aggregate`, or of `Sort`/`Project`) against the one shape this
-//! module splits: a chain of `Filter`, `NLJoin`, `HashJoin` and
-//! `IndexNLJoin` over a `Scan` or `IndexLookup` at FROM position 0,
-//! joining positions 1, 2, … in order. Every other root runs serially:
-//! a cost-reordered join, a fast-path leaf (`CountStar`, `IndexMinMax`,
-//! `TopNIndex`) and a statically empty plan among them. A matched root
-//! runs on a worker pool:
+//! [`morsel_route`] accepts a chain of `Filter`, `NLJoin`, `HashJoin`
+//! and `IndexNLJoin` over a `Scan` or `IndexLookup` at FROM position 0
+//! whose joins add positions 1, 2, … in order; every other root (a
+//! cost-reordered join, a fast-path leaf, an empty plan) runs serially.
+//! On an accepted root, [`execute_morsels`] splits the driving leaf
+//! into morsels (slot ranges of a `Scan`, posting-list chunks of an
+//! `IndexLookup`) whose flat concatenation is the serial leaf order. It
+//! prebuilds each join's inner side once ([`Prebuilt`]), a `HashJoin`'s
+//! through the serial join's own constructor, certified `i64` key table
+//! included. Scoped workers claim morsels from an atomic counter and
+//! run each one's tree, its leaf seeded with the morsel's rows and its
+//! joins borrowing the prebuilt sides. The per-morsel tuples merge in
+//! morsel index order, so parallel output is byte-identical to serial.
 //!
-//! 1. **Morselize** the driving leaf. A `Scan` splits the physical
-//!    version-slot space into fixed-size ranges
-//!    ([`ReadTxn::version_slot_count`] / [`ReadTxn::scan_slot_range`]);
-//!    an `IndexLookup` splits its posting lists into slot chunks
-//!    ([`ReadTxn::index_probe_in_chunks`] /
-//!    [`ReadTxn::rows_for_slots`]). Either way the flat concatenation
-//!    of morsels reproduces the serial leaf order exactly.
-//! 2. **Prebuild** shared join state once: a nested-loop inner side is
-//!    materialized up front, and a hash join's build side is
-//!    partitioned by `hash(key) % threads` with one build task per
-//!    partition — each task scans the full inner row list but inserts
-//!    only its own partition, so per-key row order matches the serial
-//!    single-threaded build.
-//! 3. **Fan out**: `threads` scoped workers pull morsel indexes from an
-//!    atomic counter, evaluate the whole operator spine over their
-//!    morsel as one [`ColumnarBatch`] (leaf filter, joins, residual
-//!    filters — in the same outer-major expansion order as the serial
-//!    columnar engine, under the same kernel certificate), and park the
-//!    result in a per-morsel slot.
-//! 4. **Merge deterministically**: results concatenate in morsel index
-//!    order, which makes parallel output byte-identical to serial
-//!    output for every plan shape (ordered or not).
-//!
-//! One deliberate divergence from the serial columnar engine: its joins
-//! fetch their inner side lazily on the first non-empty outer batch,
-//! while the morsel route prebuilds inner sides whenever the driving
-//! leaf has at least one morsel (an empty leaf still skips them).
+//! One deliberate divergence from the serial route: its joins fetch
+//! their inner side lazily on the first non-empty outer batch, while
+//! the morsel route prebuilds inner sides whenever the driving leaf has
+//! at least one morsel (an empty leaf still skips them).
 
-use crate::operators::{fetch_leaf_rows, leaf_pos, Tuple};
+use crate::batch::{build_source, BatchSource, MorselInput, Prebuilt};
+use crate::operators::{leaf_pos, Tuple};
 use crate::schedule;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use trac_expr::{ColumnarBatch, KernelCert};
+use trac_expr::KernelCert;
 use trac_plan::{ExecOptions, PlanNode};
 use trac_storage::lockorder::{self, LockId};
-use trac_storage::{ReadTxn, Row, RowSlot};
-use trac_types::{Result, TracError, Value};
+use trac_storage::{ReadTxn, RowSlot};
+use trac_types::{Result, TracError};
 
-/// A relational root the morsel route drives: its driving leaf and the
-/// operators above it, bottom-up.
+/// A relational root the morsel route drives, and its driving leaf.
 pub(crate) struct MorselRoute<'a> {
+    root: &'a PlanNode,
     leaf: &'a PlanNode,
-    spine: Vec<&'a PlanNode>,
 }
 
 /// One unit of leaf work handed to a worker.
@@ -67,92 +49,37 @@ enum Morsel {
     IndexChunk(Vec<RowSlot>),
 }
 
-/// A spine operator with its shared (prebuilt) state.
-enum SpineOp<'a> {
-    /// Residual predicate over full tuples.
-    Filter {
-        predicate: &'a [trac_expr::BoundExpr],
-    },
-    /// Nested-loop join against a materialized inner side.
-    NL {
-        rows: Vec<Row>,
-        pos: usize,
-        filter: &'a [trac_expr::BoundExpr],
-    },
-    /// Hash join against a partitioned build side.
-    Hash {
-        parts: Vec<HashMap<Value, Vec<Row>>>,
-        pos: usize,
-        outer_key: trac_expr::ColRef,
-        filter: &'a [trac_expr::BoundExpr],
-    },
-    /// Index nested-loop join probing the inner index per outer tuple.
-    IndexNL {
-        table: &'a trac_expr::BoundTable,
-        pos: usize,
-        inner_col: usize,
-        outer_key: trac_expr::ColRef,
-        filter: &'a [trac_expr::BoundExpr],
-    },
-}
-
-/// Which build-side partition a join key hashes into.
-fn partition_of(key: &Value, nparts: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % nparts as u64) as usize
-}
-
 /// Matches a relational root against the shape the morsel route
-/// drives, returning its leaf and spine, or `None` when the root must
-/// run serially. The joins must add FROM positions 1, 2, … in order:
-/// the route assumes the FROM-order driving leaf, so a cost-reordered
-/// plan stays serial.
+/// drives, or returns `None` when the root must run serially. The
+/// joins must add FROM positions 1, 2, … in order: the route assumes
+/// the FROM-order driving leaf, so a cost-reordered plan stays serial.
 pub(crate) fn morsel_route(root: &PlanNode) -> Option<MorselRoute<'_>> {
-    let mut spine: Vec<&PlanNode> = Vec::new();
+    // The FROM positions the joins add, top-down.
+    let mut joined = Vec::new();
     let mut cur = root;
     let leaf = loop {
-        match cur {
-            PlanNode::Filter { input, .. } => {
-                spine.push(cur);
-                cur = input;
+        cur = match cur {
+            PlanNode::Filter { input, .. } => input,
+            PlanNode::NLJoin { outer, inner, .. } | PlanNode::HashJoin { outer, inner, .. } => {
+                joined.push(leaf_pos(inner).ok()?);
+                outer
             }
-            PlanNode::NLJoin { outer, .. }
-            | PlanNode::HashJoin { outer, .. }
-            | PlanNode::IndexNLJoin { outer, .. } => {
-                spine.push(cur);
-                cur = outer;
+            PlanNode::IndexNLJoin { outer, pos, .. } => {
+                joined.push(*pos);
+                outer
             }
             PlanNode::Scan { pos: 0, .. } | PlanNode::IndexLookup { pos: 0, .. } => break cur,
             _ => return None,
-        }
-    };
-    // Apply bottom-up: the operator nearest the leaf runs first.
-    spine.reverse();
-    let mut next = 1;
-    for op in &spine {
-        let pos = match op {
-            PlanNode::NLJoin { inner, .. } | PlanNode::HashJoin { inner, .. } => {
-                leaf_pos(inner).ok()?
-            }
-            PlanNode::IndexNLJoin { pos, .. } => *pos,
-            _ => continue,
         };
-        if pos != next {
-            return None;
-        }
-        next += 1;
-    }
-    Some(MorselRoute { leaf, spine })
+    };
+    let from_order = joined.iter().rev().copied().eq(1..=joined.len());
+    from_order.then_some(MorselRoute { root, leaf })
 }
 
 /// Runs a relational root on the morsel route and returns the merged
-/// tuples. `ordered` selects the merge rule: `true` — the only value
-/// the executor passes — concatenates per-morsel batches in morsel
-/// index order, making parallel output byte-identical to serial.
-/// `false` models the completion-order-merge bug (concatenation in slot
-/// deposit order); it exists so the interleaving explorer can be shown
-/// to catch that bug.
+/// tuples: in morsel index order when `ordered`, the only value the
+/// executor passes. `false` merges in slot deposit order, the
+/// completion-order bug the interleaving explorer must catch.
 pub(crate) fn execute_morsels(
     txn: &ReadTxn,
     route: &MorselRoute<'_>,
@@ -160,16 +87,15 @@ pub(crate) fn execute_morsels(
     cert: &KernelCert,
     ordered: bool,
 ) -> Result<Vec<Tuple>> {
-    let threads = opts.threads.max(1);
-    let leaf = route.leaf;
-    let morsels = morselize(txn, leaf, opts.batch_size.max(1))?;
+    let batch_size = opts.batch_size.max(1);
+    let morsels = morselize(txn, route.leaf, batch_size)?;
     if morsels.is_empty() {
         // An empty driving leaf produces nothing and — like the lazy
         // serial joins — never touches inner join sides.
         return Ok(Vec::new());
     }
 
-    let ops = prebuild_spine(txn, &route.spine, threads, cert)?;
+    let prebuilt = Prebuilt::build(txn, route.root, cert)?;
 
     // Worker pool: morsel indexes are claimed from a shared counter and
     // results parked per-index so the merge can run in morsel order.
@@ -182,7 +108,7 @@ pub(crate) fn execute_morsels(
     // Order in which slots were deposited — the (unsound)
     // completion-order merge reads this instead of the index order.
     let deposits: Mutex<Vec<usize>> = Mutex::new(Vec::with_capacity(morsels.len()));
-    let workers = threads.min(morsels.len());
+    let workers = opts.threads.max(1).min(morsels.len());
     let work = || loop {
         if abort.load(Ordering::Relaxed) {
             return;
@@ -192,7 +118,8 @@ pub(crate) fn execute_morsels(
         let Some(morsel) = morsels.get(i) else {
             return;
         };
-        let out = run_morsel_columnar(txn, leaf, morsel, &ops, cert);
+        let out = morsel_tree(txn, route, morsel, &prebuilt, cert, batch_size)
+            .and_then(|mut tree| tree.drain());
         if out.is_err() {
             abort.store(true, Ordering::Relaxed);
         }
@@ -241,21 +168,17 @@ pub(crate) fn execute_morsels(
     } else {
         deposits.into_inner()
     };
+    let aborted =
+        || TracError::Execution("parallel worker aborted without reporting an error".into());
     if merge_order.len() != results.len() {
-        return Err(TracError::Execution(
-            "parallel worker aborted without reporting an error".into(),
-        ));
+        return Err(aborted());
     }
     let mut tuples = Vec::new();
     for i in merge_order {
         match results[i].take() {
             Some(Ok(mut batch)) => tuples.append(&mut batch),
             Some(Err(_)) => unreachable!("errors are returned above"),
-            None => {
-                return Err(TracError::Execution(
-                    "parallel worker aborted without reporting an error".into(),
-                ))
-            }
+            None => return Err(aborted()),
         }
     }
     Ok(tuples)
@@ -293,224 +216,28 @@ fn morselize(txn: &ReadTxn, leaf: &PlanNode, batch: usize) -> Result<Vec<Morsel>
     }
 }
 
-/// Builds the shared per-operator state for the morsel route.
-fn prebuild_spine<'a>(
-    txn: &ReadTxn,
-    spine: &[&'a PlanNode],
-    threads: usize,
-    cert: &KernelCert,
-) -> Result<Vec<SpineOp<'a>>> {
-    let mut ops = Vec::with_capacity(spine.len());
-    for node in spine {
-        ops.push(match node {
-            PlanNode::Filter { predicate, .. } => SpineOp::Filter { predicate },
-            PlanNode::NLJoin { inner, filter, .. } => SpineOp::NL {
-                rows: fetch_leaf_rows(txn, inner, cert)?,
-                pos: leaf_pos(inner)?,
-                filter,
-            },
-            PlanNode::HashJoin {
-                inner,
-                inner_col,
-                outer_key,
-                filter,
-                ..
-            } => SpineOp::Hash {
-                parts: build_hash_partitions(
-                    fetch_leaf_rows(txn, inner, cert)?,
-                    *inner_col,
-                    threads,
-                ),
-                pos: leaf_pos(inner)?,
-                outer_key: *outer_key,
-                filter,
-            },
-            PlanNode::IndexNLJoin {
-                table,
-                pos,
-                inner_col,
-                outer_key,
-                filter,
-                ..
-            } => SpineOp::IndexNL {
-                table,
-                pos: *pos,
-                inner_col: *inner_col,
-                outer_key: *outer_key,
-                filter,
-            },
-            other => {
-                return Err(TracError::Execution(format!(
-                    "unexpected {} operator on the morsel route",
-                    other.name()
-                )))
-            }
-        });
-    }
-    Ok(ops)
-}
-
-/// Partitioned parallel hash build: one task per partition, each
-/// scanning the full inner row list in order but inserting only rows
-/// whose key hashes into its partition. Per-key row order therefore
-/// matches a serial single-map build. NULL keys are never inserted
-/// (they can never match).
-fn build_hash_partitions(
-    rows: Vec<Row>,
-    inner_col: usize,
-    nparts: usize,
-) -> Vec<HashMap<Value, Vec<Row>>> {
-    let nparts = nparts.max(1);
-    if nparts == 1 {
-        let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-        for r in rows {
-            let k = r[inner_col].clone();
-            if !k.is_null() {
-                table.entry(k).or_default().push(r);
-            }
-        }
-        return vec![table];
-    }
-    let rows = &rows;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nparts)
-            .map(|p| {
-                s.spawn(move || {
-                    let mut part: HashMap<Value, Vec<Row>> = HashMap::new();
-                    for r in rows {
-                        let k = &r[inner_col];
-                        if !k.is_null() && partition_of(k, nparts) == p {
-                            part.entry(k.clone()).or_default().push(r.clone());
-                        }
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // PANIC-OK: re-raises a panic from a scoped build worker; the join itself cannot fail.
-            .map(|h| h.join().expect("hash build worker panicked"))
-            .collect()
-    })
-}
-
-/// Evaluates one morsel through the spine as a [`ColumnarBatch`]:
-/// vectorized leaf filter, then batch joins that expand outer-major,
-/// so the deposited tuples are this morsel's slice of the serial
-/// engine's output, in order.
-fn run_morsel_columnar(
-    txn: &ReadTxn,
-    leaf: &PlanNode,
+/// Builds one morsel's source tree: the serial tree of the route's root,
+/// its leaf seeded with the morsel's rows, its joins borrowing `prebuilt`.
+fn morsel_tree<'a>(
+    txn: &'a ReadTxn,
+    route: &MorselRoute<'a>,
     morsel: &Morsel,
-    ops: &[SpineOp<'_>],
-    cert: &KernelCert,
-) -> Result<Vec<Tuple>> {
-    let (table_id, pos, filter) = match leaf {
-        PlanNode::Scan {
-            table, pos, filter, ..
-        }
-        | PlanNode::IndexLookup {
-            table, pos, filter, ..
-        } => (table.id, *pos, filter),
-        other => {
-            return Err(TracError::Execution(format!(
-                "operator {} cannot drive the morsel route",
-                other.name()
-            )))
-        }
+    prebuilt: &'a Prebuilt,
+    cert: &'a KernelCert,
+    batch_size: usize,
+) -> Result<Box<dyn BatchSource + 'a>> {
+    let (PlanNode::Scan { table, filter, .. } | PlanNode::IndexLookup { table, filter, .. }) =
+        route.leaf
+    else {
+        return Err(TracError::Execution("not a morsel leaf".into()));
     };
     let rows = match morsel {
-        Morsel::SlotRange { lo, hi } => txn.scan_slot_range(table_id, *lo, *hi)?,
-        Morsel::IndexChunk(slots) => txn.rows_for_slots(table_id, slots)?,
+        Morsel::SlotRange { lo, hi } => txn.scan_slot_range(table.id, *lo, *hi)?,
+        Morsel::IndexChunk(slots) => txn.rows_for_slots(table.id, slots)?,
     };
-    let mut batch = ColumnarBatch::from_rows(pos + 1, pos, rows);
-    batch.apply_filter(filter, cert);
-    for op in ops {
-        if batch.is_empty() {
-            break;
-        }
-        batch = apply_op_columnar(txn, op, batch, cert)?;
-    }
-    Ok(batch.to_tuples())
-}
-
-/// Applies one spine operator to a whole columnar batch. Joins expand
-/// outer-major through [`ColumnarBatch::join_extend`] and re-filter the
-/// joined batch through the vectorized evaluator.
-fn apply_op_columnar(
-    txn: &ReadTxn,
-    op: &SpineOp<'_>,
-    mut batch: ColumnarBatch,
-    cert: &KernelCert,
-) -> Result<ColumnarBatch> {
-    Ok(match op {
-        SpineOp::Filter { predicate } => {
-            batch.apply_filter(predicate, cert);
-            batch
-        }
-        SpineOp::NL { rows, pos, filter } => {
-            // Shared inner row set: every lane borrows the same slice;
-            // rows are cloned once each, at gather time.
-            let matches: Vec<&[Row]> = vec![rows.as_slice(); batch.len()];
-            let mut joined = batch.join_extend_ref(*pos, &matches);
-            joined.apply_filter(filter, cert);
-            joined
-        }
-        SpineOp::Hash {
-            parts,
-            pos,
-            outer_key,
-            filter,
-        } => {
-            const NO_MATCH: &[Row] = &[];
-            // Keys are read in place and buckets are borrowed from the
-            // shared partitioned build; matched rows are cloned only into
-            // the output batch.
-            let matches: Vec<&[Row]> = batch
-                .lane_values(*outer_key)?
-                .map(|k| {
-                    if k.is_null() {
-                        NO_MATCH
-                    } else {
-                        parts[partition_of(k, parts.len())]
-                            .get(k)
-                            .map_or(NO_MATCH, Vec::as_slice)
-                    }
-                })
-                .collect();
-            let mut joined = batch.join_extend_ref(*pos, &matches);
-            joined.apply_filter(filter, cert);
-            joined
-        }
-        SpineOp::IndexNL {
-            table,
-            pos,
-            inner_col,
-            outer_key,
-            filter,
-        } => {
-            let mut matches: Vec<Vec<Row>> = Vec::with_capacity(batch.len());
-            for k in batch.lane_values(*outer_key)? {
-                if k.is_null() {
-                    matches.push(Vec::new());
-                    continue;
-                }
-                let rows = txn
-                    .index_probe_in(table.id, *inner_col, std::slice::from_ref(k))?
-                    .ok_or_else(|| {
-                        TracError::Execution(format!(
-                            "index on {}.col#{} vanished mid-plan",
-                            table.binding, inner_col
-                        ))
-                    })?;
-                matches.push(rows);
-            }
-            let mut joined = batch.join_extend(*pos, matches);
-            joined.apply_filter(filter, cert);
-            joined
-        }
-    })
+    let leaf = (0, filter.as_slice(), rows.into_iter());
+    let morsel = Some(MorselInput { leaf, prebuilt });
+    build_source(txn, route.root, batch_size, cert, morsel)
 }
 
 #[cfg(test)]
@@ -522,31 +249,42 @@ mod tests {
     use trac_plan::{plan_select, PhysicalPlan};
     use trac_sql::parse_select;
     use trac_storage::{ColumnDef, Database, TableSchema};
-    use trac_types::DataType;
+    use trac_types::{DataType, Value};
 
-    /// Three `activity` rows and two `routing` rows, both indexed on
-    /// `mach_id`: at one row per morsel every driving leaf splits.
+    /// Three `activity` and two `routing` rows, and an INT-keyed pair:
+    /// four `jobs` whose `host` joins three `hosts` rows' `id`. Every
+    /// table is indexed on `mach_id`; one row per morsel splits any leaf.
     fn fixture() -> Result<Database> {
         let db = Database::new();
         let mut ids = Vec::new();
-        for (name, other) in [("activity", "value"), ("routing", "neighbor")] {
+        for (name, other, ty) in [
+            ("activity", "value", DataType::Text),
+            ("routing", "neighbor", DataType::Text),
+            ("jobs", "host", DataType::Int),
+            ("hosts", "id", DataType::Int),
+        ] {
             ids.push(db.create_table(TableSchema::new(
                 name,
                 vec![
                     ColumnDef::new("mach_id", DataType::Text),
-                    ColumnDef::new(other, DataType::Text),
+                    ColumnDef::new(other, ty),
                 ],
                 Some("mach_id"),
             )?)?);
             db.create_index(name, "mach_id")?;
         }
-        let (a, r) = (ids[0], ids[1]);
         db.with_write(|w| {
             for (m, v) in [("m1", "idle"), ("m2", "busy"), ("m3", "idle")] {
-                w.insert(a, vec![Value::text(m), Value::text(v)])?;
+                w.insert(ids[0], vec![Value::text(m), Value::text(v)])?;
             }
             for (m, n) in [("m1", "m3"), ("m2", "m3")] {
-                w.insert(r, vec![Value::text(m), Value::text(n)])?;
+                w.insert(ids[1], vec![Value::text(m), Value::text(n)])?;
+            }
+            for (m, h) in [("m1", 1), ("m2", 3), ("m3", 2), ("m4", 1)] {
+                w.insert(ids[2], vec![Value::text(m), Value::Int(h)])?;
+            }
+            for (m, id) in [("h1", 1), ("h2", 2), ("h3", 1)] {
+                w.insert(ids[3], vec![Value::text(m), Value::Int(id)])?;
             }
             Ok(())
         })?;
@@ -653,6 +391,46 @@ mod tests {
             assert!(report.is_clean(), "{:?}", report.failure);
             assert_eq!(report.schedules > 1, branches, "{sql}: route decision");
         }
+        Ok(())
+    }
+
+    /// A hash join on certified `INT` keys builds its unboxed table
+    /// once, on the coordinator; every morsel's tree borrows that one
+    /// build, and every explored schedule gives the serial rows.
+    #[test]
+    fn morsels_borrow_one_certified_int_build() -> Result<()> {
+        let db = fixture()?;
+        let txn = db.begin_read();
+        let opts = ExecOptions {
+            enable_index_scan: false,
+            ..ExecOptions::default()
+        };
+        let sql = "SELECT J.mach_id, H.mach_id FROM jobs J, hosts H WHERE J.host = H.id";
+        let plan = lower(&txn, sql, opts)?;
+        let PlanNode::Project { input, .. } = &plan.root else {
+            return Err(TracError::Execution("expected a Project root".into()));
+        };
+        let route = morsel_route(input).ok_or(TracError::Execution("not routed".into()))?;
+        let prebuilt = Prebuilt::build(&txn, route.root, &plan.cert)?;
+        let build = &prebuilt.builds[&1];
+        assert!(
+            matches!(build.index, crate::batch::JoinIndex::Int(_)),
+            "unboxed build"
+        );
+        let morsels = morselize(&txn, route.leaf, 1)?;
+        assert_eq!(morsels.len(), 4, "one jobs row per morsel");
+        for m in &morsels {
+            let tree = morsel_tree(&txn, &route, m, &prebuilt, &plan.cert, 1)?;
+            assert!(tree.build_side().is_some_and(|b| std::ptr::eq(b, build)));
+        }
+        let serial = execute_plan_with(&txn, &plan, opts)?.rows;
+        assert_eq!(serial.len(), 5, "m1 and m4 match two hosts each, m3 one");
+        let parallel = opts.with_parallelism(4, 1);
+        let report = explore(Strategy::Exhaustive { max_schedules: 48 }, |_ctl| {
+            let rows = execute_plan_with(&txn, &plan, parallel).map_err(|e| e.to_string())?;
+            (rows.rows == serial).then_some(()).ok_or("diverged".into())
+        });
+        assert!(report.is_clean() && report.schedules > 1, "{report:?}");
         Ok(())
     }
 

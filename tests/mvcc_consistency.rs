@@ -31,6 +31,11 @@ fn setup() -> Database {
     db
 }
 
+/// Rows each writer below ingests at most. A fixed count keeps a test's
+/// cost independent of ingest speed, and it is large enough that the
+/// writers are still committing while most of the reports run.
+const WRITER_ROWS: i64 = 10_000;
+
 /// Invariant maintained by writers: each source's row count equals the
 /// number of committed ingests, and its heartbeat equals the timestamp of
 /// its newest row. A consistent snapshot must observe both or neither.
@@ -46,7 +51,7 @@ fn reports_never_tear_across_writers() {
         writers.push(std::thread::spawn(move || {
             let src = SourceId::new(w);
             let mut i: i64 = 0;
-            while !stop.load(Ordering::Relaxed) {
+            while i < WRITER_ROWS && !stop.load(Ordering::Relaxed) {
                 i += 1;
                 let ts = Timestamp::from_secs(i);
                 db.with_write(|txn| {
@@ -134,7 +139,7 @@ fn report_covers_result_sources_under_churn() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut i = 0i64;
-            while !stop.load(Ordering::Relaxed) {
+            while i < WRITER_ROWS && !stop.load(Ordering::Relaxed) {
                 i += 1;
                 let w = if i % 2 == 0 { "w1" } else { "w2" };
                 let ts = Timestamp::from_secs(i);
@@ -150,6 +155,14 @@ fn report_covers_result_sources_under_churn() {
             }
         })
     };
+    // As above: start the reports only once the writer has committed.
+    let first = SourceId::new("w2");
+    while trac::storage::heartbeat::recency_of(&db.begin_read(), &first)
+        .unwrap()
+        .is_none()
+    {
+        std::thread::yield_now();
+    }
     let session = Session::new(db);
     for _ in 0..100 {
         let out = session
