@@ -4,9 +4,10 @@
 //! error-severity findings) — the production planner is sound on the
 //! whole shipped corpus. Negative direction: each pass gets exactly one
 //! seeded violation and must answer with its exact `TRACnnn` code and a
-//! span pointing at the offending text.
+//! span pointing at the offending text. The sanitizer's seeded
+//! violations mutate production subqueries in `mutations.rs`.
 
-use trac_analyze::passes::{guarantee, partition, sanitize, satcheck, PassCtx};
+use trac_analyze::passes::{guarantee, partition, satcheck, PassCtx};
 use trac_analyze::{analyze_bound, analyze_samples, AnalyzerConfig, SpanFinder};
 use trac_core::relevance::SubqueryStatus;
 use trac_core::{Guarantee, RecencyPlan, RelevanceConfig};
@@ -156,38 +157,6 @@ fn guarantee_pass_flags_unsat_conjunct_with_sources() {
         "{:?}",
         a.diagnostics
     );
-}
-
-#[test]
-fn sanitize_pass_flags_bad_projection() {
-    let sql = "SELECT DISTINCT H.recency FROM heartbeat H";
-    let diags = sanitize::check_subquery_sql("neg", sql, "A");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code.id, "TRAC004");
-    let span = diags[0].span.expect("projection diagnostic carries a span");
-    assert_eq!(&sql[span.offset..span.end], "H.recency");
-}
-
-#[test]
-fn sanitize_pass_flags_leaked_relation() {
-    let sql = "SELECT DISTINCT H.sid FROM heartbeat H, Activity A WHERE A.value = 'idle'";
-    let diags = sanitize::check_subquery_sql("neg", sql, "A");
-    assert!(diags.iter().all(|d| d.code.id == "TRAC005"), "{diags:?}");
-    // Both the FROM entry and the column reference are flagged.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    let col = diags
-        .iter()
-        .find_map(|d| d.span.map(|s| &sql[s.offset..s.end]))
-        .unwrap();
-    assert!(col == "Activity" || col == "A.value", "{col}");
-    // A clean generated subquery (and the empty marker) pass.
-    assert!(sanitize::check_subquery_sql(
-        "ok",
-        "SELECT DISTINCT H.sid FROM heartbeat H WHERE H.sid IN ('m1', 'm2')",
-        "A"
-    )
-    .is_empty());
-    assert!(sanitize::check_subquery_sql("ok", "-- empty: pruned", "A").is_empty());
 }
 
 #[test]

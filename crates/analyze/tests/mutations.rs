@@ -4,20 +4,21 @@
 //! the unmutated plan certifies cleanly, applies exactly one surgical
 //! mutation to the plan IR, and asserts the validator rejects it with
 //! the expected stable `TRAC009`–`TRAC015` code (or, for the
+//! recency-subquery sanitizer, `TRAC004`/`TRAC005`, and for the
 //! fast-path, typeflow and maintenance certifiers and the crate audits,
 //! the `TRAC020`–`TRAC030` code of the pass that owns the mutated
 //! artifact).
 //! Every mutation models a realistic lowering bug: a dropped predicate,
 //! a phantom predicate, a corrupted join key, a retargeted slot, a
-//! mangled shaping operator, an inverted lock order, a forged lane
-//! certificate, an unreviewed panic site.
+//! mangled shaping operator, a leaked relation, an inverted lock order,
+//! a forged lane certificate, an unreviewed panic site.
 
-use trac_analyze::passes::{concurrency, fastpath, maintain, panics, typeflow};
+use trac_analyze::passes::{concurrency, fastpath, maintain, panics, sanitize, typeflow};
 use trac_analyze::validate_plan;
-use trac_expr::{bind_select, BoundExpr, BoundSelect};
+use trac_expr::{bind_select, BoundExpr, BoundSelect, BoundTable, Projection};
 use trac_plan::{ExecOptions, PhysicalPlan, PlanNode};
 use trac_sql::BinaryOp;
-use trac_storage::ReadTxn;
+use trac_storage::{ReadTxn, HEARTBEAT_RECENCY_COL};
 use trac_types::Value;
 use trac_workload::load_paper_tables;
 
@@ -738,6 +739,96 @@ fn recency_plan(sql: &str) -> trac_core::RecencyPlan {
     let txn = t.db.begin_read();
     let q = bind(&txn, sql);
     trac_core::RecencyPlan::build(&txn, &q, trac_core::RelevanceConfig::default()).unwrap()
+}
+
+/// Runs one sanitizer mutation: the production recency plan of the
+/// golden `Activity` report must sanitize clean; after `mutate` edits
+/// its generated subquery (handed the user query's binding of the
+/// analyzed relation), the pass must report `expected` with a message
+/// containing `says`.
+fn assert_sanitize_mutation(
+    mutate: impl FnOnce(&mut trac_core::RecencySubquery, &BoundTable),
+    expected: &str,
+    says: &str,
+) {
+    let sql = "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'";
+    let t = load_paper_tables().unwrap();
+    let txn = t.db.begin_read();
+    let q = bind(&txn, sql);
+    let mut plan = recency_plan(sql);
+    assert!(
+        sanitize::run(&q, &plan, "pre").is_empty(),
+        "pristine subqueries must sanitize clean"
+    );
+    let sub = plan
+        .subqueries
+        .iter_mut()
+        .find(|s| s.query.is_some())
+        .expect("the query must generate a subquery");
+    let analyzed = q
+        .tables
+        .iter()
+        .find(|t| t.binding == sub.via_relation)
+        .unwrap()
+        .clone();
+    mutate(sub, &analyzed);
+    let diags = sanitize::run(&q, &plan, "mut");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.is_error() && d.code.id == expected && d.message.contains(says)),
+        "mutation must trip {expected} ({says}), got {diags:?}"
+    );
+}
+
+#[test]
+fn projecting_a_non_sid_heartbeat_column_is_caught() {
+    // A rewrite that projects `H.recency` instead of `H.sid` would report
+    // timestamps as source ids (TRAC004, the projection rule).
+    assert_sanitize_mutation(
+        |sub, _| {
+            let q = sub.query.as_mut().unwrap();
+            let recency = q.tables[0].schema.column_index(HEARTBEAT_RECENCY_COL);
+            q.projections = vec![Projection::Scalar {
+                expr: BoundExpr::col(0, recency.unwrap()),
+                name: HEARTBEAT_RECENCY_COL.into(),
+            }];
+        },
+        "TRAC004",
+        "only the Heartbeat source column",
+    );
+}
+
+#[test]
+fn re_joining_the_analyzed_relation_in_the_bound_query_is_caught() {
+    // A bound FROM that still lists the relation under analysis means the
+    // rewrite leaked it into the source-set computation (TRAC005, from
+    // the bound-query leak rule; the stored plan is untouched).
+    assert_sanitize_mutation(
+        |sub, analyzed| sub.query.as_mut().unwrap().tables.push(analyzed.clone()),
+        "TRAC005",
+        "re-joins the relation under analysis",
+    );
+}
+
+#[test]
+fn retargeting_a_subquery_plan_leaf_to_the_analyzed_relation_is_caught() {
+    // A lowering bug that reads the analyzed relation instead of
+    // Heartbeat leaks it at execution time although the bound query is
+    // clean (TRAC005, from the plan-IR leak rule).
+    assert_sanitize_mutation(
+        |sub, analyzed| {
+            let plan = sub.plan.as_mut().unwrap();
+            match relational_root(&mut plan.root) {
+                PlanNode::Scan { table, .. } | PlanNode::IndexLookup { table, .. } => {
+                    *table = analyzed.clone();
+                }
+                other => panic!("expected a Heartbeat access leaf, got {}", other.name()),
+            }
+        },
+        "TRAC005",
+        "physical plan reads the relation under analysis",
+    );
 }
 
 #[test]

@@ -87,6 +87,13 @@ pub fn save_snapshot(db: &Database, path: &Path) -> Result<()> {
 pub fn load_snapshot(path: &Path, bind_check: CheckBinder<'_>) -> Result<Database> {
     let data = std::fs::read(path)
         .map_err(|e| TracError::Storage(format!("cannot read snapshot {}: {e}", path.display())))?;
+    decode_snapshot(data, bind_check)
+}
+
+/// Decodes the bytes of a snapshot file. Every field is untrusted: a
+/// malformed file ends in [`TracError::Storage`], never in a panic or
+/// an allocation sized by a count it has not yet backed with bytes.
+fn decode_snapshot(data: Vec<u8>, bind_check: CheckBinder<'_>) -> Result<Database> {
     let mut buf = Bytes::from(data);
     let corrupt = |what: &str| TracError::Storage(format!("corrupt snapshot: {what}"));
     if buf.remaining() < 6 || &buf.copy_to_bytes(4)[..] != MAGIC {
@@ -111,6 +118,9 @@ pub fn load_snapshot(path: &Path, bind_check: CheckBinder<'_>) -> Result<Databas
             let ty = type_from_tag(get_u8(&mut buf)?).ok_or_else(|| corrupt("bad type tag"))?;
             let nullable = get_u8(&mut buf)? != 0;
             let domain = get_domain(&mut buf)?;
+            if domain.data_type() != ty {
+                return Err(corrupt("domain type mismatch"));
+            }
             let mut def = ColumnDef::new(col_name, ty).with_domain(domain);
             if nullable {
                 def = def.nullable();
@@ -277,7 +287,9 @@ fn get_domain(buf: &mut Bytes) -> Result<ColumnDomain> {
         },
         2 => {
             let n = checked_u32(buf, "text set size")?;
-            let mut items = Vec::with_capacity(n as usize);
+            // Each entry needs at least its 4-byte length, so the bytes
+            // left bound what an honest count can ask for.
+            let mut items = Vec::with_capacity((n as usize).min(buf.remaining() / 4));
             for _ in 0..n {
                 items.push(get_str(buf)?);
             }
@@ -470,7 +482,81 @@ mod tests {
         // Truncated after a valid header.
         std::fs::write(&path, b"TRAC\x00\x01\x00\x00\x00\x05").unwrap();
         assert!(load_snapshot(&path, &no_checks).is_err());
+        // One TEXT column whose text set declares 2^32 - 1 entries that
+        // the file cannot hold: no allocation may be sized by the count.
+        let mut huge = b"TRAC\x00\x01\x00\x00\x00\x01".to_vec();
+        huge.extend_from_slice(b"\x00\x00\x00\x01t\x00\x01"); // table `t`, 1 column
+        huge.extend_from_slice(b"\x00\x00\x00\x01c\x02\x00"); // `c` TEXT NOT NULL
+        huge.extend_from_slice(b"\x02\xff\xff\xff\xff"); // text set, count
+        std::fs::write(&path, &huge).unwrap();
+        let err = load_snapshot(&path, &no_checks).err().expect("must fail");
+        assert!(err.message().contains("truncated"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damaged_snapshots_load_to_errors_not_panics() {
+        // Every value tag, every domain kind and one index, in a file
+        // small enough to damage at every bit.
+        let db = Database::new();
+        let ts = Timestamp::from_secs;
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("s", DataType::Text).with_domain(ColumnDomain::text_set(["a"])),
+                ColumnDef::new("i", DataType::Int)
+                    .with_domain(ColumnDomain::IntRange { lo: 0, hi: 9 })
+                    .nullable(),
+                ColumnDef::new("f", DataType::Float).nullable(),
+                ColumnDef::new("b", DataType::Bool)
+                    .with_domain(ColumnDomain::Bools)
+                    .nullable(),
+                ColumnDef::new("ts", DataType::Timestamp)
+                    .with_domain(ColumnDomain::TimestampRange {
+                        lo: ts(0),
+                        hi: ts(100),
+                    })
+                    .nullable(),
+            ],
+            Some("s"),
+        )
+        .unwrap();
+        let tid = db.create_table(schema).unwrap();
+        db.create_index("t", "i").unwrap();
+        let full = vec![
+            Value::text("a"),
+            Value::Int(3),
+            Value::Float(2.5),
+            Value::Bool(true),
+            Value::Timestamp(ts(99)),
+        ];
+        let nulls = [vec![Value::text("a")], vec![Value::Null; 4]].concat();
+        db.with_write(|w| w.insert(tid, full).and_then(|_| w.insert(tid, nulls)))
+            .unwrap();
+        let path = tmp("damaged");
+        save_snapshot(&db, &path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(file.len() < 512, "{} bytes", file.len());
+
+        let rows = |db: &Database| {
+            let txn = db.begin_read();
+            txn.scan(txn.table_id("t").unwrap()).unwrap()
+        };
+        let loaded = decode_snapshot(file.clone(), &no_checks).unwrap();
+        assert_eq!(rows(&loaded), rows(&db));
+        for len in 0..file.len() {
+            assert!(
+                decode_snapshot(file[..len].to_vec(), &no_checks).is_err(),
+                "a {len}-byte prefix loaded"
+            );
+        }
+        for bit in 0..file.len() * 8 {
+            let mut flipped = file.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let load = std::panic::catch_unwind(|| decode_snapshot(flipped, &no_checks).is_ok());
+            assert!(load.is_ok(), "flipping bit {bit} panicked the loader");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use trac_storage::{heartbeat, ColumnDef, Database, TableId, TableSchema, HEARTBEAT_TABLE};
 use trac_types::{ColumnDomain, DataType, Result, Timestamp, TracError, TsDuration, Value};
 
@@ -233,9 +232,6 @@ pub fn figure1_sweep(total_rows: u64, max_sources: u64) -> Vec<SweepPoint> {
     }
     out
 }
-
-/// Convenience: an `Arc`'d shared database for criterion benches.
-pub type SharedEvalDb = Arc<EvalDb>;
 
 #[cfg(test)]
 mod tests {

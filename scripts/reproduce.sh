@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates every artifact of the TRAC reproduction:
 #   - full test suite          -> test_output.txt
-#   - criterion micro-benches  -> bench_output.txt
 #   - Figure 1 / Figure 2      -> results_figure1.txt / results_figure2.txt
 #   - fpr table                -> results_fpr.txt
 #   - ablations                -> results_ablation.txt
@@ -22,9 +21,6 @@ THREADS="${3:-1}"
 
 echo "== tests"
 cargo test --workspace 2>&1 | tee test_output.txt | tail -3
-
-echo "== criterion benches"
-cargo bench --workspace 2>&1 | tee bench_output.txt | grep -c 'time:' || true
 
 echo "== figure 1 (total_rows=$TOTAL_ROWS, runs=$RUNS, threads=$THREADS)"
 cargo run --release -p trac-bench --bin figure1 -- \
