@@ -24,13 +24,15 @@
 //!
 //! * slot discipline (leaves read the table their slot claims, joins
 //!   combine disjoint slot sets, predicates reference only populated
-//!   slots) — [`OPERATOR_CONTRACT`];
+//!   slots, and nothing above an `Exists` reads the slots of the one
+//!   witness tuple it kept) — [`OPERATOR_CONTRACT`];
 //! * join-key contracts (key types unify, the probed key pair matches an
 //!   enforced equality conjunct) — [`JOIN_KEY_CONTRACT`];
 //! * index-probe justification (probe keys derive from an enforced
 //!   conjunct) — [`RESIDUE_PHANTOM`];
 //! * shaping discipline (Filter/Sort run before projection, Distinct and
-//!   Limit after) — [`SHAPE_MISMATCH`].
+//!   Limit after, and a Distinct above every `Exists`) —
+//!   [`SHAPE_MISMATCH`].
 
 use crate::diag::{Code, JOIN_KEY_CONTRACT, OPERATOR_CONTRACT, RESIDUE_PHANTOM, SHAPE_MISMATCH};
 use std::collections::{BTreeMap, BTreeSet};
@@ -88,6 +90,10 @@ pub struct Facts {
     pub row_bound: Option<u64>,
     /// The subtree is statically empty (an [`PlanNode::Empty`] leaf).
     pub empty: bool,
+    /// Slots an [`PlanNode::Exists`] below filled with the one witness
+    /// tuple it kept: populated, but no operator above may read them,
+    /// and a `Distinct` must make the output independent of them.
+    pub witness: BTreeSet<usize>,
 }
 
 impl Facts {
@@ -236,20 +242,42 @@ pub fn propagate(q: &BoundSelect, plan: &PhysicalPlan) -> FactMap {
         facts: BTreeMap::new(),
         findings: Vec::new(),
     };
-    transfer(q, &plan.root, &mut map);
+    let root = transfer(q, &plan.root, &mut map);
+    if !root.witness.is_empty() && !root.distinct {
+        map.findings.push(Finding::new(
+            SHAPE_MISMATCH,
+            "an Exists keeps one arbitrary tuple, but no Distinct above it makes \
+             the output independent of which",
+        ));
+    }
     map
 }
 
-/// Checks that every column `term` references lies in `slots`.
+/// Checks that every column `term` references lies in a slot `facts`
+/// populates, and in none an `Exists` below filled with its witness.
 fn check_scope(
     q: &BoundSelect,
     term: &BoundExpr,
-    slots: &BTreeSet<usize>,
+    facts: &Facts,
     what: &str,
     out: &mut Vec<Finding>,
 ) {
     for c in term.references() {
-        if !slots.contains(&c.table) {
+        if facts.witness.contains(&c.table) {
+            out.push(
+                Finding::new(
+                    OPERATOR_CONTRACT,
+                    format!(
+                        "{what} reads slot #{}, which holds the one arbitrary tuple an \
+                         Exists below it kept",
+                        c.table
+                    ),
+                )
+                .with_term(term),
+            );
+            return;
+        }
+        if !facts.slots.contains(&c.table) {
             out.push(
                 Finding::new(
                     OPERATOR_CONTRACT,
@@ -313,7 +341,7 @@ fn leaf_facts(
         Some(_) => {}
     }
     for term in filter {
-        check_scope(q, term, &facts.slots, &format!("{name} filter"), out);
+        check_scope(q, term, &facts, &format!("{name} filter"), out);
         facts.add_enforced(term);
     }
     facts
@@ -401,13 +429,14 @@ fn join_facts(
     let mut facts = Facts {
         slots: outer.slots.union(&inner.slots).copied().collect(),
         empty: outer.empty || inner.empty,
+        witness: outer.witness.union(&inner.witness).copied().collect(),
         ..Facts::default()
     };
     for term in outer.enforced.iter().chain(&inner.enforced) {
         facts.add_enforced(term);
     }
     for term in filter {
-        check_scope(q, term, &facts.slots, &format!("{op} filter"), out);
+        check_scope(q, term, &facts, &format!("{op} filter"), out);
         facts.add_enforced(term);
     }
     facts
@@ -578,6 +607,18 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
             facts.row_bound = Some(*n);
             facts
         }
+        PlanNode::Exists { input } => {
+            let mut facts = transfer(q, input, map);
+            if facts.shaped.is_some() {
+                map.findings.push(Finding::new(
+                    SHAPE_MISMATCH,
+                    "Exists consumes an already-projected input",
+                ));
+            }
+            facts.witness.clone_from(&facts.slots);
+            facts.row_bound = Some(1);
+            facts
+        }
         PlanNode::Filter { input, predicate } => {
             let mut facts = transfer(q, input, map);
             if facts.shaped.is_some() {
@@ -588,7 +629,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                 ));
             }
             for term in predicate {
-                check_scope(q, term, &facts.slots, "Filter predicate", &mut map.findings);
+                check_scope(q, term, &facts, "Filter predicate", &mut map.findings);
                 facts.add_enforced(term);
             }
             facts
@@ -603,7 +644,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                 ));
             }
             for (key, _) in keys {
-                check_scope(q, key, &facts.slots, "Sort key", &mut map.findings);
+                check_scope(q, key, &facts, "Sort key", &mut map.findings);
             }
             facts.sort = keys.clone();
             facts
@@ -619,13 +660,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
             for p in projections {
                 match p {
                     Projection::Scalar { expr, .. } => {
-                        check_scope(
-                            q,
-                            expr,
-                            &facts.slots,
-                            "Project expression",
-                            &mut map.findings,
-                        );
+                        check_scope(q, expr, &facts, "Project expression", &mut map.findings);
                     }
                     Projection::Aggregate { .. } => map.findings.push(Finding::new(
                         OPERATOR_CONTRACT,
@@ -653,13 +688,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                 ));
             }
             for key in group_by {
-                check_scope(
-                    q,
-                    key,
-                    &facts.slots,
-                    "Aggregate grouping key",
-                    &mut map.findings,
-                );
+                check_scope(q, key, &facts, "Aggregate grouping key", &mut map.findings);
             }
             for p in projections {
                 match p {
@@ -667,7 +696,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                         check_scope(
                             q,
                             expr,
-                            &facts.slots,
+                            &facts,
                             "Aggregate scalar projection",
                             &mut map.findings,
                         );
@@ -685,7 +714,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                         }
                     }
                     Projection::Aggregate { arg: Some(a), .. } => {
-                        check_scope(q, a, &facts.slots, "aggregate argument", &mut map.findings);
+                        check_scope(q, a, &facts, "aggregate argument", &mut map.findings);
                     }
                     Projection::Aggregate { arg: None, .. } => {}
                 }
@@ -709,13 +738,7 @@ fn transfer(q: &BoundSelect, node: &PlanNode, map: &mut FactMap) -> Facts {
                 }
             }
             for (key, _) in order_by {
-                check_scope(
-                    q,
-                    key,
-                    &facts.slots,
-                    "Aggregate ORDER BY key",
-                    &mut map.findings,
-                );
+                check_scope(q, key, &facts, "Aggregate ORDER BY key", &mut map.findings);
             }
             facts.shaped = Some(projections.len());
             facts.sort = order_by.clone();

@@ -172,7 +172,8 @@ fn transfer(node: &PlanNode, derived: &KernelCert) -> TypeState {
             refine_all(&mut state, predicate);
             state
         }
-        PlanNode::Sort { input, .. }
+        PlanNode::Exists { input }
+        | PlanNode::Sort { input, .. }
         | PlanNode::Distinct { input }
         | PlanNode::Limit { input, .. } => transfer(input, derived),
     }

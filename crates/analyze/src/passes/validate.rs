@@ -13,10 +13,8 @@
 //! 2. the **residue check** proves the set of predicates the plan
 //!    enforces equals the bound `WHERE` conjuncts — nothing dropped
 //!    (`TRAC009`), nothing invented (`TRAC010`). Enforcement is compared
-//!    as a set: the planner deliberately re-applies single-table
-//!    conjuncts of non-leading tables at both the leaf and the join, and
-//!    re-applies equi-keys with SQL comparison semantics, so duplicates
-//!    are expected and harmless;
+//!    as a set: the planner re-applies equi-keys with SQL comparison
+//!    semantics, so duplicates are expected and harmless;
 //! 3. the **shape check** walks the shaping stack above the join tree
 //!    and compares it structurally against the query's
 //!    `GROUP BY`/`HAVING`/`ORDER BY`/`DISTINCT`/`LIMIT` clauses

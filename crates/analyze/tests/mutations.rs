@@ -10,7 +10,8 @@
 //! artifact).
 //! Every mutation models a realistic lowering bug: a dropped predicate,
 //! a phantom predicate, a corrupted join key, a retargeted slot, a
-//! mangled shaping operator, a leaked relation, an inverted lock order,
+//! mangled shaping operator, an `Exists` over a relation the output
+//! reads, a leaked relation, an inverted lock order,
 //! a forged lane certificate, an unreviewed panic site.
 
 use trac_analyze::passes::{concurrency, fastpath, maintain, panics, sanitize, typeflow};
@@ -741,17 +742,20 @@ fn recency_plan(sql: &str) -> trac_core::RecencyPlan {
     trac_core::RecencyPlan::build(&txn, &q, trac_core::RelevanceConfig::default()).unwrap()
 }
 
-/// Runs one sanitizer mutation: the production recency plan of the
-/// golden `Activity` report must sanitize clean; after `mutate` edits
-/// its generated subquery (handed the user query's binding of the
-/// analyzed relation), the pass must report `expected` with a message
-/// containing `says`.
+/// The golden `Activity` report: one subquery over Heartbeat alone.
+const GOLDEN: &str =
+    "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'";
+
+/// Runs one sanitizer mutation: the production recency plan of `sql`
+/// must sanitize clean; after `mutate` edits its first generated
+/// subquery (handed the user query's binding of the analyzed relation),
+/// the pass must report `expected` with a message containing `says`.
 fn assert_sanitize_mutation(
+    sql: &str,
     mutate: impl FnOnce(&mut trac_core::RecencySubquery, &BoundTable),
     expected: &str,
     says: &str,
 ) {
-    let sql = "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'";
     let t = load_paper_tables().unwrap();
     let txn = t.db.begin_read();
     let q = bind(&txn, sql);
@@ -786,6 +790,7 @@ fn projecting_a_non_sid_heartbeat_column_is_caught() {
     // A rewrite that projects `H.recency` instead of `H.sid` would report
     // timestamps as source ids (TRAC004, the projection rule).
     assert_sanitize_mutation(
+        GOLDEN,
         |sub, _| {
             let q = sub.query.as_mut().unwrap();
             let recency = q.tables[0].schema.column_index(HEARTBEAT_RECENCY_COL);
@@ -805,6 +810,7 @@ fn re_joining_the_analyzed_relation_in_the_bound_query_is_caught() {
     // rewrite leaked it into the source-set computation (TRAC005, from
     // the bound-query leak rule; the stored plan is untouched).
     assert_sanitize_mutation(
+        GOLDEN,
         |sub, analyzed| sub.query.as_mut().unwrap().tables.push(analyzed.clone()),
         "TRAC005",
         "re-joins the relation under analysis",
@@ -817,6 +823,7 @@ fn retargeting_a_subquery_plan_leaf_to_the_analyzed_relation_is_caught() {
     // Heartbeat leaks it at execution time although the bound query is
     // clean (TRAC005, from the plan-IR leak rule).
     assert_sanitize_mutation(
+        GOLDEN,
         |sub, analyzed| {
             let plan = sub.plan.as_mut().unwrap();
             match relational_root(&mut plan.root) {
@@ -825,6 +832,85 @@ fn retargeting_a_subquery_plan_leaf_to_the_analyzed_relation_is_caught() {
                 }
                 other => panic!("expected a Heartbeat access leaf, got {}", other.name()),
             }
+        },
+        "TRAC005",
+        "physical plan reads the relation under analysis",
+    );
+}
+
+/// Paper Q2 as a `DISTINCT` query: Routing only has to exist, so the
+/// plan is `Distinct(Project(NLJoin(Exists(R), A)))`.
+const EXISTS_SQL: &str =
+    "SELECT DISTINCT A.mach_id FROM Routing R, Activity A WHERE R.mach_id = 'm1' AND A.value = 'idle'";
+
+#[test]
+fn wrapping_a_projected_relation_in_exists_is_caught() {
+    // Keeping one tuple of the relation the projection reads would
+    // report one row where the query has several (TRAC012).
+    assert_mutation(
+        EXISTS_SQL,
+        ExecOptions::default(),
+        |root| {
+            let join = relational_root(root);
+            let PlanNode::NLJoin { outer, .. } = &*join else {
+                panic!("expected NLJoin over an Exists, got {}", join.name());
+            };
+            assert_eq!(outer.name(), "Exists");
+            let placeholder = PlanNode::Empty { bindings: vec![] };
+            let input = Box::new(std::mem::replace(join, placeholder));
+            *join = PlanNode::Exists { input };
+        },
+        &["TRAC012"],
+    );
+}
+
+#[test]
+fn an_exists_with_no_distinct_above_it_is_caught() {
+    // The lowering rule applied to a query without DISTINCT: every
+    // A row would appear once instead of once per matching R row, so
+    // the output would depend on which witness the Exists kept
+    // (TRAC013). The shape check agrees with the mutated query, so only
+    // the Exists contract can see it.
+    let t = load_paper_tables().unwrap();
+    let txn = t.db.begin_read();
+    let mut q = bind(&txn, EXISTS_SQL);
+    let mut p = plan(&txn, &q, ExecOptions::default());
+    assert!(error_codes(&q, &p).is_empty(), "{}", p.render());
+    let PlanNode::Distinct { input } = p.root else {
+        panic!("expected Distinct root");
+    };
+    p.root = *input;
+    q.distinct = false;
+    let diags = validate_plan(&q, &p, "mut", None);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code.id == "TRAC013" && d.message.contains("no Distinct above")),
+        "{diags:?}\n{}",
+        p.render()
+    );
+}
+
+#[test]
+fn retargeting_the_leaf_under_an_exists_to_the_analyzed_relation_is_caught() {
+    // Paper Q2 via R runs `NLJoin(Exists(Scan A), H)`: a leaf under the
+    // Exists that reads R instead leaks the analyzed relation (TRAC005).
+    assert_sanitize_mutation(
+        "SELECT A.mach_id FROM Routing R, Activity A \
+         WHERE R.mach_id = 'm1' AND A.value = 'idle' AND R.neighbor = A.mach_id",
+        |sub, analyzed| {
+            assert_eq!(sub.via_relation, "R");
+            let plan = sub.plan.as_mut().unwrap();
+            let PlanNode::NLJoin { outer, .. } = relational_root(&mut plan.root) else {
+                panic!("expected NLJoin over an Exists:\n{}", plan.render());
+            };
+            let PlanNode::Exists { input } = outer.as_mut() else {
+                panic!("expected Exists, got {}", outer.name());
+            };
+            let PlanNode::Scan { table, .. } = input.as_mut() else {
+                panic!("expected a Scan under the Exists, got {}", input.name());
+            };
+            *table = analyzed.clone();
         },
         "TRAC005",
         "physical plan reads the relation under analysis",

@@ -29,7 +29,6 @@ pub mod metrics;
 pub mod oracle;
 pub mod relevance;
 pub mod report;
-pub(crate) mod semijoin;
 pub mod session;
 #[cfg(test)]
 pub(crate) mod testutil;

@@ -674,8 +674,8 @@ impl MaintainedReport {
 impl SubFold {
     /// Prepares the fold logic for one generated subquery, re-deriving
     /// the license shape from the bound query (the stored
-    /// [`MaintenanceLicense`] is a claim; execution re-derives, exactly
-    /// like the semijoin evaluator re-derives its term split). Returns
+    /// [`MaintenanceLicense`] is a claim; the fold re-derives the term
+    /// split it evaluates from the query itself). Returns
     /// `None` for proven-empty shapes, which no event can affect.
     fn prepare(txn: &ReadTxn, q: &BoundSelect) -> Result<Option<SubFold>> {
         let license = trac_plan::classify_maintenance(q);

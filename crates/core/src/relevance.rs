@@ -19,7 +19,6 @@
 //!    (Corollaries 3 & 5);
 //! 5. execute every subquery and union the source sets (Corollaries 1 & 4).
 
-use crate::semijoin;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -92,10 +91,9 @@ pub struct RecencySubquery {
     pub query: Option<BoundSelect>,
     /// Physical plan lowered from `query` once, at build time (absent
     /// when `status == Empty`). The static analyzer certifies it, and
-    /// [`RecencyPlan::execute_with`] runs it as stored when `query`
-    /// reads Heartbeat alone. Only its plan choices can go stale: an
-    /// index is never dropped, and a dropped table breaks the bound
-    /// `query` just as it breaks the plan.
+    /// [`RecencyPlan::execute_with`] runs it as stored. Only its plan
+    /// choices can go stale: an index is never dropped, and a dropped
+    /// table breaks the bound `query` just as it breaks the plan.
     pub plan: Option<trac_plan::PhysicalPlan>,
     /// Printable SQL for the generated query, rendered on first read
     /// (see [`Self::sql`]); set at build for pruned subqueries.
@@ -183,12 +181,12 @@ impl RecencyPlan {
                 let mut sub =
                     build_subquery(q, disjunct, d_idx, rel, hb_id, &hb_schema, &hb_binding)?;
                 // Lower the generated query to plan IR right here — no SQL
-                // round-trip. The stored plan feeds analysis and, for a
-                // single-relation subquery, every execution.
+                // round-trip. The stored plan feeds analysis and every
+                // execution.
                 if let Some(query) = &sub.query {
                     // Generated subqueries opt into the cost-based join
                     // order: their output is consumed as a *set* of
-                    // source ids (the semijoin unions into a BTreeSet),
+                    // source ids (execution unions them into a BTreeSet),
                     // so the row-order pin that keeps user queries in
                     // FROM order does not apply, and the statistics can
                     // start the join from the smallest filtered table.
@@ -224,25 +222,17 @@ impl RecencyPlan {
     /// Runs the plan's subqueries in `txn`'s snapshot, returning the
     /// union of relevant source ids.
     ///
-    /// A subquery over Heartbeat alone runs its stored, certified
-    /// `plan`. A multi-relation one is evaluated as a **semijoin**
-    /// between `Heartbeat` and the other relations (the paper's
-    /// Theorem 4 phrasing) rather than as a literal
-    /// `DISTINCT`-over-cross-product query: the generated SQL has no
-    /// join predicate tying `H` to relations that only appear through
-    /// `P_o`, so a naive cross product would materialize |H| × |R_j|
-    /// tuples just to throw them away.
+    /// Every subquery runs its stored, certified `plan`. A relation no
+    /// join term ties to `H` runs under an early-exit `Exists`: it only
+    /// has to hold one row that passes `P_o` (Theorem 4's semijoin).
     pub fn execute(&self, txn: &ReadTxn) -> Result<BTreeSet<SourceId>> {
         self.execute_with(txn, trac_exec::ExecOptions::default())
     }
 
-    /// Like [`RecencyPlan::execute`], but running every subquery
-    /// through the general executor with `opts` — the same batched
-    /// morsel-driven path the user query takes when `opts.threads > 1`.
-    /// A single-relation subquery runs its stored `plan`, which
-    /// [`RecencyPlan::build_with`] lowered under the same `opts` (up to
-    /// `threads` and `batch_size`, which never shape a plan); a
-    /// multi-relation one lowers its witness and H-side selects per call.
+    /// Like [`RecencyPlan::execute`], but running every stored plan
+    /// with `opts`, which [`RecencyPlan::build_with`] lowered under the
+    /// same options (up to `threads` and `batch_size`, which never shape
+    /// a plan).
     pub fn execute_with(
         &self,
         txn: &ReadTxn,
@@ -256,9 +246,7 @@ impl RecencyPlan {
         }
         let mut out = BTreeSet::new();
         for sub in &self.subqueries {
-            let Some(query) = &sub.query else { continue };
-            if query.tables.len() > 1 {
-                semijoin::execute_recency_subquery(txn, query, opts, &mut out)?;
+            if sub.query.is_none() {
                 continue;
             }
             let plan = sub.plan.as_ref().ok_or_else(|| {
@@ -525,16 +513,7 @@ mod tests {
         );
         assert_eq!(names(&sources), vec!["m1", "m3"]);
         // Via R: J_rm present ⇒ upper bound. Via A: Theorem 4 ⇒ minimum.
-        let via_r = plan
-            .subqueries
-            .iter()
-            .find(|s| s.via_relation == "R")
-            .unwrap();
-        let via_a = plan
-            .subqueries
-            .iter()
-            .find(|s| s.via_relation == "A")
-            .unwrap();
+        let (via_r, via_a) = (via(&plan, "R"), via(&plan, "A"));
         assert_eq!(via_r.status, SubqueryStatus::UpperBound);
         assert_eq!(via_a.status, SubqueryStatus::Minimum);
         assert_eq!(plan.guarantee, Guarantee::UpperBound);
@@ -547,6 +526,71 @@ mod tests {
         );
         // In this instance the upper bound is in fact exact (the paper
         // notes the bound equals the minimum when domains align).
+        // Via R no join term ties H to Activity: the stored plan starts
+        // from an Exists over A, then reads H.
+        let mut head = &via_r.plan.as_ref().unwrap().root;
+        while !matches!(head, trac_plan::PlanNode::Exists { .. }) {
+            head = head.children()[0];
+        }
+        let via_r_run = run_stored(&db.begin_read(), via_r);
+        assert_eq!(
+            via_r_run,
+            (vec![vec!["A".to_string()]], vec!["m1".to_string()])
+        );
+    }
+
+    /// The bindings under each `Exists` of `sub`'s stored plan, and the
+    /// sources that plan returns.
+    fn run_stored(txn: &ReadTxn, sub: &RecencySubquery) -> (Vec<Vec<String>>, Vec<String>) {
+        let (query, stored) = (sub.query.as_ref().unwrap(), sub.plan.as_ref().unwrap());
+        let binding =
+            |n: &trac_plan::PlanNode| n.leaf_pos().map(|p| query.tables[p].binding.clone());
+        let mut covered = Vec::new();
+        stored.root.visit(&mut |node| {
+            if let trac_plan::PlanNode::Exists { input } = node {
+                let mut leaves = Vec::new();
+                input.visit(&mut |n| leaves.extend(binding(n)));
+                leaves.sort();
+                covered.push(leaves);
+            }
+        });
+        let rows = trac_exec::execute_plan_with(txn, stored, Default::default());
+        let sids: BTreeSet<String> = (rows.unwrap().rows.iter())
+            .filter_map(|r| Some(SourceId::from_value(&r[0])?.as_str().into()))
+            .collect();
+        (covered, sids.into_iter().collect())
+    }
+
+    /// The subquery of `plan` via the relation bound as `binding`.
+    fn via<'p>(plan: &'p RecencyPlan, binding: &str) -> &'p RecencySubquery {
+        let mut subs = plan.subqueries.iter();
+        subs.find(|s| s.via_relation == binding).unwrap()
+    }
+
+    #[test]
+    fn one_exists_covers_two_joined_existence_only_relations() {
+        // Via A, R and B are linked to each other but not to H: both
+        // join under one Exists, which finds a witness (m1 → m3, idle)
+        // for 'idle' and none for 'busy' (no neighbor is busy).
+        let db = paper_db();
+        let txn = db.begin_read();
+        let rb = || vec![vec!["B".to_string(), "R".to_string()]];
+        for (value, via_a) in [("idle", vec!["m1", "m2"]), ("busy", vec![])] {
+            let sql = format!(
+                "SELECT A.mach_id FROM Activity A, Routing R, Activity B \
+                 WHERE A.mach_id IN ('m1', 'm2') AND R.neighbor = B.mach_id AND B.value = '{value}'"
+            );
+            let (plan, _) = plan_for(&db, &sql);
+            let run = |v: &str| run_stored(&txn, via(&plan, v));
+            assert_eq!(
+                run("A"),
+                (rb(), via_a.iter().map(ToString::to_string).collect()),
+                "{value}"
+            );
+            if value == "idle" {
+                assert_eq!(run("B").1, vec!["m3"]);
+            }
+        }
     }
 
     #[test]

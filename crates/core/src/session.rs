@@ -125,9 +125,8 @@ struct CachedPlan {
 
 /// Prepared-plan cache key: the query shape plus every execution knob
 /// that shapes a plan. A miss lowers every subquery under the
-/// session's [`ExecOptions`] ([`RecencyPlan::build_with`]), and
-/// single-relation subqueries run that stored plan on every rescan, so
-/// the knobs shape what runs: the access-path and join toggles pick
+/// session's [`ExecOptions`] ([`RecencyPlan::build_with`]), and every
+/// rescan runs those stored plans, so the knobs shape what runs: the access-path and join toggles pick
 /// operators, `fast_paths` admits storage shortcuts, and
 /// `typed_kernels` decides whether a kernel certificate is attached.
 /// `threads` and `batch_size` are normalised away: the plan is the same
@@ -998,17 +997,15 @@ mod tests {
         );
     }
 
-    /// Operator counts over the single-relation subquery plans the
-    /// session cached for `sql`: the plans its rescans run.
-    fn cached_single_relation_ops(session: &Session, sql: &str) -> HashMap<&'static str, usize> {
+    /// Operator counts over the subquery plans the session cached for
+    /// `sql`: the plans its rescans run.
+    fn cached_ops(session: &Session, sql: &str) -> HashMap<&'static str, usize> {
         let cache = session.plan_cache.lock().unwrap();
         let entry = &cache[&PlanKey::new(sql, session.exec_options)];
         let mut ops = HashMap::new();
-        for sub in &entry.plan.subqueries {
-            if sub.query.as_ref().is_some_and(|q| q.tables.len() == 1) {
-                for (op, n) in sub.plan.as_ref().unwrap().operator_counts() {
-                    *ops.entry(op).or_insert(0) += n;
-                }
+        for plan in entry.plan.subqueries.iter().filter_map(|s| s.plan.as_ref()) {
+            for (op, n) in plan.operator_counts() {
+                *ops.entry(op).or_insert(0) += n;
             }
         }
         ops
@@ -1034,13 +1031,13 @@ mod tests {
                 assert_eq!(out.report.guarantee, expect.report.guarantee, "{sql}");
             }
         }
-        let ops = cached_single_relation_ops(&serial, probe);
+        let ops = cached_ops(&serial, probe);
         assert!(ops.contains_key("IndexLookup"), "{ops:?}");
-        let ops = cached_single_relation_ops(&no_index, probe);
+        let ops = cached_ops(&no_index, probe);
         assert!(!ops.contains_key("IndexLookup"), "{ops:?}");
         assert_eq!(
-            cached_single_relation_ops(&parallel, scan),
-            cached_single_relation_ops(&serial, scan),
+            cached_ops(&parallel, scan),
+            cached_ops(&serial, scan),
             "the parallel session caches the serial plan"
         );
     }

@@ -15,7 +15,8 @@
 //! * Inner join sides stay lazy — a join fetches (or hash-builds) its
 //!   inner table only when the first **non-empty** outer batch arrives,
 //!   so an empty outer input never touches downstream tables; on the
-//!   morsel route, joins borrow a side built once ([`Prebuilt`]).
+//!   morsel route, joins borrow a side built once ([`Prebuilt`]). An
+//!   `Exists` that finds no tuple is such an empty outer.
 //! * A filter conjunct that fails to evaluate counts as not true: the
 //!   lane is dropped, the error never surfaces.
 //! * `LIMIT` is checked before each output lane is materialized, so an
@@ -31,7 +32,8 @@
 //!   HAVING before any projection.
 
 use crate::operators::{
-    fetch_leaf_rows, finish_global, finish_groups, leaf_parts, leaf_pos, order_cmp, RowDedup, Tuple,
+    fetch_leaf_rows, finish_global, finish_groups, leaf_parts, leaf_pos, order_cmp, passes,
+    RowDedup, Tuple,
 };
 use crate::parallel::{self, MorselRoute};
 use crate::result::QueryResult;
@@ -353,6 +355,45 @@ impl BatchSource for IndexNLJoinSource<'_> {
     }
 }
 
+/// Emits the first live lane of its input as a one-lane batch, then
+/// ends. Over a `Scan` leaf the scan itself stops at the first visible
+/// row that passes the leaf filter.
+struct ExistsSource<'a> {
+    txn: &'a ReadTxn,
+    input: &'a PlanNode,
+    batch_size: usize,
+    cert: &'a KernelCert,
+    done: bool,
+}
+
+impl BatchSource for ExistsSource<'_> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        if std::mem::replace(&mut self.done, true) {
+            return Ok(None);
+        }
+        if let PlanNode::Scan {
+            table, pos, filter, ..
+        } = self.input
+        {
+            let mut tuple: Tuple = vec![Row::from(Vec::new()); *pos + 1];
+            let found = self.txn.scan_find(table.id, |row| {
+                tuple[*pos] = row.clone();
+                Ok(passes(filter, &tuple))
+            })?;
+            return Ok(found.map(|row| ColumnarBatch::from_rows(*pos + 1, *pos, vec![row])));
+        }
+        let mut input = build_source(self.txn, self.input, self.batch_size, self.cert, None)?;
+        while let Some(mut batch) = input.next_batch()? {
+            if !batch.is_empty() {
+                let first: Vec<bool> = (0..batch.len()).map(|lane| lane == 0).collect();
+                batch.retain_lanes(&first);
+                return Ok(Some(batch));
+            }
+        }
+        Ok(None)
+    }
+}
+
 /// Residual predicate over full batches.
 struct FilterSource<'a> {
     input: Box<dyn BatchSource + 'a>,
@@ -579,6 +620,13 @@ pub(crate) fn build_source<'a>(
             outer_key: *outer_key,
             filter,
             cert,
+        }),
+        PlanNode::Exists { input } => Box::new(ExistsSource {
+            txn,
+            input,
+            batch_size,
+            cert,
+            done: false,
         }),
         PlanNode::Filter { input, predicate } => Box::new(FilterSource {
             input: build_source(txn, input, batch_size, cert, morsel)?,

@@ -139,11 +139,7 @@ pub(crate) fn fetch_leaf_rows(
     }
     let mut batch = ColumnarBatch::from_rows(pos + 1, pos, raw);
     batch.apply_filter(filter, cert);
-    Ok(batch
-        .to_tuples()
-        .into_iter()
-        .map(|mut t| t.swap_remove(pos))
-        .collect())
+    Ok(batch.into_slot_rows(pos))
 }
 
 /// Hash-bucketed duplicate filter over output rows. Candidate rows are

@@ -444,6 +444,20 @@ impl ColumnarBatch {
         self.sel.iter().map(|&l| self.lane_tuple(l)).collect()
     }
 
+    /// The live rows of FROM slot `pos`, in selection order: the slot's
+    /// own column, uncloned, when every lane is live; empty when the
+    /// slot is unpopulated.
+    pub fn into_slot_rows(mut self, pos: usize) -> Vec<Row> {
+        let Some(col) = self.slots.get_mut(pos).and_then(Option::take) else {
+            return Vec::new();
+        };
+        if self.sel.len() == col.len() {
+            // `sel` is ascending and duplicate-free: every lane is live.
+            return col;
+        }
+        self.sel.iter().map(|&l| col[l as usize].clone()).collect()
+    }
+
     /// Keeps only the live lanes whose entry in `keep` (dense, selection
     /// order) is true.
     pub fn retain_lanes(&mut self, keep: &[bool]) {

@@ -166,6 +166,14 @@ pub enum PlanNode {
         /// Estimated cost in abstract row-touch units (EXPLAIN only).
         cost: u64,
     },
+    /// Emits the first tuple its input yields, then ends: the join of
+    /// the relations a `DISTINCT` query only needs to exist (see
+    /// [`crate::plan_select`]). Over a [`PlanNode::Scan`] the scan stops
+    /// at the first visible row that passes the leaf filter.
+    Exists {
+        /// Input operator: the existence-only relations' join tree.
+        input: Box<PlanNode>,
+    },
     /// Residual predicate over full tuples (defensive; the planner
     /// pushes every conjunct into scans and joins when it can).
     Filter {
@@ -235,6 +243,7 @@ impl PlanNode {
             PlanNode::CountStar { .. } => "CountStar",
             PlanNode::IndexMinMax { .. } => "IndexMinMax",
             PlanNode::TopNIndex { .. } => "TopNIndex",
+            PlanNode::Exists { .. } => "Exists",
             PlanNode::Filter { .. } => "Filter",
             PlanNode::Sort { .. } => "Sort",
             PlanNode::Project { .. } => "Project",
@@ -257,7 +266,8 @@ impl PlanNode {
                 vec![outer, inner]
             }
             PlanNode::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNode::Filter { input, .. }
+            PlanNode::Exists { input }
+            | PlanNode::Filter { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Project { input, .. }
             | PlanNode::Aggregate { input, .. }
@@ -280,7 +290,8 @@ impl PlanNode {
                 vec![outer, inner]
             }
             PlanNode::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNode::Filter { input, .. }
+            PlanNode::Exists { input }
+            | PlanNode::Filter { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Project { input, .. }
             | PlanNode::Aggregate { input, .. }
@@ -412,6 +423,7 @@ impl PlanNode {
                 if *desc { " desc" } else { "" },
                 filter_note(filter),
             ),
+            PlanNode::Exists { .. } => "Exists (first tuple)".to_string(),
             PlanNode::Filter { predicate, .. } => {
                 format!("Filter ({} conjuncts)", predicate.len())
             }
@@ -466,6 +478,7 @@ impl PlanNode {
     pub fn est_rows(&self) -> Option<u64> {
         match self {
             PlanNode::Empty { .. } => Some(0),
+            PlanNode::Exists { .. } => Some(1),
             PlanNode::Scan { est_rows, .. }
             | PlanNode::IndexLookup { est_rows, .. }
             | PlanNode::NLJoin { est_rows, .. }
@@ -491,6 +504,7 @@ impl PlanNode {
             | PlanNode::CountStar { cost, .. }
             | PlanNode::IndexMinMax { cost, .. }
             | PlanNode::TopNIndex { cost, .. } => Some(*cost),
+            PlanNode::Exists { input } => input.est_cost(),
             _ => None,
         }
     }
@@ -687,7 +701,8 @@ fn collect_steps(node: &PlanNode, out: &mut Vec<(String, String)>) {
                 format!("TopNIndex(col#{column}) fast path"),
             ));
         }
-        PlanNode::Filter { input, .. }
+        PlanNode::Exists { input }
+        | PlanNode::Filter { input, .. }
         | PlanNode::Sort { input, .. }
         | PlanNode::Project { input, .. }
         | PlanNode::Aggregate { input, .. }

@@ -22,6 +22,11 @@
 //!   output *row order* of unsorted queries; the recency planner opts
 //!   in for its generated subqueries, whose output order is defined by
 //!   an explicit sort.
+//!
+//! One semantic rule needs no statistics: in a `DISTINCT`, non-aggregate
+//! query, the tables no projection or `ORDER BY` key reads, even through
+//! a chain of join conjuncts, only have to hold one matching tuple. They
+//! join first, under a [`PlanNode::Exists`] that stops at that tuple.
 
 use crate::access::{choose_access_path, AccessPath, ExecOptions};
 use crate::cost::{join_rows, TableCost};
@@ -280,26 +285,32 @@ fn try_fast_path(
     None
 }
 
-/// Greedy cost-based join order: start from the smallest estimated
-/// filtered table, then repeatedly attach the table minimizing the
-/// estimated intermediate result (equi-joins divide by key NDV, cross
-/// joins multiply). Ties break toward FROM order.
+/// Greedy cost-based join order: repeatedly attach the table minimizing
+/// the estimated intermediate result (equi-joins divide by key NDV,
+/// cross joins multiply), starting from the smallest estimated filtered
+/// table. The `exists` tables come first; their `Exists` emits one
+/// tuple, so the rest start again from one row. Ties break toward FROM
+/// order.
 fn greedy_order(
     pending: &[BoundExpr],
     costs: &[TableCost],
     table_conjuncts: &[Vec<BoundExpr>],
+    exists: &BTreeSet<usize>,
 ) -> Vec<usize> {
     let n = costs.len();
     let filtered: Vec<u64> = (0..n)
         .map(|pos| costs[pos].filtered_rows(&table_conjuncts[pos], pos))
         .collect();
-    let first = (0..n).min_by_key(|&pos| filtered[pos]).unwrap_or(0);
-    let mut order = vec![first];
-    let mut joined = BTreeSet::from([first]);
-    let mut cur_est = filtered[first];
+    let mut order = Vec::with_capacity(n);
+    let mut joined = BTreeSet::new();
+    let mut cur_est = 1;
     while order.len() < n {
+        if order.len() == exists.len() {
+            cur_est = 1;
+        }
+        let in_phase = |pos: &usize| exists.contains(pos) == (order.len() < exists.len());
         let mut best: Option<(u64, usize)> = None;
-        for pos in (0..n).filter(|pos| !joined.contains(pos)) {
+        for pos in (0..n).filter(|pos| !joined.contains(pos) && in_phase(pos)) {
             let key_ndv = pending.iter().find_map(|c| equi_key(c, pos, &joined)).map(
                 |(inner_col, outer_key)| {
                     costs[pos]
@@ -318,6 +329,39 @@ fn greedy_order(
         order.push(pos);
     }
     order
+}
+
+/// The FROM positions whose rows a `DISTINCT`, non-aggregate query only
+/// needs to exist: no chain of multi-table conjuncts links them to a
+/// table a projection or `ORDER BY` key reads. Any one witness tuple of
+/// their join yields the same distinct output as all of them, so the
+/// lowering joins them first under one [`PlanNode::Exists`].
+fn existence_only(q: &BoundSelect, conjuncts: &[BoundExpr]) -> BTreeSet<usize> {
+    if !q.distinct || q.is_aggregate() {
+        return BTreeSet::new();
+    }
+    let mut read: BTreeSet<usize> = q
+        .projections
+        .iter()
+        .filter_map(|p| match p {
+            Projection::Scalar { expr, .. } => Some(expr),
+            Projection::Aggregate { .. } => None,
+        })
+        .chain(q.order_by.iter().map(|(e, _)| e))
+        .flat_map(BoundExpr::tables)
+        .collect();
+    let links: Vec<BTreeSet<usize>> = conjuncts
+        .iter()
+        .map(BoundExpr::tables)
+        .filter(|t| t.len() > 1)
+        .collect();
+    while let Some(t) = links
+        .iter()
+        .find(|t| !t.is_disjoint(&read) && !t.is_subset(&read))
+    {
+        read.extend(t);
+    }
+    (0..q.tables.len()).filter(|p| !read.contains(p)).collect()
 }
 
 /// Lowers a bound `SELECT` into a physical plan against `txn`'s
@@ -365,10 +409,11 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
         }
     }
     // 4. Join order: FROM order by default; greedy by estimated
-    // intermediate size when the cost-based knob is on. The executor
-    // runs reordered plans serially (its morsel route needs the
-    // FROM-order driving leaf); its joins write each table's rows at
-    // that table's own tuple slot.
+    // intermediate size when the cost-based knob is on. Either way the
+    // existence-only tables join first, under one `Exists`. The
+    // executor runs reordered and `Exists` plans serially (its morsel
+    // route needs the FROM-order driving leaf); its joins write each
+    // table's rows at that table's own tuple slot.
     let table_conjuncts: Vec<Vec<BoundExpr>> = (0..q.tables.len())
         .map(|pos| {
             remaining
@@ -378,11 +423,14 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                 .collect()
         })
         .collect();
+    let exists = existence_only(q, &remaining);
     let order: Vec<usize> = if opts.cost_based_join_order && q.tables.len() > 1 && !trivially_empty
     {
-        greedy_order(&remaining, &costs, &table_conjuncts)
+        greedy_order(&remaining, &costs, &table_conjuncts, &exists)
     } else {
-        (0..q.tables.len()).collect()
+        let mut order: Vec<usize> = (0..q.tables.len()).collect();
+        order.sort_by_key(|pos| !exists.contains(pos));
+        order
     };
     let mut pending: Vec<Option<BoundExpr>> = remaining.into_iter().map(Some).collect();
     let mut root = if trivially_empty {
@@ -390,7 +438,17 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
             bindings: q.tables.iter().map(|t| t.binding.clone()).collect(),
         }
     } else {
-        // 5. Join tables in the chosen order, building a left-deep tree.
+        // 5. Join tables in the chosen order, building a left-deep tree;
+        // once the existence-only tables have joined, wrap them.
+        let wrap = |node: PlanNode, joined: usize| {
+            if joined == exists.len() {
+                PlanNode::Exists {
+                    input: Box::new(node),
+                }
+            } else {
+                node
+            }
+        };
         let mut joined: BTreeSet<usize> = BTreeSet::new();
         let mut tree: Option<PlanNode> = None;
         let mut tree_cost: u64 = 0;
@@ -430,17 +488,16 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                 // exactly the single-table conjuncts, already in the leaf.
                 let leaf = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
                 tree_cost = leaf.est_cost().unwrap_or(1);
-                tree = Some(leaf);
+                tree = Some(wrap(leaf, joined.len()));
                 continue;
             };
             let outer_est = outer.est_rows().unwrap_or(0);
-            let join_filter = applicable;
             let index_nl = equi.filter(|(inner_col, _)| {
                 opts.enable_index_scan
                     && matches!(access, AccessPath::SeqScan)
                     && txn.has_index(bt.id, *inner_col)
             });
-            tree = Some(if let Some((inner_col, outer_key)) = index_nl {
+            let node = if let Some((inner_col, outer_key)) = index_nl {
                 let est_rows = join_rows(outer_est, tc.rows, Some(tc.ndv(inner_col)));
                 let cost = tree_cost.saturating_add(outer_est).saturating_add(est_rows);
                 tree_cost = cost;
@@ -450,11 +507,14 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                     pos,
                     inner_col,
                     outer_key,
-                    filter: join_filter,
+                    filter: applicable,
                     est_rows,
                     cost,
                 }
             } else {
+                // The inner leaf already applies `pos`'s own conjuncts.
+                applicable.retain(|c| c.tables().len() > 1);
+                let join_filter = applicable;
                 let inner = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
                 let inner_est = inner.est_rows().unwrap_or(0);
                 let inner_cost = inner.est_cost().unwrap_or(1);
@@ -491,7 +551,8 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                         cost,
                     }
                 }
-            });
+            };
+            tree = Some(wrap(node, joined.len()));
         }
         tree.unwrap_or(PlanNode::Empty {
             bindings: Vec::new(),

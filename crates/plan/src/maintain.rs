@@ -17,8 +17,8 @@
 //! [`MaintenanceLicense::RescanOnly`], which forces a rescan whenever a
 //! relevant event arrives instead of folding it.
 //!
-//! The licenses map onto the three evaluation shapes of the semijoin
-//! module:
+//! The licenses name three shapes of the generated query, which the
+//! fold evaluates without running its plan:
 //!
 //! * **heartbeat-only** — `FROM heartbeat H WHERE P_s'`: membership is a
 //!   predicate on `H.sid` alone, so a heartbeat upsert for a new source
@@ -48,7 +48,7 @@ pub enum MaintenanceLicense {
     /// membership of a source is decided by evaluating `P_s'` on the
     /// source id carried by the heartbeat-upsert event.
     HeartbeatOnly,
-    /// Two-relation semijoin whose every join term is
+    /// Two-relation shape whose every join term is
     /// `H.sid = <witness column>`: inserts into the witness relation
     /// nominate members, heartbeats for new sources probe it.
     SidEquality {

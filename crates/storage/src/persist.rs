@@ -4,7 +4,9 @@
 //! should survive a monitor restart. This module serializes a consistent
 //! snapshot — schemas (with domains and CHECK constraint sources), index
 //! definitions, and every visible row — in a simple length-prefixed
-//! binary format (`TRAC` magic + format version). Version history is
+//! binary format (`TRAC` magic + format version), closed by a CRC-32 of
+//! every byte before it, so a damaged file fails to load instead of
+//! loading other data. Version history is
 //! deliberately *not* persisted: a fresh load is equivalent to a vacuumed
 //! database at the snapshot point.
 //!
@@ -21,7 +23,36 @@ use std::path::Path;
 use trac_types::{ColumnDomain, DataType, Result, RowCheckRef, Timestamp, TracError, Value};
 
 const MAGIC: &[u8; 4] = b"TRAC";
-const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 2;
+
+/// CRC-32 (IEEE 802.3, reflected) lookup table.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// The CRC-32 of `data`: it catches every single-bit flip and every
+/// burst of up to 32 bits.
+fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |crc, b| {
+        CRC_TABLE[((crc ^ u32::from(*b)) & 0xff) as usize] ^ (crc >> 8)
+    })
+}
 
 /// Re-binds a persisted CHECK constraint `(name, sql)` against its table.
 pub type CheckBinder<'a> = &'a dyn Fn(&TableSchema, &str, &str) -> Result<RowCheckRef>;
@@ -77,6 +108,8 @@ pub fn save_snapshot(db: &Database, path: &Path) -> Result<()> {
             }
         }
     }
+    let crc = crc32(&buf);
+    buf.put_u32(crc);
     std::fs::write(path, &buf)
         .map_err(|e| TracError::Storage(format!("cannot write snapshot {}: {e}", path.display())))
 }
@@ -92,10 +125,18 @@ pub fn load_snapshot(path: &Path, bind_check: CheckBinder<'_>) -> Result<Databas
 
 /// Decodes the bytes of a snapshot file. Every field is untrusted: a
 /// malformed file ends in [`TracError::Storage`], never in a panic or
-/// an allocation sized by a count it has not yet backed with bytes.
-fn decode_snapshot(data: Vec<u8>, bind_check: CheckBinder<'_>) -> Result<Database> {
-    let mut buf = Bytes::from(data);
+/// an allocation sized by a count it has not yet backed with bytes. The
+/// checksum trailer is checked before any field is read.
+fn decode_snapshot(mut data: Vec<u8>, bind_check: CheckBinder<'_>) -> Result<Database> {
     let corrupt = |what: &str| TracError::Storage(format!("corrupt snapshot: {what}"));
+    let body = data
+        .len()
+        .checked_sub(4)
+        .ok_or_else(|| corrupt("checksum"))?;
+    if Bytes::from(data.split_off(body)).get_u32() != crc32(&data) {
+        return Err(corrupt("checksum"));
+    }
+    let mut buf = Bytes::from(data);
     if buf.remaining() < 6 || &buf.copy_to_bytes(4)[..] != MAGIC {
         return Err(corrupt("bad magic"));
     }
@@ -470,25 +511,40 @@ mod tests {
         assert!(loaded.begin_read().table_id("scratch").is_err());
     }
 
+    /// `body` closed by its valid checksum trailer.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        [body, &crc32(body).to_be_bytes()].concat()
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
     #[test]
     fn rejects_garbage_files() {
         let path = tmp("garbage");
         std::fs::write(&path, b"not a snapshot at all").unwrap();
         let err = load_snapshot(&path, &no_checks).err().expect("must fail");
+        assert!(err.message().contains("checksum"), "{err}");
+        std::fs::write(&path, sealed(b"not a snapshot at all")).unwrap();
+        let err = load_snapshot(&path, &no_checks).err().expect("must fail");
         assert!(err.message().contains("bad magic"), "{err}");
-        std::fs::write(&path, b"TRAC\x00\x63").unwrap(); // version 99
+        std::fs::write(&path, sealed(b"TRAC\x00\x63")).unwrap(); // version 99
         let err = load_snapshot(&path, &no_checks).err().expect("must fail");
         assert!(err.message().contains("version"), "{err}");
         // Truncated after a valid header.
-        std::fs::write(&path, b"TRAC\x00\x01\x00\x00\x00\x05").unwrap();
-        assert!(load_snapshot(&path, &no_checks).is_err());
+        std::fs::write(&path, sealed(b"TRAC\x00\x02\x00\x00\x00\x05")).unwrap();
+        let err = load_snapshot(&path, &no_checks).err().expect("must fail");
+        assert!(err.message().contains("truncated"), "{err}");
         // One TEXT column whose text set declares 2^32 - 1 entries that
         // the file cannot hold: no allocation may be sized by the count.
-        let mut huge = b"TRAC\x00\x01\x00\x00\x00\x01".to_vec();
+        let mut huge = b"TRAC\x00\x02\x00\x00\x00\x01".to_vec();
         huge.extend_from_slice(b"\x00\x00\x00\x01t\x00\x01"); // table `t`, 1 column
         huge.extend_from_slice(b"\x00\x00\x00\x01c\x02\x00"); // `c` TEXT NOT NULL
         huge.extend_from_slice(b"\x02\xff\xff\xff\xff"); // text set, count
-        std::fs::write(&path, &huge).unwrap();
+        std::fs::write(&path, sealed(&huge)).unwrap();
         let err = load_snapshot(&path, &no_checks).err().expect("must fail");
         assert!(err.message().contains("truncated"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -555,7 +611,11 @@ mod tests {
             let mut flipped = file.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let load = std::panic::catch_unwind(|| decode_snapshot(flipped, &no_checks).is_ok());
-            assert!(load.is_ok(), "flipping bit {bit} panicked the loader");
+            assert_eq!(
+                load.ok(),
+                Some(false),
+                "flipping bit {bit} loaded or panicked"
+            );
         }
     }
 

@@ -26,6 +26,10 @@
 //! semantically required) and exceeds the multiset requirement for
 //! unordered ones.
 //!
+//! A recency arm runs the stored plan of every recency subquery a
+//! generated join query yields and checks its source set against the
+//! reference evaluation of the subquery's bound form.
+//!
 //! Two typed-kernel arms close the loop on the lane certificates: the
 //! main workload re-runs with `typed_kernels: false` (the boxed `Value`
 //! path as byte-level reference over NULL-heavy INT columns), and a
@@ -425,6 +429,68 @@ proptest! {
                     "stats skew (rows={}) changed results for {}",
                     skew_rows,
                     &sql
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Recency-plan differential: every generated subquery of a join
+    /// query runs its stored, certified plan (headed by an `Exists` when
+    /// a relation only has to hold one matching row), and each must
+    /// return the source set the naive reference computes for the
+    /// subquery's bound form, serial and on four threads.
+    #[test]
+    fn stored_recency_plans_match_the_reference(
+        t_rows in proptest::collection::vec((0..4usize, 0..5usize), 0..8),
+        u_rows in proptest::collection::vec((0..4usize, 0..5usize), 0..6),
+        beats in proptest::sample::subsequence(vec![0usize, 1, 2, 3], 0..=4),
+        sql in join_query(),
+    ) {
+        use trac::core::{RecencyPlan, RelevanceConfig};
+        use trac::types::{SourceId, Timestamp};
+        let db = setup(&t_rows, &u_rows);
+        db.with_write(|w| {
+            for sid in &beats {
+                w.heartbeat(&SourceId::new(SIDS[*sid]), Timestamp::from_micros(1_000_000))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let txn = db.begin_read();
+        let bound = bind_select(&txn, &parse_select(&sql).unwrap()).unwrap();
+        for opts in [
+            trac::plan::ExecOptions::default(),
+            trac::plan::ExecOptions::default().with_parallelism(4, 2),
+        ] {
+            let plan = RecencyPlan::build_with(&txn, &bound, RelevanceConfig::default(), opts)
+                .unwrap();
+            for sub in &plan.subqueries {
+                let (Some(query), Some(stored)) = (&sub.query, &sub.plan) else {
+                    continue;
+                };
+                let want: std::collections::BTreeSet<Value> = reference_eval(&txn, query)
+                    .into_iter()
+                    .flatten()
+                    .map(|row| row[0].clone())
+                    .collect();
+                let got: std::collections::BTreeSet<Value> =
+                    trac::exec::execute_plan_with(&txn, stored, opts)
+                        .unwrap()
+                        .rows
+                        .into_iter()
+                        .map(|row| row[0].clone())
+                        .collect();
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "stored plan of {} (threads={}) disagrees with the reference:\n{}",
+                    sub.sql(),
+                    opts.threads,
+                    stored.render()
                 );
             }
         }

@@ -105,7 +105,7 @@ Project (runningMachineId)
   IndexLookup R [IndexProbe(col#1, 1 keys)] filter: 1 conjuncts (est 0 rows, cost 1) [typed:text,int]
 section42/Q4:
 Project (runningMachineId)
-  HashJoin(col#0) filter: 2 conjuncts (est 0 rows, cost 2)
+  HashJoin(col#0) filter: 1 conjuncts (est 0 rows, cost 2)
     IndexLookup S [IndexProbe(col#0, 1 keys)] filter: 2 conjuncts (est 0 rows, cost 1) [typed:text,int,text]
     IndexLookup R [IndexProbe(col#1, 1 keys)] filter: 1 conjuncts (est 0 rows, cost 1) [typed:text,int]
 eval/Q1:
