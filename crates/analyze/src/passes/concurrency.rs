@@ -70,7 +70,7 @@ fn drive_lock_workload() -> Result<()> {
     let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
     session.recency_report(sql)?;
     let out = session.recency_report(sql)?;
-    session.query(&format!("SELECT sid FROM {}", out.normal_table))?;
+    session.query(&format!("SELECT sid FROM {}", out.normal_table()))?;
     let txn = paper.db.begin_write();
     txn.heartbeat(&SourceId::new("m1"), Timestamp(999_000_000))?;
     txn.commit();

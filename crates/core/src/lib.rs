@@ -38,5 +38,7 @@ pub use maintained::{MaintainedReport, ServeKind};
 pub use metrics::{false_positive_rate, overhead};
 pub use relevance::{Guarantee, RecencyPlan, RecencySubquery, RelevanceConfig};
 pub use report::{MemberPair, MemberPairs, RecencyReport, ReportConfig, StalenessSummary};
-pub use session::{MaintenanceStats, Method, PlanCacheStats, ReportOutput, Session};
+pub use session::{
+    MaintenanceStats, Method, PlanCacheStats, ReportOutput, Session, StatementStats,
+};
 pub use zscore::{mean, population_std_dev, z_scores};

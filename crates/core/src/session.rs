@@ -9,6 +9,16 @@
 //! their rows stay private to the session until a statement names them:
 //! only then are they materialized, so a report itself writes nothing.
 //!
+//! Statements are prepared: per SQL text and plan-shaping
+//! [`ExecOptions`] the session keeps the bound user query with its
+//! lowered plan (the *front*, from the text's second execution on) and
+//! the recency plan with its maintained state (the *recency half*, from
+//! the first report). A warm
+//! statement is one lookup and one [`ReadTxn::plan_stamp`] read: nothing
+//! is parsed, bound or lowered. A moved stamp re-lowers the front, a
+//! dropped table re-binds it, and a recency half built over other table
+//! ids than the statement binds now is rebuilt.
+//!
 //! Three reporting methods mirror the evaluation:
 //! * [`Method::Focused`] — full pipeline: parse, analyze, generate and
 //!   run the recency query;
@@ -25,10 +35,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use trac_exec::{ExecOptions, QueryResult};
 use trac_expr::{bind_select, BoundSelect};
-use trac_plan::DEFAULT_BATCH_SIZE;
+use trac_plan::{PhysicalPlan, DEFAULT_BATCH_SIZE};
 use trac_sql::parse_select;
 use trac_storage::lockorder::{self, LockId};
-use trac_storage::{heartbeat, ColumnDef, Database, ReadTxn, TableSchema, HEARTBEAT_TABLE};
+use trac_storage::{
+    heartbeat, ColumnDef, Database, ReadTxn, TableId, TableSchema, HEARTBEAT_TABLE,
+};
 use trac_types::{DataType, Result, Value};
 
 /// Which recency-reporting method to use.
@@ -44,7 +56,9 @@ pub enum Method {
 /// Wall-clock breakdown matching the paper's three response-time parts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Parse the user query and generate the recency query (Focused only).
+    /// Prepare the statement (Focused only): on a warm statement the
+    /// lookup and stamp check; otherwise also parse, bind and lower the
+    /// user query, and generate the recency query on a plan-cache miss.
     pub analyze: Duration,
     /// Run the user query itself.
     pub user_query: Duration,
@@ -77,18 +91,35 @@ pub struct ReportOutput {
     pub result: QueryResult,
     /// The recency/consistency report.
     pub report: RecencyReport,
-    /// Name of the temp table holding normal relevant sources.
-    pub normal_table: String,
-    /// Name of the temp table holding exceptional relevant sources.
-    pub exceptional_table: String,
     /// The recency plan a Focused report ran (`None` for Naive), shared
     /// with the plan cache; [`Self::generated_sql`] renders it.
     pub plan: Option<Arc<RecencyPlan>>,
     /// Wall-clock breakdown.
     pub timings: Timings,
+    /// The report's sequence number in its session, which names its
+    /// tables.
+    pub seq: u64,
+    session: u64,
+}
+
+/// Name of a report table: the normal (`sys_temp_a…`) or exceptional
+/// (`sys_temp_e…`) sources of report `seq` of session `session`.
+fn report_table_name(session: u64, seq: u64, exceptional: bool) -> String {
+    let kind = if exceptional { 'e' } else { 'a' };
+    format!("sys_temp_{kind}{session}_{seq}")
 }
 
 impl ReportOutput {
+    /// Name of the temp table holding normal relevant sources.
+    pub fn normal_table(&self) -> String {
+        report_table_name(self.session, self.seq, false)
+    }
+
+    /// Name of the temp table holding exceptional relevant sources.
+    pub fn exceptional_table(&self) -> String {
+        report_table_name(self.session, self.seq, true)
+    }
+
     /// The recency queries this report ran, as SQL, rendered on demand:
     /// the plan's generated subqueries, or the Naive full heartbeat read.
     pub fn generated_sql(&self) -> Vec<String> {
@@ -104,58 +135,87 @@ impl ReportOutput {
             "NOTICE: Exceptional relevant data sources and timestamps are in the \
              temporary table: {}\n{}\nNOTICE: All ''normal'' relevant data sources and \
              timestamps are in the temporary table: {}\n\n{}",
-            self.exceptional_table, self.report, self.normal_table, self.result
+            self.exceptional_table(),
+            self.report,
+            self.normal_table(),
+            self.result
         )
     }
 }
 
-/// A cached prepared recency plan, tagged with the relevance config it
-/// was built under, carrying the delta-maintained report state that
-/// makes repeated reports O(changes) instead of O(data).
+/// The user query of one statement, bound and lowered.
+struct Front {
+    /// `FROM` names of this session's report tables, materialized first.
+    reports: Vec<String>,
+    bound: Arc<BoundSelect>,
+    plan: PhysicalPlan,
+    /// [`ReadTxn::plan_stamp`] of the bound tables, read before lowering.
+    stamp: Option<u64>,
+}
+
+/// A cached prepared recency plan, tagged with the relevance config and
+/// the tables it was built under, carrying the delta-maintained report
+/// state that makes repeated reports O(changes) instead of O(data).
 struct CachedPlan {
     config: RelevanceConfig,
+    /// After a drop and re-create the statement binds a new table id,
+    /// and this plan, which reads the old one, is rebuilt.
+    tables: Vec<TableId>,
     /// Shared with every report served from this entry: a hit is a
     /// refcount bump, not a copy of the bound and lowered subqueries.
     plan: Arc<RecencyPlan>,
     /// Delta-maintained state ([`MaintainedReport`]), present after the
     /// first maintained report. `None` while a report has it checked
     /// out for folding (or when maintenance is disabled).
-    maintained: Option<MaintainedReport>,
+    maintained: Mutex<Option<MaintainedReport>>,
 }
 
-/// Prepared-plan cache key: the query shape plus every execution knob
-/// that shapes a plan. A miss lowers every subquery under the
-/// session's [`ExecOptions`] ([`RecencyPlan::build_with`]), and every
-/// rescan runs those stored plans, so the knobs shape what runs: the access-path and join toggles pick
-/// operators, `fast_paths` admits storage shortcuts, and
+/// The plan-shaping part of the session's [`ExecOptions`], which keys a
+/// statement entry next to its SQL text. Every execution runs the
+/// stored plans, so the knobs shape what runs: the access-path and join
+/// toggles pick operators, `fast_paths` admits storage shortcuts, and
 /// `typed_kernels` decides whether a kernel certificate is attached.
-/// `threads` and `batch_size` are normalised away: the plan is the same
-/// at every value, and the executor reads them at run time, so a
-/// session that changes only its parallelism keeps its cached plans
-/// (and their maintained state). Any other knob flipped mid-flight
-/// gets a fresh build, not a configuration mismatch.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    sql: String,
-    opts: ExecOptions,
-}
+/// `threads` and `batch_size` are normalised away: the plans are the
+/// same at every value, and the executor reads them at run time, so a
+/// session that changes only its parallelism keeps its prepared
+/// statements (and their maintained state). Any other knob flipped
+/// mid-flight gets a fresh entry, not a configuration mismatch.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKey(ExecOptions);
 
 impl PlanKey {
-    fn new(sql: &str, opts: ExecOptions) -> PlanKey {
-        PlanKey {
-            sql: sql.to_string(),
-            opts: ExecOptions {
-                threads: 1,
-                batch_size: DEFAULT_BATCH_SIZE,
-                ..opts
-            },
-        }
+    fn new(opts: ExecOptions) -> PlanKey {
+        PlanKey(ExecOptions {
+            threads: 1,
+            batch_size: DEFAULT_BATCH_SIZE,
+            ..opts
+        })
     }
 }
 
-/// The detail rows of one report table, `(source, recency)`: the
-/// report's own shared list, not a copy of it.
-type ReportRows = MemberPairs;
+/// One prepared statement. The front is stored on the text's second
+/// execution, so a one-shot statement never stores a plan; the recency
+/// half on its first Focused report.
+#[derive(Default)]
+struct Statement {
+    front: Option<Arc<Front>>,
+    recency: Option<Arc<CachedPlan>>,
+}
+
+/// A statement ready to run, with the recency half its lookup found.
+struct Prepared {
+    txn: ReadTxn,
+    front: Arc<Front>,
+    recency: Option<Arc<CachedPlan>>,
+    /// The map held an entry for the text; `store_front`: `front` is new.
+    seen: bool,
+    store_front: bool,
+}
+
+/// The detail rows of one report's two tables, normal then exceptional,
+/// `(source, recency)`: the report's own shared lists, not copies. A
+/// side is `None` once materialized.
+type PendingReport = [Option<MemberPairs>; 2];
 
 /// A user session against a TRAC-enabled database.
 pub struct Session {
@@ -171,23 +231,26 @@ pub struct Session {
     /// [`ExecOptions::with_parallelism`] to run both through the batched
     /// morsel-driven path.
     pub exec_options: ExecOptions,
-    /// Prepared recency plans keyed by [`PlanKey`] (the raw SQL text
-    /// plus the plan-shaping [`ExecOptions`] they were prepared for),
-    /// invalidated by a [`Self::relevance_config`] change. Heartbeat
-    /// writes no longer invalidate entries: plans depend only on schema
-    /// and predicates, and data freshness is carried by each entry's
-    /// delta-maintained [`MaintainedReport`] state, which folds the
-    /// typed change stream up to the serving snapshot on every report.
-    plan_cache: Mutex<HashMap<PlanKey, CachedPlan>>,
+    /// Prepared statements by [`PlanKey`] and SQL text. Writes do not
+    /// invalidate a recency half: its plan depends only on schema and
+    /// predicates, and data freshness is carried by its delta-maintained
+    /// [`MaintainedReport`] state, which folds the typed change stream up
+    /// to the serving snapshot on every report.
+    statements: Mutex<HashMap<PlanKey, HashMap<String, Statement>>>,
     /// Report tables named by a report but not yet materialized, keyed
-    /// by their (lower-case) name. A statement that names one creates it
-    /// first (see [`Self::open`]); [`Self::close`] discards the rest.
-    report_tables: Mutex<HashMap<String, ReportRows>>,
+    /// by the report's sequence number. A statement that names one
+    /// creates it first (see [`Self::prepare`]); [`Self::close`]
+    /// discards the rest.
+    report_tables: Mutex<HashMap<u64, PendingReport>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     maint_registrations: AtomicU64,
     maint_delta_serves: AtomicU64,
     maint_rescan_serves: AtomicU64,
+    stmt_hits: AtomicU64,
+    stmt_relowers: AtomicU64,
+    stmt_rebinds: AtomicU64,
+    stmt_misses: AtomicU64,
 }
 
 /// Plan-cache hit/miss counters (see [`Session::plan_cache_stats`]).
@@ -213,6 +276,23 @@ pub struct MaintenanceStats {
     pub rescan_serves: u64,
 }
 
+/// Prepared-statement counters (see [`Session::statement_stats`]). Each
+/// execution of a statement — a plain query or a report of any method —
+/// counts once, in exactly one field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StatementStats {
+    /// Ran the cached bound statement and plan as they were.
+    pub hits: u64,
+    /// Re-lowered the cached bound statement: a table it binds changed
+    /// its index set or planner statistics.
+    pub relowers: u64,
+    /// Parsed and bound the text again: a table the cached statement
+    /// binds was dropped.
+    pub rebinds: u64,
+    /// Had no cached statement: parsed, bound and lowered the text.
+    pub misses: u64,
+}
+
 impl Session {
     /// Opens a session.
     pub fn new(db: Database) -> Session {
@@ -224,13 +304,17 @@ impl Session {
             relevance_config: RelevanceConfig::default(),
             report_config: ReportConfig::default(),
             exec_options: ExecOptions::default(),
-            plan_cache: Mutex::new(HashMap::new()),
+            statements: Mutex::new(HashMap::new()),
             report_tables: Mutex::new(HashMap::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             maint_registrations: AtomicU64::new(0),
             maint_delta_serves: AtomicU64::new(0),
             maint_rescan_serves: AtomicU64::new(0),
+            stmt_hits: AtomicU64::new(0),
+            stmt_relowers: AtomicU64::new(0),
+            stmt_rebinds: AtomicU64::new(0),
+            stmt_misses: AtomicU64::new(0),
         }
     }
 
@@ -244,8 +328,9 @@ impl Session {
     /// so a parallel session runs its baseline through the same batched
     /// path as its reports.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let (txn, bound) = self.open(sql)?;
-        Ok(trac_exec::execute_select_with(&txn, &bound, self.exec_options)?.0)
+        let prepared = self.prepare(sql)?;
+        self.store(sql, &prepared, None);
+        trac_exec::execute_plan_with(&prepared.txn, &prepared.front.plan, self.exec_options)
     }
 
     /// Runs `sql` with Focused recency reporting.
@@ -255,22 +340,48 @@ impl Session {
 
     /// Runs `sql` with the chosen reporting method.
     ///
-    /// The Focused path parses and binds the user query exactly once:
-    /// the same [`BoundSelect`] feeds the recency analysis (which lowers
-    /// its generated subqueries straight to plan IR) and the user-query
-    /// execution. No SQL string is re-parsed anywhere downstream.
+    /// The user query is bound once: the same [`BoundSelect`] feeds the
+    /// recency analysis (which lowers its generated subqueries straight
+    /// to plan IR) and the user-query plan, and a warm statement takes
+    /// both plans from its one entry. No SQL string is re-parsed
+    /// anywhere downstream.
     pub fn recency_report_with(&self, sql: &str, method: Method) -> Result<ReportOutput> {
         let t0 = Instant::now();
-        let (txn, bound) = self.open(sql)?;
-        match method {
-            Method::Focused => {
-                let key = PlanKey::new(sql, self.exec_options);
-                let plan = self.cached_or_build_plan(&txn, &key, &bound)?;
-                let analyze = t0.elapsed();
-                self.report_inner(&txn, &bound, Some(&plan), analyze, Some(&key))
-            }
-            Method::Naive => self.report_inner(&txn, &bound, None, Duration::ZERO, None),
+        let mut prepared = self.prepare(sql)?;
+        if method == Method::Naive {
+            self.store(sql, &prepared, None);
+            return self.report_inner(&prepared, None, Duration::ZERO, None);
         }
+        let bound = &prepared.front.bound;
+        let serves = |c: &Arc<CachedPlan>| {
+            c.config == self.relevance_config
+                && c.tables.iter().eq(bound.tables.iter().map(|t| &t.id))
+        };
+        let recency = match prepared.recency.take().filter(serves) {
+            Some(hit) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.store(sql, &prepared, None);
+                hit
+            }
+            None => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                let fresh = Arc::new(CachedPlan {
+                    config: self.relevance_config,
+                    tables: bound.tables.iter().map(|t| t.id).collect(),
+                    plan: Arc::new(self.build(&prepared.txn, bound)?),
+                    maintained: Mutex::new(None),
+                });
+                self.store(sql, &prepared, Some(&fresh));
+                fresh
+            }
+        };
+        let analyze = t0.elapsed();
+        self.report_inner(
+            &prepared,
+            Some(&recency.plan),
+            analyze,
+            Some(&recency.maintained),
+        )
     }
 
     /// Runs `sql` reusing a prebuilt recency plan (the *Focused
@@ -280,15 +391,16 @@ impl Session {
         sql: &str,
         plan: &Arc<RecencyPlan>,
     ) -> Result<ReportOutput> {
-        let (txn, bound) = self.open(sql)?;
-        self.report_inner(&txn, &bound, Some(plan), Duration::ZERO, None)
+        let prepared = self.prepare(sql)?;
+        self.store(sql, &prepared, None);
+        self.report_inner(&prepared, Some(plan), Duration::ZERO, None)
     }
 
     /// Builds a recency plan for later reuse (outside any timing),
     /// lowered under [`Self::exec_options`].
     pub fn build_plan(&self, sql: &str) -> Result<Arc<RecencyPlan>> {
-        let (txn, bound) = self.open(sql)?;
-        self.build(&txn, &bound).map(Arc::new)
+        let (txn, front) = self.front(sql)?;
+        self.build(&txn, &front.bound).map(Arc::new)
     }
 
     /// Builds `bound`'s recency plan under the session's relevance
@@ -297,69 +409,131 @@ impl Session {
         RecencyPlan::build_with(txn, bound, self.relevance_config, self.exec_options)
     }
 
-    /// Opens one statement: parses `sql`, materializes every pending
-    /// report table its `FROM` list names, and only then takes the
-    /// snapshot, so the statement sees the tables it names.
-    fn open(&self, sql: &str) -> Result<(ReadTxn, BoundSelect)> {
-        let stmt = parse_select(sql)?;
-        self.with_report_tables(|pending| {
-            stmt.from
-                .iter()
-                .try_for_each(|t| self.materialize(pending, &t.table))
-        })?;
-        let txn = self.db.begin_read();
-        let bound = bind_select(&txn, &stmt)?;
-        Ok((txn, bound))
-    }
-
-    /// Returns the prepared recency plan for `key` from the session
-    /// cache when it was built under the current relevance config;
-    /// otherwise builds and caches it. Heartbeat traffic does **not**
-    /// age entries out: data freshness is the maintained state's job,
-    /// folded per report, so a cached plan stays valid until its
-    /// relevance config changes.
-    fn cached_or_build_plan(
-        &self,
-        txn: &ReadTxn,
-        key: &PlanKey,
-        bound: &BoundSelect,
-    ) -> Result<Arc<RecencyPlan>> {
-        // Schedule point: the cache probe races report folds and
-        // config changes; the interleaving explorer switches threads
-        // here (yields no-op outside an exploration).
+    /// Makes `sql` ready to run: one lookup of the statement map, then
+    /// the cached front while its tables' stamp holds, its bound
+    /// statement re-lowered when only the stamp moved, and a parse,
+    /// bind and lower when there is no front or a table it binds was
+    /// dropped. Pending report tables the statement names are
+    /// materialized before its snapshot is taken.
+    fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let key = PlanKey::new(self.exec_options);
+        // Schedule point: the lookup races report folds and config
+        // changes; the interleaving explorer switches threads here
+        // (yields no-op outside an exploration).
         trac_exec::schedule::yield_point(trac_exec::schedule::Site::CacheRead);
-        {
+        let (seen, front, recency) = {
             let _cache_order = lockorder::acquire(LockId::PlanCache);
-            if let Some(hit) = self
-                .plan_cache
-                .lock()
-                .expect("plan cache poisoned")
-                .get(key)
-            {
-                if hit.config == self.relevance_config {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&hit.plan));
+            let map = self.statements.lock().expect("statement map poisoned");
+            match map.get(&key).and_then(|texts| texts.get(sql)) {
+                Some(s) => (true, s.front.clone(), s.recency.clone()),
+                None => (false, None, None),
+            }
+        };
+        let (txn, front, store_front, counter) = match front {
+            Some(front) => {
+                self.materialize_named(&front.reports)?;
+                let txn = self.db.begin_read();
+                match txn.plan_stamp(front.bound.tables.iter().map(|t| t.id)) {
+                    Some(stamp) if Some(stamp) == front.stamp => {
+                        (txn, front, false, &self.stmt_hits)
+                    }
+                    stamp @ Some(_) => {
+                        let bound = Arc::clone(&front.bound);
+                        let front = self.lower(&txn, bound, front.reports.clone(), stamp)?;
+                        (txn, front, true, &self.stmt_relowers)
+                    }
+                    None => {
+                        let (txn, front) = self.front(sql)?;
+                        (txn, front, true, &self.stmt_rebinds)
+                    }
                 }
             }
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(self.build(txn, bound)?);
-        trac_exec::schedule::yield_point(trac_exec::schedule::Site::CacheWrite);
-        let _cache_order = lockorder::acquire(LockId::PlanCache);
-        // Replacing an entry drops any maintained state with it: the
-        // state was registered for the *old* plan's subqueries.
-        self.plan_cache.lock().expect("plan cache poisoned").insert(
-            key.clone(),
-            CachedPlan {
-                config: self.relevance_config,
-                plan: Arc::clone(&plan),
-                maintained: None,
-            },
-        );
-        Ok(plan)
+            None => {
+                let (txn, front) = self.front(sql)?;
+                (txn, front, seen, &self.stmt_misses)
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(Prepared {
+            txn,
+            front,
+            recency,
+            seen,
+            store_front,
+        })
     }
 
-    /// Plan-cache hit/miss counters since the session opened.
+    /// Parses and binds `sql` — materializing the pending report tables
+    /// its `FROM` list names before the snapshot is taken, so the
+    /// statement sees them — and lowers it.
+    fn front(&self, sql: &str) -> Result<(ReadTxn, Arc<Front>)> {
+        let stmt = parse_select(sql)?;
+        let reports: Vec<String> = (stmt.from.iter())
+            .filter(|t| self.report_table(&t.table).is_some())
+            .map(|t| t.table.clone())
+            .collect();
+        self.materialize_named(&reports)?;
+        let txn = self.db.begin_read();
+        let bound = Arc::new(bind_select(&txn, &stmt)?);
+        let stamp = txn.plan_stamp(bound.tables.iter().map(|t| t.id));
+        let front = self.lower(&txn, bound, reports, stamp)?;
+        Ok((txn, front))
+    }
+
+    /// Lowers `bound` under [`Self::exec_options`]; `stamp` is its
+    /// tables' stamp, read before. Every later execution runs the
+    /// stored plan, so the installed plan validator (debug builds)
+    /// certifies it here, once.
+    fn lower(
+        &self,
+        txn: &ReadTxn,
+        bound: Arc<BoundSelect>,
+        reports: Vec<String>,
+        stamp: Option<u64>,
+    ) -> Result<Arc<Front>> {
+        let plan = trac_plan::plan_select(txn, &bound, self.exec_options)?;
+        trac_exec::debug_validate_plan(&bound, &plan);
+        Ok(Arc::new(Front {
+            reports,
+            bound,
+            plan,
+            stamp,
+        }))
+    }
+
+    /// Writes what `prepared` and a report built into the statement map,
+    /// in one access: on a text's first execution an entry that records
+    /// it was seen (with the report's recency half), afterwards a new
+    /// front or recency half. A warm statement writes nothing.
+    fn store(&self, sql: &str, prepared: &Prepared, recency: Option<&Arc<CachedPlan>>) {
+        if prepared.seen && !prepared.store_front && recency.is_none() {
+            return;
+        }
+        trac_exec::schedule::yield_point(trac_exec::schedule::Site::CacheWrite);
+        let _cache_order = lockorder::acquire(LockId::PlanCache);
+        let mut map = self.statements.lock().expect("statement map poisoned");
+        let texts = map.entry(PlanKey::new(self.exec_options)).or_default();
+        let entry = if prepared.seen {
+            // Cleared since the lookup: the next execution starts over.
+            let Some(entry) = texts.get_mut(sql) else {
+                return;
+            };
+            entry
+        } else {
+            texts.entry(sql.to_owned()).or_default()
+        };
+        if prepared.store_front {
+            entry.front = Some(Arc::clone(&prepared.front));
+        }
+        if let Some(recency) = recency {
+            // Replacing a recency half drops its maintained state with
+            // it: the state was registered for the old plan.
+            entry.recency = Some(Arc::clone(recency));
+        }
+    }
+
+    /// Plan-cache hit/miss counters since the session opened: Focused
+    /// reports that found, or (re)built, their recency plan.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.cache_hits.load(Ordering::Relaxed),
@@ -380,53 +554,72 @@ impl Session {
         }
     }
 
-    /// Drops every cached prepared recency plan together with its
-    /// delta-maintained report state. Plans also age out on their own
-    /// whenever [`Self::relevance_config`] changes; this is only needed
-    /// to reclaim memory eagerly.
+    /// Prepared-statement counters since the session opened.
+    pub fn statement_stats(&self) -> StatementStats {
+        StatementStats {
+            hits: self.stmt_hits.load(Ordering::Relaxed),
+            relowers: self.stmt_relowers.load(Ordering::Relaxed),
+            rebinds: self.stmt_rebinds.load(Ordering::Relaxed),
+            misses: self.stmt_misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The user-query plan the session keeps for `sql` under the
+    /// current options, rendered: the plan its last execution ran, or
+    /// `None` before the text's second execution.
+    pub fn cached_plan(&self, sql: &str) -> Option<String> {
+        let key = PlanKey::new(self.exec_options);
+        let map = self.statements.lock().expect("statement map poisoned");
+        let front = map.get(&key)?.get(sql)?.front.as_ref();
+        front.map(|f| f.plan.render())
+    }
+
+    /// Drops every prepared statement: the fronts, the recency plans and
+    /// their delta-maintained report state. Nothing needs it for
+    /// correctness — each entry checks its own validity when used — it
+    /// only reclaims memory eagerly.
     pub fn clear_plan_cache(&self) {
         let _cache_order = lockorder::acquire(LockId::PlanCache);
-        self.plan_cache.lock().expect("plan cache poisoned").clear();
+        self.statements
+            .lock()
+            .expect("statement map poisoned")
+            .clear();
     }
 
     fn report_inner(
         &self,
-        txn: &ReadTxn,
-        bound: &BoundSelect,
+        prepared: &Prepared,
         plan: Option<&Arc<RecencyPlan>>,
         analyze: Duration,
-        cache_key: Option<&PlanKey>,
+        maintained: Option<&Mutex<Option<MaintainedReport>>>,
     ) -> Result<ReportOutput> {
-        // 1. The user query, in the shared snapshot (already bound — the
-        // SQL text is never re-parsed past this point).
+        let txn = &prepared.txn;
+        // 1. The user query's prepared plan, in the shared snapshot.
         let t0 = Instant::now();
-        let result = trac_exec::execute_select_with(txn, bound, self.exec_options)?.0;
+        let result = trac_exec::execute_plan_with(txn, &prepared.front.plan, self.exec_options)?;
         let user_query = t0.elapsed();
         // 2. Relevant sources + their recency timestamps, same snapshot
         // — folded from the change stream when maintained state exists.
         let t0 = Instant::now();
         let (pairs, guarantee) = match plan {
-            Some(plan) => (self.relevant_pairs(txn, plan, cache_key)?, plan.guarantee),
+            Some(plan) => (self.relevant_pairs(txn, plan, maintained)?, plan.guarantee),
             None => (heartbeat::all_recencies(txn)?.into(), Guarantee::UpperBound),
         };
         let relevance_query = t0.elapsed();
-        // 3. Statistics; the detail tables are only named here, and
+        // 3. Statistics; the detail tables are only numbered here, and
         // materialized when a later statement names them.
         let t0 = Instant::now();
         let report = RecencyReport::compute(pairs, guarantee, self.report_config);
-        let n = self.seq.fetch_add(1, Ordering::Relaxed);
-        let normal_table = format!("sys_temp_a{}_{n}", self.id);
-        let exceptional_table = format!("sys_temp_e{}_{n}", self.id);
-        self.with_report_tables(|pending| {
-            pending.insert(normal_table.clone(), report.normal.clone());
-            pending.insert(exceptional_table.clone(), report.exceptional.clone());
-        });
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let rows = [
+            Some(report.normal.clone()),
+            Some(report.exceptional.clone()),
+        ];
+        self.with_report_tables(|pending| pending.insert(seq, rows));
         let stats = t0.elapsed();
         Ok(ReportOutput {
             result,
             report,
-            normal_table,
-            exceptional_table,
             plan: plan.cloned(),
             timings: Timings {
                 analyze,
@@ -434,31 +627,30 @@ impl Session {
                 relevance_query,
                 stats,
             },
+            seq,
+            session: self.id,
         })
     }
 
-    /// Member `(source, recency)` pairs for a Focused report. With a
-    /// cache key and [`ExecOptions::maintain_reports`] on, the entry's
-    /// [`MaintainedReport`] is checked out of the plan cache, brought
-    /// up to `txn`'s snapshot by folding the change stream (or
-    /// registered on first use), and put back; the lock is never held
-    /// across the fold. Otherwise: a plain rescan.
+    /// Member `(source, recency)` pairs for a Focused report. With the
+    /// entry's maintained-state slot and
+    /// [`ExecOptions::maintain_reports`] on, the [`MaintainedReport`] is
+    /// checked out of the slot, brought up to `txn`'s snapshot by
+    /// folding the change stream (or registered on first use), and put
+    /// back; the lock is never held across the fold. Otherwise: a plain
+    /// rescan.
     fn relevant_pairs(
         &self,
         txn: &ReadTxn,
         plan: &RecencyPlan,
-        cache_key: Option<&PlanKey>,
+        maintained: Option<&Mutex<Option<MaintainedReport>>>,
     ) -> Result<MemberPairs> {
-        let Some(key) = cache_key.filter(|_| self.exec_options.maintain_reports) else {
+        let Some(slot) = maintained.filter(|_| self.exec_options.maintain_reports) else {
             return maintained::rescan_pairs(txn, plan, self.exec_options);
         };
         let taken = {
             let _cache_order = lockorder::acquire(LockId::PlanCache);
-            self.plan_cache
-                .lock()
-                .expect("plan cache poisoned")
-                .get_mut(key)
-                .and_then(|e| e.maintained.take())
+            slot.lock().expect("plan cache poisoned").take()
         };
         let (state, pairs) = match taken {
             Some(mut state) => {
@@ -477,24 +669,19 @@ impl Session {
             }
         };
         let _cache_order = lockorder::acquire(LockId::PlanCache);
-        if let Some(entry) = self
-            .plan_cache
-            .lock()
+        // A concurrent report may have registered its own state while
+        // ours was checked out; keep whichever is in place (both are
+        // valid — each serves from its own cursor).
+        slot.lock()
             .expect("plan cache poisoned")
-            .get_mut(key)
-        {
-            // A concurrent report may have registered its own state
-            // while ours was checked out; keep whichever is in place
-            // (both are valid — each serves from its own cursor).
-            entry.maintained.get_or_insert(state);
-        }
+            .get_or_insert(state);
         Ok(pairs)
     }
 
     /// Runs `f` on the pending report tables, holding their lock
     /// throughout, so a table two statements race to name is created
     /// once and neither sees it missing.
-    fn with_report_tables<T>(&self, f: impl FnOnce(&mut HashMap<String, ReportRows>) -> T) -> T {
+    fn with_report_tables<T>(&self, f: impl FnOnce(&mut HashMap<u64, PendingReport>) -> T) -> T {
         let _order = lockorder::acquire(LockId::ReportTables);
         // A poisoned map only means a materialization panicked part-way;
         // the entries left in it are still whole.
@@ -504,16 +691,37 @@ impl Session {
             .unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Creates and fills the report table `name` if it is still pending
-    /// (names match case-insensitively, as in the catalog); a no-op for
-    /// any other name. This is the only place a report writes storage.
-    fn materialize(&self, pending: &mut HashMap<String, ReportRows>, name: &str) -> Result<()> {
-        let name = name.to_ascii_lowercase();
-        let Some(rows) = pending.get(&name) else {
+    /// `(seq, exceptional)` when `name` names one of this session's
+    /// report tables (in any case, as the catalog matches names).
+    fn report_table(&self, name: &str) -> Option<(u64, bool)> {
+        let rest = name
+            .get(9..)
+            .filter(|_| name[..9].eq_ignore_ascii_case("sys_temp_"))?;
+        let exceptional = rest.starts_with(['e', 'E']);
+        let seq = rest.rsplit_once('_')?.1.parse().ok()?;
+        let canonical = report_table_name(self.id, seq, exceptional);
+        name.eq_ignore_ascii_case(&canonical)
+            .then_some((seq, exceptional))
+    }
+
+    /// Materializes each of `names` that is still pending.
+    fn materialize_named(&self, names: &[String]) -> Result<()> {
+        (names.iter()).try_for_each(|n| self.with_report_tables(|p| self.materialize(p, n)))
+    }
+
+    /// Creates and fills the report table `name` if it is still pending;
+    /// a no-op for any other name. This is the only place a report
+    /// writes storage.
+    fn materialize(&self, pending: &mut HashMap<u64, PendingReport>, name: &str) -> Result<()> {
+        let Some((seq, exceptional)) = self.report_table(name) else {
+            return Ok(());
+        };
+        let side = usize::from(exceptional);
+        let Some(rows) = pending.get(&seq).and_then(|p| p[side].clone()) else {
             return Ok(());
         };
         let schema = TableSchema::new(
-            &name,
+            report_table_name(self.id, seq, exceptional),
             vec![
                 ColumnDef::new("sid", DataType::Text),
                 ColumnDef::new("recency", DataType::Timestamp),
@@ -522,12 +730,17 @@ impl Session {
         )?;
         let tid = self.db.create_temp_table(schema, self.id)?;
         self.db.with_write(|w| {
-            for (s, t) in rows {
+            for (s, t) in &rows {
                 w.insert(tid, vec![s.to_value(), Value::Timestamp(*t)])?;
             }
             Ok(())
         })?;
-        pending.remove(&name);
+        if let Some(p) = pending.get_mut(&seq) {
+            p[side] = None;
+            if p.iter().all(Option::is_none) {
+                pending.remove(&seq);
+            }
+        }
         Ok(())
     }
 
@@ -536,7 +749,12 @@ impl Session {
     /// plain SQL against the database, a table listing).
     pub fn materialize_report_tables(&self) -> Result<()> {
         self.with_report_tables(|pending| {
-            let mut names: Vec<String> = pending.keys().cloned().collect();
+            let mut names: Vec<String> = (pending.iter())
+                .flat_map(|(&seq, p)| {
+                    let sides = p.iter().enumerate().filter(|(_, rows)| rows.is_some());
+                    sides.map(move |(side, _)| report_table_name(self.id, seq, side == 1))
+                })
+                .collect();
             names.sort_unstable();
             names.iter().try_for_each(|n| self.materialize(pending, n))
         })
@@ -602,7 +820,10 @@ mod tests {
         let out = session
             .recency_report("SELECT mach_id FROM Activity WHERE mach_id = 'm1'")
             .unwrap();
-        let q = format!("SELECT sid, recency FROM {} ORDER BY sid", out.normal_table);
+        let q = format!(
+            "SELECT sid, recency FROM {} ORDER BY sid",
+            out.normal_table()
+        );
         let rows = session.query(&q).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows.rows[0][0], Value::text("m1"));
@@ -621,7 +842,7 @@ mod tests {
                 .recency_report("SELECT mach_id FROM Activity WHERE mach_id = 'm2'")
                 .unwrap();
             // Never named before persist: persist materializes it.
-            name = out.normal_table;
+            name = out.normal_table();
             session.persist(&name).unwrap();
         }
         let session = Session::new(db);
@@ -648,7 +869,10 @@ mod tests {
         let db = paper_db();
         let session = Session::new(db.clone());
         let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
-        let pending = |name: &str| session.with_report_tables(|p| p.get(name).cloned());
+        let pending = |name: &str| {
+            let (seq, exceptional) = session.report_table(name)?;
+            session.with_report_tables(|p| p.get(&seq)?[usize::from(exceptional)].clone())
+        };
         let registered = session.recency_report(sql).unwrap();
         let warm = session.recency_report(sql).unwrap();
         let again = session.recency_report(sql).unwrap();
@@ -658,7 +882,7 @@ mod tests {
         // report tables are one allocation.
         for out in [&registered, &again] {
             assert!(out.report.normal.ptr_eq(&warm.report.normal));
-            let rows = pending(&out.normal_table).expect("pending until named");
+            let rows = pending(&out.normal_table()).expect("pending until named");
             assert!(rows.ptr_eq(&warm.report.normal));
         }
         // One member's heartbeat advances: the next serve is a new list,
@@ -681,11 +905,11 @@ mod tests {
         assert_eq!(moved.report.exceptional, reference.report.exceptional);
         // Naming the table materializes exactly the report's list.
         assert_eq!(
-            table_rows(&session, &moved.normal_table),
+            table_rows(&session, &moved.normal_table()),
             moved.report.normal
         );
-        assert!(pending(&moved.normal_table).is_none());
-        assert!(pending(&warm.normal_table).is_some());
+        assert!(pending(&moved.normal_table()).is_none());
+        assert!(pending(&warm.normal_table()).is_some());
     }
 
     #[test]
@@ -714,9 +938,9 @@ mod tests {
             .covers_basis(&before.snapshot.coverage_basis()));
         // Naming one table materializes exactly that table.
         let out = last.unwrap();
-        assert_eq!(table_rows(&session, &out.normal_table), out.report.normal);
+        assert_eq!(table_rows(&session, &out.normal_table()), out.report.normal);
         let mut expected = tables;
-        expected.push(out.normal_table);
+        expected.push(out.normal_table());
         expected.sort();
         let mut now = db.begin_read().table_names();
         now.sort();
@@ -730,26 +954,26 @@ mod tests {
         let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
         // Upper case, as the catalog matches names.
         let out = session.recency_report(sql).unwrap();
-        let upper = out.normal_table.to_ascii_uppercase();
+        let upper = out.normal_table().to_ascii_uppercase();
         assert_eq!(table_rows(&session, &upper), out.report.normal);
         // Naive reports pend their tables the same way.
         let naive = session.recency_report_with(sql, Method::Naive).unwrap();
         assert_eq!(
-            table_rows(&session, &naive.normal_table),
+            table_rows(&session, &naive.normal_table()),
             naive.report.normal
         );
         // A report and a plan build over a pending table see it.
         let out = session.recency_report(sql).unwrap();
-        let over = format!("SELECT sid FROM {}", out.normal_table);
+        let over = format!("SELECT sid FROM {}", out.normal_table());
         assert_eq!(session.recency_report(&over).unwrap().result.len(), 3);
         session
-            .build_plan(&format!("SELECT sid FROM {}", out.exceptional_table))
+            .build_plan(&format!("SELECT sid FROM {}", out.exceptional_table()))
             .unwrap();
-        assert!(db.begin_read().table_id(&out.exceptional_table).is_ok());
+        assert!(db.begin_read().table_id(&out.exceptional_table()).is_ok());
         // Closing discards what was never named.
         let out = session.recency_report(sql).unwrap();
         session.close();
-        let gone = format!("SELECT sid FROM {}", out.normal_table);
+        let gone = format!("SELECT sid FROM {}", out.normal_table());
         assert!(session.query(&gone).is_err(), "discarded on close");
         assert!(db
             .begin_read()
@@ -766,7 +990,7 @@ mod tests {
             .recency_report("SELECT mach_id FROM Activity WHERE value = 'idle'")
             .unwrap();
         let tables = db.begin_read().table_names().len();
-        let q = format!("SELECT COUNT(*) FROM {}", out.normal_table);
+        let q = format!("SELECT COUNT(*) FROM {}", out.normal_table());
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             let racers: Vec<_> = (0..2)
@@ -791,7 +1015,7 @@ mod tests {
             .recency_report("SELECT mach_id FROM Activity WHERE value = 'idle'")
             .unwrap();
         lockorder::enable_tracking();
-        let named = session.query(&format!("SELECT sid FROM {}", out.normal_table));
+        let named = session.query(&format!("SELECT sid FROM {}", out.normal_table()));
         let edges = lockorder::take_edges();
         named.unwrap();
         assert!(
@@ -921,13 +1145,20 @@ mod tests {
         assert!(text.contains("(2 rows)"));
     }
 
-    /// Flips the cached plan's guarantee to `UpperBound` in place.
+    /// Runs `f` on the statement entry of `sql` under the session's
+    /// current options.
+    fn with_entry<T>(session: &Session, sql: &str, f: impl FnOnce(&mut Statement) -> T) -> T {
+        let key = PlanKey::new(session.exec_options);
+        let mut map = session.statements.lock().unwrap();
+        f(map.get_mut(&key).unwrap().get_mut(sql).unwrap())
+    }
+
+    /// Flips the cached recency plan's guarantee to `UpperBound` in place.
     fn poison_cached_plan(session: &Session, sql: &str) {
-        let mut cache = session.plan_cache.lock().unwrap();
-        let entry = cache
-            .get_mut(&PlanKey::new(sql, session.exec_options))
-            .unwrap();
-        Arc::make_mut(&mut entry.plan).guarantee = Guarantee::UpperBound;
+        with_entry(session, sql, |entry| {
+            let cached = Arc::get_mut(entry.recency.as_mut().unwrap()).unwrap();
+            Arc::make_mut(&mut cached.plan).guarantee = Guarantee::UpperBound;
+        });
     }
 
     #[test]
@@ -936,11 +1167,11 @@ mod tests {
         let session = Session::new(db);
         let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
         session.recency_report(sql).unwrap();
-        let key = PlanKey::new(sql, session.exec_options);
-        let (txn, bound) = session.open(sql).unwrap();
-        let hit = session.cached_or_build_plan(&txn, &key, &bound).unwrap();
-        let cache = session.plan_cache.lock().unwrap();
-        assert!(Arc::ptr_eq(&hit, &cache[&key].plan), "a hit must not copy");
+        let hit = session.recency_report(sql).unwrap().plan.unwrap();
+        let cached = with_entry(&session, sql, |e| {
+            Arc::clone(&e.recency.as_ref().unwrap().plan)
+        });
+        assert!(Arc::ptr_eq(&hit, &cached), "a hit must not copy");
         assert_eq!(session.plan_cache_stats().hits, 1);
     }
 
@@ -956,7 +1187,7 @@ mod tests {
         let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
         let first = session.recency_report(sql).unwrap();
         assert_eq!(first.report.guarantee, Guarantee::Minimum);
-        assert_eq!(session.plan_cache.lock().unwrap().len(), 1);
+        assert_eq!(session.statements.lock().unwrap().len(), 1);
         // Poison the cached plan's guarantee: only a cache hit can
         // surface the poisoned value in the next report.
         poison_cached_plan(&session, sql);
@@ -1000,10 +1231,11 @@ mod tests {
     /// Operator counts over the subquery plans the session cached for
     /// `sql`: the plans its rescans run.
     fn cached_ops(session: &Session, sql: &str) -> HashMap<&'static str, usize> {
-        let cache = session.plan_cache.lock().unwrap();
-        let entry = &cache[&PlanKey::new(sql, session.exec_options)];
+        let plan = with_entry(session, sql, |e| {
+            Arc::clone(&e.recency.as_ref().unwrap().plan)
+        });
         let mut ops = HashMap::new();
-        for plan in entry.plan.subqueries.iter().filter_map(|s| s.plan.as_ref()) {
+        for plan in plan.subqueries.iter().filter_map(|s| s.plan.as_ref()) {
             for (op, n) in plan.operator_counts() {
                 *ops.entry(op).or_insert(0) += n;
             }
@@ -1087,7 +1319,7 @@ mod tests {
             PlanCacheStats { hits: 2, misses: 1 },
             "both configurations share one cached plan"
         );
-        assert_eq!(session.plan_cache.lock().unwrap().len(), 1);
+        assert_eq!(session.statements.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -1275,6 +1507,95 @@ mod tests {
             );
             assert_eq!(s.report.guarantee, p.report.guarantee);
         }
+    }
+
+    #[test]
+    fn statements_are_stored_on_their_second_execution_and_revalidated() {
+        let db = paper_db();
+        let session = Session::new(db.clone());
+        let sql = "SELECT mach_id FROM Activity WHERE value = 'idle'";
+        let counts = |hits, relowers, rebinds, misses| StatementStats {
+            hits,
+            relowers,
+            rebinds,
+            misses,
+        };
+        session.query(sql).unwrap();
+        assert!(
+            session.cached_plan(sql).is_none(),
+            "a first run stores no plan"
+        );
+        session.recency_report(sql).unwrap();
+        assert!(session.cached_plan(sql).is_some());
+        session.query(sql).unwrap();
+        session.recency_report_with(sql, Method::Naive).unwrap();
+        assert_eq!(session.statement_stats(), counts(2, 0, 0, 2));
+        // A write moves Activity's statistics: the bound statement is
+        // lowered again, once, and serves the new row.
+        let a = db.begin_read().table_id("activity").unwrap();
+        let ts = Timestamp::parse("2006-02-10 00:00:55").unwrap();
+        let row = vec![Value::text("m2"), Value::text("idle"), Value::Timestamp(ts)];
+        db.with_write(|w| w.ingest(&SourceId::new("m2"), a, row, ts))
+            .unwrap();
+        assert_eq!(session.query(sql).unwrap().len(), 3);
+        assert_eq!(session.recency_report(sql).unwrap().result.len(), 3);
+        assert_eq!(session.statement_stats(), counts(3, 1, 0, 2));
+        // An index on a table the statement does not bind leaves it
+        // alone; one on Activity re-lowers it.
+        db.create_index("routing", "neighbor").unwrap();
+        session.query(sql).unwrap();
+        db.create_index("activity", "value").unwrap();
+        session.query(sql).unwrap();
+        assert_eq!(session.statement_stats(), counts(4, 2, 0, 2));
+        assert_eq!(
+            session.plan_cache_stats(),
+            PlanCacheStats { hits: 1, misses: 1 }
+        );
+    }
+
+    /// Runs the DDL of a `DROP TABLE Activity` followed by a re-create
+    /// between `warm` reports of a join and one more, and compares the
+    /// last with a fresh session's.
+    fn report_across_a_recreated_table(warm: usize) -> Session {
+        let db = paper_db();
+        let run = |sql: &str| trac_exec::execute_statement(&db, sql).unwrap();
+        let sql = "SELECT A.mach_id FROM Routing R, Activity A \
+                   WHERE R.mach_id = 'm1' AND R.neighbor = A.mach_id AND A.value = 'idle'";
+        let session = Session::new(db.clone());
+        run("DELETE FROM Activity WHERE value = 'idle'");
+        for _ in 0..warm {
+            session.recency_report(sql).unwrap();
+        }
+        run("DROP TABLE Activity");
+        run(
+            "CREATE TABLE activity (mach_id TEXT NOT NULL, value TEXT, event_time TIMESTAMP) \
+             SOURCE COLUMN mach_id",
+        );
+        run("INSERT INTO activity VALUES ('m3', 'idle', '2006-02-10 00:00:35')");
+        let cached = session.recency_report(sql).unwrap();
+        let fresh = Session::new(db).recency_report(sql).unwrap();
+        assert_eq!(cached.result.rows, fresh.result.rows);
+        assert_eq!(cached.report.normal, fresh.report.normal);
+        assert_eq!(cached.report.exceptional, fresh.report.exceptional);
+        assert_eq!(cached.report.guarantee, fresh.report.guarantee);
+        assert_eq!(
+            session.plan_cache_stats().misses,
+            2,
+            "the recency plan is rebuilt"
+        );
+        session
+    }
+
+    #[test]
+    fn a_dropped_and_recreated_table_rebuilds_the_cached_plans() {
+        // After one report only the recency half is stored.
+        assert_eq!(
+            report_across_a_recreated_table(1).statement_stats().misses,
+            2
+        );
+        // After two the front is too, and its dead table id re-binds it.
+        let session = report_across_a_recreated_table(2);
+        assert_eq!(session.statement_stats().rebinds, 1);
     }
 
     #[test]

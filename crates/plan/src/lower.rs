@@ -32,6 +32,7 @@ use crate::access::{choose_access_path, AccessPath, ExecOptions};
 use crate::cost::{join_rows, TableCost};
 use crate::ir::{PhysicalPlan, PlanNode};
 use std::collections::BTreeSet;
+use std::mem::take;
 use trac_expr::bound::AggFunc;
 use trac_expr::{
     eval_predicate, BoundExpr, BoundSelect, BoundTable, ColRef, KernelCert, LaneCert, Projection,
@@ -174,7 +175,6 @@ fn try_fast_path(
     let [bt] = q.tables.as_slice() else {
         return None;
     };
-    let columns = q.output_names();
     // Aggregate shortcuts: one global group, nothing filtered, nothing
     // shaped — the storage layer can answer directly.
     let unshaped = q.group_by.is_empty()
@@ -194,7 +194,7 @@ fn try_fast_path(
                             est_rows: tc.rows,
                             cost: 1,
                         },
-                        columns,
+                        columns: q.output_names(),
                         cert: KernelCert::default(),
                     });
                 }
@@ -217,7 +217,7 @@ fn try_fast_path(
                             est_rows: 1,
                             cost: 1,
                         },
-                        columns,
+                        columns: q.output_names(),
                         cert: KernelCert::default(),
                     });
                 }
@@ -276,7 +276,7 @@ fn try_fast_path(
                         input: Box::new(root),
                         n,
                     },
-                    columns,
+                    columns: q.output_names(),
                     cert: KernelCert::default(),
                 });
             }
@@ -376,15 +376,20 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
         split_and(p, &mut conjuncts);
     }
     // 2. Constant conjuncts decide emptiness up front.
+    // Each remaining conjunct's tables are collected once, here, for
+    // the splits below.
     let mut remaining: Vec<BoundExpr> = Vec::new();
+    let mut conj_tables: Vec<BTreeSet<usize>> = Vec::new();
     let mut trivially_empty = false;
     for c in conjuncts {
-        if c.references().is_empty() {
+        let tables = c.tables();
+        if tables.is_empty() {
             if eval_predicate(c, &[])? != Truth::True {
                 trivially_empty = true;
             }
         } else {
             remaining.push(c.clone());
+            conj_tables.push(tables);
         }
     }
     // Per-table statistics, read (and copied out of the catalog) once
@@ -414,12 +419,11 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
     // executor runs reordered and `Exists` plans serially (its morsel
     // route needs the FROM-order driving leaf); its joins write each
     // table's rows at that table's own tuple slot.
-    let table_conjuncts: Vec<Vec<BoundExpr>> = (0..q.tables.len())
+    let mut table_conjuncts: Vec<Vec<BoundExpr>> = (0..q.tables.len())
         .map(|pos| {
-            remaining
-                .iter()
-                .filter(|c| c.tables() == BTreeSet::from([pos]))
-                .cloned()
+            (remaining.iter().zip(&conj_tables))
+                .filter(|(_, t)| t.len() == 1 && t.contains(&pos))
+                .map(|(c, _)| c.clone())
                 .collect()
         })
         .collect();
@@ -457,9 +461,9 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
             let tc = &costs[pos];
             // Conjuncts that become applicable once `pos` joins.
             let mut applicable: Vec<BoundExpr> = Vec::new();
-            for slot in &mut pending {
+            for (slot, tables) in pending.iter_mut().zip(&conj_tables) {
                 if let Some(c) = slot.take() {
-                    let ready = c.tables().iter().all(|t| *t == pos || joined.contains(t));
+                    let ready = tables.iter().all(|t| *t == pos || joined.contains(t));
                     if ready {
                         applicable.push(c);
                     } else {
@@ -486,7 +490,7 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
             let Some(outer) = tree else {
                 // First table: the leaf is the tree. `applicable` here is
                 // exactly the single-table conjuncts, already in the leaf.
-                let leaf = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
+                let leaf = make_leaf(bt, pos, access, take(&mut table_conjuncts[pos]), tc);
                 tree_cost = leaf.est_cost().unwrap_or(1);
                 tree = Some(wrap(leaf, joined.len()));
                 continue;
@@ -515,7 +519,7 @@ pub fn plan_select(txn: &ReadTxn, q: &BoundSelect, opts: ExecOptions) -> Result<
                 // The inner leaf already applies `pos`'s own conjuncts.
                 applicable.retain(|c| c.tables().len() > 1);
                 let join_filter = applicable;
-                let inner = make_leaf(bt, pos, access, table_conjuncts[pos].clone(), tc);
+                let inner = make_leaf(bt, pos, access, take(&mut table_conjuncts[pos]), tc);
                 let inner_est = inner.est_rows().unwrap_or(0);
                 let inner_cost = inner.est_cost().unwrap_or(1);
                 if let Some((inner_col, outer_key)) = equi.filter(|_| opts.enable_hash_join) {

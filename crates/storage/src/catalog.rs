@@ -153,11 +153,16 @@ pub struct TableStats {
     pub rows: u64,
     /// Per-column statistics, indexed by column position.
     pub columns: Vec<ColumnStats>,
+    /// Bumped by every change to these statistics, so a cached plan
+    /// can tell whether the estimates and proofs it was lowered under
+    /// still hold (see [`crate::ReadTxn::plan_stamp`]).
+    pub version: u64,
 }
 
 impl TableStats {
     /// Folds one inserted row into the stats.
     pub fn observe_insert(&mut self, row: &[Value]) {
+        self.version += 1;
         self.rows = self.rows.saturating_add(1);
         if self.columns.len() < row.len() {
             self.columns.resize_with(row.len(), ColumnStats::default);
@@ -169,6 +174,7 @@ impl TableStats {
 
     /// Records one deleted row.
     pub fn observe_delete(&mut self) {
+        self.version += 1;
         self.rows = self.rows.saturating_sub(1);
     }
 
@@ -399,6 +405,7 @@ mod tests {
         s.observe_insert(&[Value::Null, Value::text("y")]);
         s.observe_delete();
         assert_eq!(s.rows, 50);
+        assert_eq!(s.version, 52, "every insert and delete counts");
         let c0 = s.column(0).unwrap();
         assert_eq!(c0.nulls, 1);
         assert_eq!(c0.min, Some(Value::Int(0)));

@@ -369,7 +369,9 @@ impl Database {
     /// the differential suite asserts exactly that.
     pub fn update_table_stats(&self, tid: TableId, f: impl FnOnce(&mut TableStats)) {
         let mut inner = self.state.data.write();
-        f(inner.catalog.table_stats_mut(tid));
+        let stats = inner.catalog.table_stats_mut(tid);
+        f(stats);
+        stats.version += 1;
     }
 
     /// Convenience: run `f` in a write transaction, committing on `Ok`.
@@ -636,6 +638,20 @@ impl ReadTxn {
             .table_stats(tid)
             .cloned()
             .unwrap_or_default()
+    }
+
+    /// A stamp of what a plan lowered over `tables` rests on — their
+    /// index sets and planner statistics — read under one latch, or
+    /// `None` once any of them is dropped. Index counts and statistics
+    /// versions only grow and a table id is never reused, so the stamp
+    /// moves exactly when one of them does.
+    pub fn plan_stamp(&self, tables: impl IntoIterator<Item = TableId>) -> Option<u64> {
+        let inner = self.state.data.read();
+        tables.into_iter().try_fold(0, |stamp, tid| {
+            let indexes = inner.stores.get(tid.0)?.as_ref()?.indexes.len() as u64;
+            let stats = inner.catalog.table_stats(tid).map_or(0, |s| s.version);
+            Some(stamp + indexes + stats)
+        })
     }
 
     /// The extreme key of the index on `tid.column` that still has a
@@ -1230,6 +1246,40 @@ mod tests {
         let schema = r.schema(hb).unwrap();
         assert_eq!(schema.source_column, Some(0));
         assert!(r.has_index(hb, 0));
+    }
+
+    #[test]
+    fn plan_stamp_moves_with_indexes_and_statistics_until_a_drop() {
+        let db = Database::new();
+        let tid = activity(&db);
+        let hb = db.begin_read().table_id(HEARTBEAT_TABLE).unwrap();
+        let stamp = || db.begin_read().plan_stamp([tid]);
+        let s0 = stamp().unwrap();
+        // A write to another table leaves the stamp alone.
+        db.with_write(|w| w.heartbeat(&SourceId::new("m1"), Timestamp::from_secs(5)))
+            .unwrap();
+        assert_eq!(stamp(), Some(s0));
+        let slot = db
+            .with_write(|w| w.insert(tid, act_row("m1", "idle", 100)))
+            .unwrap();
+        let s1 = stamp().unwrap();
+        assert!(s1 > s0, "an insert moves the statistics");
+        db.with_write(|w| w.delete(tid, slot)).unwrap();
+        let s2 = stamp().unwrap();
+        assert!(s2 > s1, "so does a delete");
+        db.create_index("activity", "value").unwrap();
+        let s3 = stamp().unwrap();
+        assert!(s3 > s2, "and an index");
+        db.update_table_stats(tid, |s| s.rows = 1_000);
+        assert!(stamp().unwrap() > s3, "and a planner override");
+        assert!(db.begin_read().plan_stamp([hb, tid]).is_some());
+        db.drop_table("activity").unwrap();
+        assert_eq!(stamp(), None);
+        assert_eq!(db.begin_read().plan_stamp([hb, tid]), None);
+        // A re-created table is a new id; the old one stays dead.
+        let again = activity(&db);
+        assert_ne!(again, tid);
+        assert_eq!(stamp(), None);
     }
 
     #[test]

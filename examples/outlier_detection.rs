@@ -68,22 +68,22 @@ fn main() -> Result<()> {
     println!("{}", out.render());
     println!();
     println!("-- query the exceptional relevant data sources");
-    println!("mydb=# SELECT * FROM {};", out.exceptional_table);
+    println!("mydb=# SELECT * FROM {};", out.exceptional_table());
     println!(
         "{}",
         session.query(&format!(
             "SELECT sid, recency FROM {} ORDER BY sid",
-            out.exceptional_table
+            out.exceptional_table()
         ))?
     );
     println!();
     println!("-- query the ''normal'' relevant data sources");
-    println!("mydb=# SELECT * FROM {};", out.normal_table);
+    println!("mydb=# SELECT * FROM {};", out.normal_table());
     println!(
         "{}",
         session.query(&format!(
             "SELECT sid, recency FROM {} ORDER BY sid",
-            out.normal_table
+            out.normal_table()
         ))?
     );
 

@@ -76,8 +76,8 @@ fn main() -> Result<()> {
     // The detail outlives this call — it sits in session temp tables:
     let detail = session.query(&format!(
         "SELECT sid, recency FROM {} ORDER BY sid",
-        out.normal_table
+        out.normal_table()
     ))?;
-    println!("\ncontents of {}:\n{detail}", out.normal_table);
+    println!("\ncontents of {}:\n{detail}", out.normal_table());
     Ok(())
 }

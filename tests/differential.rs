@@ -656,6 +656,147 @@ fn indexes_never_change_an_answer() {
     }
 }
 
+/// Runs `sql` as a report and as a plain query in `session`, and checks
+/// both against a fresh session with the same settings: rows, member
+/// pairs and guarantee, and the plan the session keeps for `sql`
+/// against a fresh lowering under its options (for the default options
+/// that is `explain_select`).
+fn assert_cached_equals_fresh(session: &trac::core::Session, db: &Database, sql: &str, when: &str) {
+    let cached = session.recency_report(sql).unwrap();
+    let plain = session.query(sql).unwrap();
+    let mut fresh = trac::core::Session::new(db.clone());
+    fresh.exec_options = session.exec_options;
+    fresh.relevance_config = session.relevance_config;
+    let expected = fresh.recency_report(sql).unwrap();
+    let at = format!("{when}, threads={}: {sql}", session.exec_options.threads);
+    assert_eq!(cached.result.rows, expected.result.rows, "report rows {at}");
+    assert_eq!(plain.rows, expected.result.rows, "plain rows {at}");
+    assert_eq!(cached.report.normal, expected.report.normal, "normal {at}");
+    assert_eq!(
+        cached.report.exceptional, expected.report.exceptional,
+        "exceptional {at}"
+    );
+    assert_eq!(
+        cached.report.guarantee, expected.report.guarantee,
+        "guarantee {at}"
+    );
+    let txn = db.begin_read();
+    let bound = bind_select(&txn, &parse_select(sql).unwrap()).unwrap();
+    let default = trac::plan::ExecOptions::default();
+    let opts = trac::plan::ExecOptions {
+        threads: default.threads,
+        batch_size: default.batch_size,
+        ..session.exec_options
+    };
+    let plan = if opts == default {
+        trac::exec::explain_select(&txn, &bound).unwrap()
+    } else {
+        trac::plan::plan_select(&txn, &bound, opts).unwrap()
+    };
+    assert_eq!(session.cached_plan(sql), Some(plan.render()), "plan {at}");
+}
+
+/// Prepared-statement arm: a session that keeps each statement's bound
+/// form, lowered plan and recency plan must answer exactly like a
+/// fresh session after every change that could stale them — a NULL
+/// that breaks a `non_null` proof, a NaN that breaks the `nan_free`
+/// proof behind `IndexMinMax`, a new index, a dropped and re-created
+/// table, a relevance-config change, a plan-shaping knob, and a
+/// pending report table named by a statement run twice.
+#[test]
+fn cached_statements_equal_fresh_ones() {
+    use trac::core::Session;
+    use trac::types::{SourceId, Timestamp};
+    const SETUP: [&str; 9] = [
+        "CREATE TABLE t (s TEXT NOT NULL, n INT, f FLOAT) SOURCE COLUMN s",
+        "CREATE TABLE u (v TEXT NOT NULL, m INT) SOURCE COLUMN v",
+        "CREATE INDEX ts ON t (s)",
+        "CREATE INDEX tf ON t (f)",
+        "INSERT INTO t VALUES ('s0', 1, 0.5)",
+        "INSERT INTO t VALUES ('s1', 2, 2.5)",
+        "INSERT INTO t VALUES ('s2', 3, -1.0)",
+        "INSERT INTO u VALUES ('s1', 1)",
+        "INSERT INTO u VALUES ('s2', 5)",
+    ];
+    const QUERIES: [&str; 5] = [
+        "SELECT s, n FROM t WHERE n > 1",
+        "SELECT MAX(f) FROM t",
+        "SELECT COUNT(*) FROM t WHERE s IN ('s0', 's2') AND n IS NOT NULL",
+        "SELECT t.s, u.m FROM t, u WHERE t.s = u.v AND u.m < 3",
+        "SELECT s FROM t WHERE f > 0.0 OR n = 3",
+    ];
+    for threads in [1, 4] {
+        let db = Database::new();
+        for sql in SETUP {
+            execute_statement(&db, sql).unwrap();
+        }
+        db.with_write(|w| {
+            for (i, s) in SIDS.iter().enumerate() {
+                w.heartbeat(&SourceId::new(*s), Timestamp::from_secs(100 + i as i64))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let mut session = Session::new(db.clone());
+        session.exec_options = trac::plan::ExecOptions::default().with_parallelism(threads, 1024);
+        let check_all = |session: &Session, when: &str| {
+            for sql in QUERIES {
+                assert_cached_equals_fresh(session, &db, sql, when);
+            }
+        };
+        check_all(&session, "warm-up");
+        check_all(&session, "warm");
+        let t = db.begin_read().table_id("t").unwrap();
+        db.with_write(|w| w.insert(t, vec![Value::text("s3"), Value::Null, Value::Float(1.5)]))
+            .unwrap();
+        check_all(&session, "after a NULL insert");
+        let max_plan = |session: &Session| session.cached_plan(QUERIES[1]).unwrap();
+        assert!(
+            max_plan(&session).contains("IndexMinMax"),
+            "{}",
+            max_plan(&session)
+        );
+        db.with_write(|w| {
+            w.insert(
+                t,
+                vec![Value::text("s0"), Value::Int(4), Value::Float(f64::NAN)],
+            )
+        })
+        .unwrap();
+        check_all(&session, "after a NaN insert");
+        assert!(
+            !max_plan(&session).contains("IndexMinMax"),
+            "{}",
+            max_plan(&session)
+        );
+        execute_statement(&db, "CREATE INDEX tn ON t (n)").unwrap();
+        check_all(&session, "after CREATE INDEX");
+        execute_statement(&db, "DROP TABLE u").unwrap();
+        execute_statement(
+            &db,
+            "CREATE TABLE u (v TEXT NOT NULL, m INT) SOURCE COLUMN v",
+        )
+        .unwrap();
+        execute_statement(&db, "INSERT INTO u VALUES ('s0', 2)").unwrap();
+        check_all(&session, "after DROP and CREATE");
+        session.relevance_config.dnf_budget = 1;
+        check_all(&session, "after a relevance-config change");
+        session.exec_options.enable_index_scan = false;
+        check_all(&session, "after a knob flip");
+        session.exec_options.enable_index_scan = true;
+        let report = session.recency_report(QUERIES[0]).unwrap();
+        let named = format!("SELECT sid FROM {}", report.normal_table());
+        for _ in 0..3 {
+            assert_cached_equals_fresh(&session, &db, &named, "naming a pending report table");
+        }
+        let stats = session.statement_stats();
+        assert!(
+            stats.hits > 0 && stats.relowers > 0 && stats.rebinds > 0,
+            "{stats:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 

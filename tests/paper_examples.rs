@@ -218,11 +218,11 @@ fn section_51_prototype_session() {
     );
     // The temp tables hold the same split and are queryable.
     let e = session
-        .query(&format!("SELECT sid FROM {}", out.exceptional_table))
+        .query(&format!("SELECT sid FROM {}", out.exceptional_table()))
         .unwrap();
     assert_eq!(e.rows, vec![vec![Value::text("m2")]]);
     let a = session
-        .query(&format!("SELECT COUNT(*) FROM {}", out.normal_table))
+        .query(&format!("SELECT COUNT(*) FROM {}", out.normal_table()))
         .unwrap();
     assert_eq!(a.scalar(), Some(&Value::Int(10)));
 }
